@@ -1,179 +1,226 @@
-"""Vectorized kernels for the large exhaustive law scans.
+"""The one kernel behind ``exp_map`` and every exhaustive identity scan.
 
-These are plain reimplementations of per-point arithmetic that the scalar
-code in :mod:`statemonad` and :mod:`algebra` also performs; the unit tests
-cross-check both routes on small objects.  Every kernel walks its domain in
-chunks and returns the first counterexample index, or None.
+The monad ``T = (S x -)^S`` acts digit by digit on the little-endian
+mixed-radix codes of :mod:`finset`.  ``exp_map``, ``T(f)`` and both
+multiplications send a code with digits ``d_0, d_1, ...`` to
+``sum(digits[i][d_i] * weights[i])`` for per-digit code tables.  So each
+side of every identity the package scans is such a digit sum read through
+zero or more lookup tables: a *side* is the triple ``(digits, weights,
+lookups)``, a plain tuple because tiny scans are dominated by per-call
+costs.  The codes of a side range over the radices ``len(digits[i])``, and
+:func:`first_mismatch` returns the least code where two sides differ.
 
-All domains handled here fit in int64; anything larger never reaches these
-kernels (the callers switch to lazy bigint evaluation instead).
+The scan evaluates the first points, and all of a tiny domain, on Python
+ints, so a quick rejection pays for no arrays.  Past that it broadcasts the
+low digits into an int64 block and walks the domain in order, in chunks
+that grow to at most ``1 << 20`` points.  numpy is imported only there, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from math import prod
+from typing import Iterable, Sequence
 
-CHUNK = 1 << 20
+#: ``(digits, weights, lookups)``: one side of an identity, see above.
+Side = tuple[Sequence[Sequence[int]], Sequence[int], Sequence[Sequence[int]]]
 
+#: Domains of at most this many codes, and scan chunks that start below
+#: this code, run on Python ints.
+_INT_POINTS = 32
 
-def exp_map_table(ft, y: int, z: int, n: int, dom_size: int) -> tuple[int, ...]:
-    """Table of the exponentiated map: postcompose every ``g: n -> y`` with ft."""
-    lookup = np.asarray(ft, dtype=np.int64)
-    out = np.empty(dom_size, dtype=np.int64)
-    for start in range(0, dom_size, CHUNK):
-        g = np.arange(start, min(start + CHUNK, dom_size), dtype=np.int64)
-        code = np.zeros_like(g)
-        p = 1
-        rest = g
-        for _ in range(n):
-            rest, d = np.divmod(rest, y)
-            code += lookup[d] * p
-            p *= z
-        out[start : start + g.size] = code
-    return tuple(out.tolist())
+#: Largest chunk, in points, of the array scan.
+_MAX_CHUNK = 1 << 20
+
+_INT64_MAX = (1 << 63) - 1
 
 
-def _first_mismatch(start: int, bad: np.ndarray) -> int | None:
-    idx = np.nonzero(bad)[0]
-    if idx.size:
-        return start + int(idx[0])
-    return None
+def value_at(side: Side, w: int) -> int:
+    """The side's value at code ``w`` (bigint safe)."""
+    digits, weights, lookups = side
+    code = 0
+    for table, weight in zip(digits, weights):
+        w, d = divmod(w, len(table))
+        code += table[d] * weight
+    for look in lookups:
+        code = look[code]
+    return code
 
 
-def _chunks(total: int):
-    start = 0
-    while start < total:
-        stop = min(start + CHUNK, total)
-        yield start, np.arange(start, stop, dtype=np.int64)
-        start = stop
+def digit_codes(digits: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[int, ...]:
+    """``sum(digits[i][d_i] * weights[i])`` for every code, in code order."""
+    side = (digits, weights, ())
+    if prod(map(len, digits)) > _INT_POINTS and _fits_int64(side):
+        return tuple(_Arrays(side).block(len(digits)).tolist())
+    return tuple(_int_values(side))
 
 
-def mult_agreement_scan(ctx, x) -> int | None:
-    """Compare the exponentiated-evaluation multiplication against the
-    explicit run-outer-then-inner formula over all of TTX."""
-    from .finset import evaluation
-
-    s = ctx.state.size
-    xn = x.size
-    pair_sx = s * xn
-    tx = ctx.t_obj(x).size
-    outer = s * tx
-    total = outer**s
-    eps = np.asarray(evaluation(ctx.pair_obj(x), ctx.state).table, dtype=np.int64)
-    powc = np.asarray([pair_sx**c for c in range(s)], dtype=np.int64)
-    for start, w in _chunks(total):
-        code_a = np.zeros_like(w)
-        code_b = np.zeros_like(w)
-        p = 1
-        rest = w.copy()
-        for _ in range(s):
-            a = rest % outer
-            rest //= outer
-            c, t = np.divmod(a, tx)
-            code_a += eps[a] * p
-            code_b += ((t // powc[c]) % pair_sx) * p
-            p *= pair_sx
-        witness = _first_mismatch(start, code_a != code_b)
-        if witness is not None:
-            return witness
-    return None
-
-
-def associativity_scan(ctx, x) -> int | None:
-    """Compare the two flattening orders pointwise over all of TTTX.
-
-    Requires the multiplication table over TTX to be materializable.
-    """
-    s = ctx.state.size
-    tx = ctx.t_obj(x).size
-    ttx_obj = ctx.t_obj(ctx.t_obj(x))
-    ttx = ttx_obj.size
-    mid = s * tx
-    outer = s * ttx
-    total = outer**s
-    mult = np.asarray(
-        [ctx.mult_at(x, w) for w in range(ttx)], dtype=np.int64
-    )
-    powc = np.asarray([mid**c for c in range(s)], dtype=np.int64)
-    for start, w in _chunks(total):
-        code_l = np.zeros_like(w)
-        code_r = np.zeros_like(w)
-        p = 1
-        rest = w.copy()
-        for _ in range(s):
-            a = rest % outer
-            rest //= outer
-            c, t = np.divmod(a, ttx)
-            code_l += (c * tx + mult[t]) * p
-            code_r += ((t // powc[c]) % mid) * p
-            p *= mid
-        witness = _first_mismatch(start, mult[code_l] != mult[code_r])
-        if witness is not None:
-            return witness
-    return None
-
-
-def algebra_assoc_scan(ctx, x, h) -> int | None:
-    """Check ``h . T(h) == h . mult`` over all of TTX for a structure table."""
-    s = ctx.state.size
-    xn = x.size
-    pair_sx = s * xn
-    tx = ctx.t_obj(x).size
-    outer = s * tx
-    total = outer**s
-    hh = np.asarray(h, dtype=np.int64)
-    powc = np.asarray([pair_sx**c for c in range(s)], dtype=np.int64)
-    for start, w in _chunks(total):
-        th_code = np.zeros_like(w)
-        mu_code = np.zeros_like(w)
-        p = 1
-        rest = w.copy()
-        for _ in range(s):
-            a = rest % outer
-            rest //= outer
-            c, t = np.divmod(a, tx)
-            th_code += (c * xn + hh[t]) * p
-            mu_code += ((t // powc[c]) % pair_sx) * p
-            p *= pair_sx
-        witness = _first_mismatch(start, hh[th_code] != hh[mu_code])
-        if witness is not None:
-            return witness
-    return None
-
-
-def tuple_identity_scan(
-    lookup,
-    a_size: int,
-    left_parts: list,
-    right_parts: list,
+def first_mismatch(
+    left: Side, right: Side, points: Iterable[int] | None = None
 ) -> int | None:
-    """Check ``lookup(encode(p)) == lookup(encode(q))`` over a product of
-    per-coordinate (p, q) pair lists.
+    """The least code where the two sides differ, or None.
 
-    Coordinate ``s`` ranges over ``zip(left_parts[s], right_parts[s])``; the
-    flattened combination index of the first failure is returned.
+    With ``points``, only those codes are checked, in the order given, and
+    the first failing one is returned.
     """
-    look = np.asarray(lookup, dtype=np.int64)
-    lens = [len(p) for p in left_parts]
-    total = 1
-    for n in lens:
-        total *= n
-    if total == 0:
-        return None
-    lefts = [np.asarray(p, dtype=np.int64) for p in left_parts]
-    rights = [np.asarray(q, dtype=np.int64) for q in right_parts]
-    for start, idx in _chunks(total):
-        lcode = np.zeros_like(idx)
-        rcode = np.zeros_like(idx)
-        rest = idx.copy()
-        p = 1
-        for s, n in enumerate(lens):
-            sel = rest % n
-            rest //= n
-            lcode += lefts[s][sel] * p
-            rcode += rights[s][sel] * p
-            p *= a_size
-        witness = _first_mismatch(start, look[lcode] != look[rcode])
-        if witness is not None:
-            return witness
+    if points is not None:
+        return next(
+            (w for w in points if value_at(left, w) != value_at(right, w)), None
+        )
+    if prod(map(len, left[0])) <= _INT_POINTS:
+        lv, rv = _int_values(left), _int_values(right)
+        return None if lv == rv else _first_difference(lv, rv)
+    arrays = None
+    for start, j, lo, hi, high in _chunks([len(t) for t in left[0]]):
+        if start >= _INT_POINTS and arrays is None:
+            arrays = (
+                _fits_int64(left)
+                and _fits_int64(right)
+                and (_Arrays(left), _Arrays(right))
+            )
+        if arrays:
+            lv = arrays[0].chunk(j, lo, hi, high)
+            bad = (lv != arrays[1].chunk(j, lo, hi, high)).nonzero()[0]
+            if bad.size:
+                return start + int(bad[0])
+            continue
+        lv = _int_chunk(left, j, lo, hi, high)
+        rv = _int_chunk(right, j, lo, hi, high)
+        if lv != rv:
+            return start + _first_difference(lv, rv)
     return None
+
+
+def _first_difference(lv: list[int], rv: list[int]) -> int:
+    i = 0
+    while lv[i] == rv[i]:
+        i += 1
+    return i
+
+
+def _chunks(radices: list[int]):
+    """Cover the codes in increasing order by chunks ``(start, j, lo, hi,
+    high)``: digit ``j`` in ``[lo, hi)``, every lower digit, and the higher
+    digits ``high``.
+
+    The first chunk is one row of the largest block of low digits within
+    ``_INT_POINTS`` points, which must be smaller than the domain.  Each
+    later one is whole rows of the block, about seven times the points
+    already covered, up to ``_MAX_CHUNK``.
+    """
+    k = len(radices)
+    j, size = 0, 1
+    while size * radices[j] <= _INT_POINTS:
+        size *= radices[j]
+        j += 1
+    yield 0, j, 0, 1, (0,) * (k - j - 1)
+    start = size
+    while j < k:
+        n = radices[j]
+        zeros = (0,) * (k - j - 1)
+        lo = 1
+        while lo < n:
+            target = min(7 * start, _MAX_CHUNK)
+            hi = min(n, lo + max(1, target // size))
+            yield start, j, lo, hi, zeros
+            start += (hi - lo) * size
+            lo = hi
+        if size * n > _MAX_CHUNK:
+            break
+        size *= n
+        j += 1
+    else:
+        return
+    # digit j's rows of the block no longer fit one chunk: sweep them under
+    # every nonzero setting of the digits above j
+    rows = max(1, _MAX_CHUNK // size)
+    above = radices[j + 1 :]
+    for h in range(1, prod(above)):
+        high = []
+        for n in above:
+            h, d = divmod(h, n)
+            high.append(d)
+        for lo in range(0, radices[j], rows):
+            hi = min(radices[j], lo + rows)
+            yield start, j, lo, hi, tuple(high)
+            start += (hi - lo) * size
+
+
+def _high_offset(side: Side, j: int, high: tuple[int, ...]) -> int:
+    """The digit sum of the digits above ``j``, set to ``high``."""
+    digits, weights, _ = side
+    off = 0
+    for i, d in enumerate(high, j + 1):
+        off += digits[i][d] * weights[i]
+    return off
+
+
+def _int_values(side: Side) -> list[int]:
+    """The side's value at every code, as Python ints.
+
+    The lowest digit's pass also applies the first lookup: on a tiny domain
+    each pass over the codes is a fair share of the whole scan.
+    """
+    digits, weights, lookups = side
+    codes = [0]
+    for i in reversed(range(len(digits))):
+        table, weight = digits[i], weights[i]
+        if i == 0 and lookups:
+            look, lookups = lookups[0], lookups[1:]
+            codes = [look[c + v * weight] for c in codes for v in table]
+        else:
+            codes = [c + v * weight for c in codes for v in table]
+    for look in lookups:
+        codes = [look[c] for c in codes]
+    return codes
+
+
+def _int_chunk(side: Side, j: int, lo: int, hi: int, high: tuple[int, ...]) -> list[int]:
+    """The side's values on a chunk of :func:`_chunks`, as Python ints."""
+    digits, weights, lookups = side
+    off = _high_offset(side, j, high)
+    table, weight = digits[j], weights[j]
+    codes = [table[d] * weight + off for d in range(lo, hi)]
+    for i in reversed(range(j)):
+        weight = weights[i]
+        codes = [c + v * weight for c in codes for v in digits[i]]
+    for look in lookups:
+        codes = [look[c] for c in codes]
+    return codes
+
+
+def _fits_int64(side: Side) -> bool:
+    """Whether every digit sum and looked-up value fits an int64."""
+    digits, weights, lookups = side
+    bound = sum(max(t) * w for t, w in zip(digits, weights) if len(t))
+    return bound <= _INT64_MAX and all(
+        max(look, default=0) <= _INT64_MAX for look in lookups
+    )
+
+
+class _Arrays:
+    """int64 copies of one side's tables, and its blocks of low digits."""
+
+    def __init__(self, side: Side):
+        import numpy as np
+
+        digits, weights, lookups = side
+        self.side = side
+        self.tables = [np.asarray(t, dtype=np.int64) * w for t, w in zip(digits, weights)]
+        self.lookups = [np.asarray(t, dtype=np.int64) for t in lookups]
+        self.blocks = {0: np.zeros(1, dtype=np.int64)}
+
+    def block(self, j: int):
+        """Digit sums over the digits below ``j``, for every setting of them."""
+        if j not in self.blocks:
+            low = self.block(j - 1)
+            self.blocks[j] = (self.tables[j - 1][:, None] + low[None, :]).ravel()
+        return self.blocks[j]
+
+    def chunk(self, j: int, lo: int, hi: int, high: tuple[int, ...]):
+        """The side's values on a chunk of :func:`_chunks`."""
+        rows = self.tables[j][lo:hi] + _high_offset(self.side, j, high)
+        codes = (rows[:, None] + self.block(j)[None, :]).ravel()
+        for look in self.lookups:
+            codes = look[codes]
+        return codes

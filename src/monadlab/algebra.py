@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 
+from ._bulk import Side, first_mismatch, value_at
 from .finset import FinSet, FinSetError, Morphism, evaluation, exp_map
 from .statemonad import StateMonadCtx
 
@@ -35,8 +36,6 @@ DEFAULT_SEARCH_CEILING = 10**7
 
 #: Associativity domains up to this size are checked exhaustively.
 DEFAULT_ASSOC_LIMIT = 20_000_000
-
-_SCALAR_ASSOC_LIMIT = 1 << 16
 
 
 class SearchCeilingExceeded(RuntimeError):
@@ -136,115 +135,56 @@ def check_algebra(
 
     s = ctx.state.size
     ttx_size = (s * tx.size) ** s if s else 1
+    left, right = _assoc_sides(ctx, carrier, h)
     if ttx_size <= assoc_limit:
-        witness = _assoc_witness_full(ctx, carrier, h)
+        w = first_mismatch(left, right)
         checked = "full"
     else:
-        witness = _assoc_witness_sampled(ctx, carrier, h, samples, seed)
+        rng = random.Random(seed)
+        points = (rng.randrange(ttx_size) for _ in range(samples))
+        w = first_mismatch(left, right, points)
         checked = "sampled"
-    if witness is not None:
-        w, lhs, rhs = witness
-        return AlgebraViolation("associativity", w, lhs, rhs)
+    if w is not None:
+        return AlgebraViolation(
+            "associativity", w, value_at(left, w), value_at(right, w)
+        )
     return TAlgebra(ctx, carrier, structure, checked=checked)
 
 
-def _assoc_witness_full(ctx, x: FinSet, h) -> tuple[int, int, int] | None:
+def _assoc_sides(ctx: StateMonadCtx, x: FinSet, h) -> tuple[Side, Side]:
+    """``h . T(h)`` and ``h . mult`` on TTX, as digit sums read through h."""
     s = ctx.state.size
-    if s == 0:
-        return None
-    tx_size = ctx.t_obj(x).size
-    ttx_size = (s * tx_size) ** s
-    if ttx_size > _SCALAR_ASSOC_LIMIT:
-        from . import _bulk
-
-        w = _bulk.algebra_assoc_scan(ctx, x, h)
-        if w is None:
-            return None
-        lhs, rhs = _assoc_point(ctx, x, h, w)
-        return (w, lhs, rhs)
-    for w in range(ttx_size):
-        lhs, rhs = _assoc_point(ctx, x, h, w)
-        if lhs != rhs:
-            return (w, lhs, rhs)
-    return None
-
-
-def _assoc_witness_sampled(ctx, x, h, samples, seed):
-    s = ctx.state.size
-    tx_size = ctx.t_obj(x).size
-    ttx_size = (s * tx_size) ** s
-    rng = random.Random(seed)
-    for _ in range(samples):
-        w = rng.randrange(ttx_size)
-        lhs, rhs = _assoc_point(ctx, x, h, w)
-        if lhs != rhs:
-            return (w, lhs, rhs)
-    return None
-
-
-def _assoc_point(ctx, x: FinSet, h, w: int) -> tuple[int, int]:
-    """Evaluate both sides of associativity at one TTX code (bigint safe)."""
-    s = ctx.state.size
-    xn = x.size
-    pair_sx = s * xn
-    tx_size = ctx.t_obj(x).size
-    outer = s * tx_size
-    th_code = 0
-    p = 1
-    rest = w
-    for _ in range(s):
-        a = rest % outer
-        rest //= outer
-        c, t = divmod(a, tx_size)
-        th_code += (c * xn + h[t]) * p
-        p *= pair_sx
-    return h[th_code], h[ctx.mult_at(x, w)]
+    weights = ctx.digit_weights(s * x.size)
+    return (
+        ([ctx.t_digits(h, x.size)] * s, weights, (h,)),
+        ([ctx.mult_digits(x)] * s, weights, (h,)),
+    )
 
 
 def morphism_witness(u: Morphism, source: TAlgebra, target: TAlgebra) -> int | None:
     """First TX code where ``u . h != h' . T(u)``, or None when none exists."""
-    if source.ctx.state != target.ctx.state:
-        raise FinSetError("algebra morphism requires a common state object")
-    if u.dom != source.carrier or u.cod != target.carrier:
-        raise FinSetError(
-            f"map must be {source.carrier.size} -> {target.carrier.size}, "
-            f"got {u.dom.size} -> {u.cod.size}"
-        )
     ctx = source.ctx
     s = ctx.state.size
-    h, h2 = source.structure.table, target.structure.table
-    tx_size = len(h)
     xn, x2n = source.carrier.size, target.carrier.size
-    if tx_size > 1 << 17:
-        import numpy as np
-
-        ut = np.asarray(u.table, dtype=np.int64)
-        hh = np.asarray(h, dtype=np.int64)
-        hh2 = np.asarray(h2, dtype=np.int64)
-        w = np.arange(tx_size, dtype=np.int64)
-        tu = np.zeros_like(w)
-        p = 1
-        rest = w.copy()
-        for _ in range(s):
-            c, v = np.divmod(rest % (s * xn), xn)
-            rest //= s * xn
-            tu += (c * x2n + ut[v]) * p
-            p *= s * x2n
-        bad = np.nonzero(ut[hh] != hh2[tu])[0]
-        return int(bad[0]) if bad.size else None
-    ut = u.table
-    for w in range(tx_size):
-        tu_code = 0
-        p = 1
-        rest = w
-        for _ in range(s):
-            c, v = divmod(rest % (s * xn), xn)
-            rest //= s * xn
-            tu_code += (c * x2n + ut[v]) * p
-            p *= s * x2n
-        if ut[h[w]] != h2[tu_code]:
-            return w
-    return None
+    # FinSets are equal iff their sizes are: sizes are compared directly,
+    # since verification calls this once per map of a hom-set
+    if s != target.ctx.state.size:
+        raise FinSetError("algebra morphism requires a common state object")
+    if u.dom.size != xn or u.cod.size != x2n:
+        raise FinSetError(f"map must be {xn} -> {x2n}, got {u.dom.size} -> {u.cod.size}")
+    radix = s * xn
+    return first_mismatch(
+        (
+            [range(radix)] * s,
+            ctx.digit_weights(radix),
+            (source.structure.table, u.table),
+        ),
+        (
+            [ctx.t_digits(u.table, x2n)] * s,
+            ctx.digit_weights(s * x2n),
+            (target.structure.table,),
+        ),
+    )
 
 
 def check_morphism(u: Morphism, source: TAlgebra, target: TAlgebra) -> bool:
@@ -314,7 +254,8 @@ def enumerate_algebras(
 
 
 def _enumerate_brute(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
-    s, xn, pair_sx, m, pe, pows, ccombos = _structure_tools(ctx, x)
+    xn = x.size
+    m = ctx.t_obj(x).size
     if xn**m > ceiling:
         raise SearchCeilingExceeded(
             f"brute force needs {xn}**{m} candidates, ceiling is {ceiling}"
@@ -326,29 +267,13 @@ def _enumerate_brute(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
         template[ctx.unit_at(x, v)] = v
     free = [t for t in range(m) if template[t] is None]
     found = []
-    cells = list(range(m))
     for combo in product(range(xn), repeat=len(free)):
         h = template[:]
         for t, v in zip(free, combo):
             h[t] = v
-        if _assoc_holds(h, s, xn, pair_sx, pe, pows, ccombos, cells):
+        if first_mismatch(*_assoc_sides(ctx, x, h)) is None:
             found.append(tuple(h))
     return found
-
-
-def _assoc_holds(h, s, xn, pair_sx, pe, pows, ccombos, cells) -> bool:
-    for tup in product(cells, repeat=s):
-        vals = [h[t] for t in tup]
-        for combo in ccombos:
-            lhs = 0
-            rhs = 0
-            for i in range(s):
-                c = combo[i]
-                lhs += (c * xn + vals[i]) * pows[i]
-                rhs += pe[c][tup[i]] * pows[i]
-            if h[lhs] != h[rhs]:
-                return False
-    return True
 
 
 class _ConstrainedSearch:
@@ -532,14 +457,19 @@ def _enumerate_constrained(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
 
 
 def _integer_root(n: int, k: int) -> int | None:
-    """The exact k-th root of n, or None when n is not a perfect k-th power."""
-    if n == 0:
-        return 0
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
+    """The exact k-th root of n, or None when n is not a perfect k-th power.
+
+    Integer Newton iteration from above, so exact for every size of n.
+    """
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        q = ((k - 1) * r + n // r ** (k - 1)) // k
+        if q >= r:
+            break
+        r = q
+    return r if r**k == n else None
 
 
 def _enumerate_transport(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:

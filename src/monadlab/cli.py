@@ -42,12 +42,10 @@ PASS, FAIL, USAGE = 0, 1, 2
 @dataclass
 class RunConfig:
     s_size: int
-    s0: int | None = None
     method: str = "constrained"
     ceiling: int = DEFAULT_SEARCH_CEILING
     fmt: str = "text"
     seed: int = 0
-    jobs: int = 1
 
 
 def _default_ceiling() -> int:
@@ -76,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--ceiling", type=int, default=None, help="search ceiling")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="upper bound on parallel workers (runs one deterministic worker)")
         if with_method:
             p.add_argument(
                 "--method",
@@ -94,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full verification pipeline")
     common(p)
     p.add_argument("--max-x", type=int, required=True, help="largest carrier")
-    p.add_argument("--s0", type=int, default=None, help="chosen state (default 0)")
     p.add_argument("--diagnose-empty", action="store_true",
                    help="with --s 0, demonstrate why the equivalence fails")
     p.add_argument("--out", type=str, default=None, help="also write the JSON report")
@@ -121,18 +116,14 @@ def _config(args: argparse.Namespace) -> RunConfig:
     ceiling = args.ceiling if args.ceiling is not None else _default_ceiling()
     if ceiling <= 0:
         raise FinSetError(f"ceiling must be positive, got {ceiling}")
-    if args.jobs < 1:
-        raise FinSetError(f"jobs must be at least 1, got {args.jobs}")
     if args.s < 0:
         raise FinSetError(f"state count must be non-negative, got {args.s}")
     return RunConfig(
         s_size=args.s,
-        s0=getattr(args, "s0", None),
         method=getattr(args, "method", "constrained"),
         ceiling=ceiling,
         fmt=args.format,
         seed=args.seed,
-        jobs=args.jobs,
     )
 
 

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
+from ._bulk import first_mismatch
 from .algebra import (
     AlgebraViolation,
     SearchCeilingExceeded,
@@ -337,8 +338,6 @@ class StateAlgebra:
 #: Product bound for the nested-lookup equation check.
 DEFAULT_EQ4_LIMIT = 50_000_000
 
-_EQ4_VECTOR_THRESHOLD = 100_000
-
 
 def state_algebra_violation(
     sa: StateAlgebra, eq4_limit: int = DEFAULT_EQ4_LIMIT
@@ -398,22 +397,25 @@ def state_algebra_violation(
         raise SearchCeilingExceeded(
             f"nested-lookup check needs {total} combinations, limit is {eq4_limit}"
         )
-    if total > _EQ4_VECTOR_THRESHOLD:
-        from . import _bulk
+    combo = _nested_lookup_witness(look, lefts, rights, a_n)
+    return None if combo is None else ("lookup_of_lookups", (combo,))
 
-        w = _bulk.tuple_identity_scan(look, a_n, lefts, rights)
-        if w is not None:
-            return ("lookup_of_lookups", (w,))
-    else:
-        for combo in product(*(range(len(p)) for p in lefts)):
-            lcode = 0
-            rcode = 0
-            for s1, i in enumerate(combo):
-                lcode += lefts[s1][i] * pows[s1]
-                rcode += rights[s1][i] * pows[s1]
-            if look[lcode] != look[rcode]:
-                return ("lookup_of_lookups", (combo,))
-    return None
+
+def _nested_lookup_witness(look, lefts, rights, a_n: int) -> tuple[int, ...] | None:
+    """First index combination, in ``itertools.product`` order, where
+    ``look`` differs on the codes of the chosen lefts and of the chosen
+    rights (coordinate ``s`` is the digit of weight ``a_n ** s``)."""
+    s = len(lefts)
+    # coordinate 0 is the most significant digit of the scanned code, so the
+    # least failing code is the first failing combination
+    pows = [a_n**i for i in reversed(range(s))]
+    w = first_mismatch((lefts[::-1], pows, (look,)), (rights[::-1], pows, (look,)))
+    if w is None:
+        return None
+    combo = [0] * s
+    for s1 in reversed(range(s)):
+        w, combo[s1] = divmod(w, len(lefts[s1]))
+    return tuple(combo)
 
 
 def canonical_algebra(ctx: StateMonadCtx, b: FinSet | int) -> StateAlgebra:

@@ -17,6 +17,8 @@ from functools import cached_property
 from itertools import product as _iproduct
 from typing import Iterator, Sequence
 
+from ._bulk import digit_codes
+
 
 class FinSetError(ValueError):
     """Raised when a table, codec, or composition precondition is violated."""
@@ -280,27 +282,10 @@ def evaluation(x: FinSet | int, s: FinSet | int) -> Morphism:
 
 def exp_map(f: Morphism, s: FinSet | int) -> Morphism:
     """The action of ``(-)^S`` on ``f: Y -> Z``, postcomposing pointwise."""
-    s = _as_finset(s)
-    y, z = f.dom.size, f.cod.size
-    ft = f.table
-    dom = ExpCodec(f.dom, s).obj
-    cod = ExpCodec(f.cod, s).obj
-    n = s.size
-    if dom.size >= (1 << 17) and cod.size < (1 << 62):
-        from ._bulk import exp_map_table
-
-        return Morphism(dom, cod, exp_map_table(ft, y, z, n, dom.size))
-    table = []
-    for g in range(dom.size):
-        code = 0
-        p = 1
-        rest = g
-        for _ in range(n):
-            code += ft[rest % y] * p
-            rest //= y
-            p *= z
-        table.append(code)
-    return Morphism(dom, cod, tuple(table))
+    n = _as_finset(s).size
+    z = f.cod.size
+    table = digit_codes([f.table] * n, [z**i for i in range(n)])
+    return Morphism(FinSet(f.dom.size**n), FinSet(z**n), table)
 
 
 @dataclass(frozen=True)

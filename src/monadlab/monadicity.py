@@ -32,6 +32,7 @@ from .algebra import (
     AlgebraMorphism,
     SearchCeilingExceeded,
     TAlgebra,
+    _integer_root,
     check_algebra,
     enumerate_algebras,
     morphism_witness,
@@ -416,6 +417,8 @@ def verify_monadicity(
             "the comparison with function spaces is not an equivalence "
             "(run the empty-state diagnostic to see the failure)"
         )
+    if max_x < 0:
+        raise FinSetError(f"largest carrier must be non-negative, got {max_x}")
     rng = random.Random(seed)
     report = VerificationReport(s_size=s_size, max_x=max_x, seed=seed, method=method)
     ctx = StateMonadCtx(s_size)
@@ -435,7 +438,7 @@ def verify_monadicity(
             report.carriers[x_size] = {"count": None, "guarded": str(exc)}
             continue
         report.carriers[x_size] = {"count": len(algebras), "guarded": None}
-        k = _nth_root_or_none(x_size, s_size)
+        k = _integer_root(x_size, s_size)
         if k is not None:
             expected = _count_conjecture(x_size, k)
             report.tally("structure_count_conjecture").record(
@@ -536,16 +539,6 @@ def _random_map(rng: random.Random, dom: FinSet, cod: FinSet) -> Morphism | None
     if dom.size > 0 and cod.size == 0:
         return None
     return Morphism(dom, cod, tuple(rng.randrange(cod.size) for _ in range(dom.size)))
-
-
-def _nth_root_or_none(n: int, k: int) -> int | None:
-    if n == 0:
-        return 0
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
 
 
 def _count_conjecture(x_size: int, k: int) -> int:

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
+from ._bulk import Side, first_mismatch
 from .finset import (
     ExpCodec,
     FinSet,
@@ -30,9 +32,6 @@ from .finset import (
     pairing,
     product_map,
 )
-
-#: Above this domain size, exhaustive scans switch to the vectorized kernels.
-_VECTOR_THRESHOLD = 1 << 16
 
 #: Largest domain an exhaustive law scan will walk (chunked).
 DEFAULT_SCAN_LIMIT = 300_000_000
@@ -96,7 +95,10 @@ class StateMonadCtx:
 
     def t_obj(self, x: FinSet | int) -> FinSet:
         """The carrier of ``TX``, of size ``(|S| * |X|) ** |S|``."""
-        return self.t_codec(x).obj
+        key = ("t_obj", x.size if isinstance(x, FinSet) else x)
+        if key not in self._cache:
+            self._cache[key] = self.t_codec(x).obj
+        return self._cache[key]
 
     # -- functor and monad structure ----------------------------------------
 
@@ -167,6 +169,44 @@ class StateMonadCtx:
             code += ((t // pair_sx**c) % pair_sx) * p
             p *= pair_sx
         return code
+
+    def mult_digits(self, x: FinSet | int) -> tuple[int, ...]:
+        """Per-digit code table of :meth:`mult_at`.
+
+        A ``TTX`` code's digit ``(c, t)`` in ``S x TX`` contributes digit
+        ``c`` of ``t``; the multiplication sums these with weights
+        ``(|S| * |X|) ** i``.
+        """
+        x = x if isinstance(x, FinSet) else FinSet(x)
+        key = ("mult_digits", x.size)
+        if key not in self._cache:
+            pair_sx = self.state.size * x.size
+            tx = self.t_obj(x).size
+            self._cache[key] = tuple(
+                (t // pair_sx**c) % pair_sx
+                for c in range(self.state.size)
+                for t in range(tx)
+            )
+        return self._cache[key]
+
+    def digit_weights(self, base: int) -> tuple[int, ...]:
+        """Weights ``base ** i`` of the |S| digits of a code in ``B^S``,
+        for a ``base``-element set B."""
+        key = ("weights", base)
+        if key not in self._cache:
+            self._cache[key] = tuple(base**i for i in range(self.state.size))
+        return self._cache[key]
+
+    def t_digits(self, table: Sequence[int], cod: int) -> list[int]:
+        """Per-digit code table of ``T(f)`` for ``f`` with the given table
+        into a ``cod``-element set: the digit ``(c, v)`` goes to ``(c, f(v))``."""
+        # list and map, not a comprehension: check_algebra rebuilds this for
+        # every table it validates, even when the scan stops at code 0
+        s = self.state.size
+        out = list(table) if s else []
+        for c in range(1, s):
+            out.extend(map((c * cod).__add__, table))
+        return out
 
     # -- auxiliary natural maps ----------------------------------------------
 
@@ -295,6 +335,14 @@ class StateMonadCtx:
                 return t
         return None
 
+    def _mult_sides(self, x: FinSet) -> tuple[Side, Side]:
+        """Both multiplications on TTX as digit sums: the exponentiated
+        evaluation, and the run-outer-then-inner formula of :meth:`mult_at`."""
+        s = self.state.size
+        weights = self.digit_weights(s * x.size)
+        ev = evaluation(self.pair_obj(x), self.state).table
+        return ([ev] * s, weights, ()), ([self.mult_digits(x)] * s, weights, ())
+
     def mult_agreement(
         self,
         x: FinSet | int,
@@ -307,17 +355,7 @@ class StateMonadCtx:
             raise FinSetError(
                 f"TTX has {ttx} elements, above the scan limit {limit}"
             )
-        if ttx > _VECTOR_THRESHOLD:
-            from . import _bulk
-
-            witness = _bulk.mult_agreement_scan(self, x)
-        else:
-            witness = None
-            ev = self.mult(x)
-            for w in range(ttx):
-                if ev.table[w] != self.mult_at(x, w):
-                    witness = w
-                    break
+        witness = first_mismatch(*self._mult_sides(x))
         return LawCheck("mult_agreement", "full", ttx, witness is None, witness)
 
     def associativity_check(
@@ -346,16 +384,21 @@ class StateMonadCtx:
             return LawCheck("associativity", "full", 1, True)
 
         if tttx_size <= scan_limit:
-            if tttx_size > _VECTOR_THRESHOLD:
-                from . import _bulk
-
-                witness = _bulk.associativity_scan(self, x)
-            else:
-                witness = self._assoc_scan_scalar(x, tttx_size)
+            mult = self.mult(x).table
+            weights = self.digit_weights(s * tx.size)
+            witness = first_mismatch(
+                ([self.t_digits(mult, tx.size)] * s, weights, (mult,)),
+                ([self.mult_digits(tx)] * s, weights, (mult,)),
+            )
             return LawCheck("associativity", "full", tttx_size, witness is None, witness)
 
         if s * ttx.size <= reduced_limit and ttx.size <= reduced_limit:
-            witness = self._assoc_scan_reduced(x)
+            # Both flattening orders arise as ``(-)^S`` of maps
+            # ``S x TTX -> S x X``; for nonempty S it suffices to compare
+            # those, i.e. "evaluate twice" against "flatten, then evaluate"
+            # at every digit of every TTX code, which is the digit-sum
+            # comparison of the two multiplications.
+            witness = first_mismatch(*self._mult_sides(x))
             return LawCheck(
                 "associativity", "reduced", s * ttx.size, witness is None, witness
             )
@@ -368,7 +411,11 @@ class StateMonadCtx:
         return LawCheck("associativity", "sampled", samples, True)
 
     def _assoc_point(self, x: FinSet, w: int) -> int | None:
-        """Return ``w`` when the two flattening orders disagree there."""
+        """Return ``w`` when the two flattening orders disagree there.
+
+        Evaluated on Python ints with :meth:`mult_at`, because sampled
+        ``TTTX`` codes go past int64 and their digit tables past memory.
+        """
         tx = self.t_obj(x)
         ttx = self.t_obj(tx)
         s = self.state.size
@@ -388,33 +435,3 @@ class StateMonadCtx:
         lhs = self.mult_at(x, lhs_code)
         rhs = self.mult_at(x, rhs_code)
         return None if lhs == rhs else w
-
-    def _assoc_scan_scalar(self, x: FinSet, size: int) -> int | None:
-        for w in range(size):
-            if self._assoc_point(x, w) is not None:
-                return w
-        return None
-
-    def _assoc_scan_reduced(self, x: FinSet) -> int | None:
-        """Exhaust the transposed identity on ``S x TTX``.
-
-        Both flattening orders arise as ``(-)^S`` of maps ``S x TTX -> S x X``;
-        for nonempty S it therefore suffices to compare those maps, i.e. to
-        compare ``evaluate twice`` against ``flatten, then evaluate``.
-        """
-        tx = self.t_obj(x)
-        ttx = self.t_obj(tx)
-        s = self.state.size
-        pair_stx = s * tx.size
-        pair_sx = s * x.size
-        eps_mid = evaluation(self.pair_obj(x), self.state).table
-        outer_pows = [pair_stx**i for i in range(s)]
-        inner_pows = [pair_sx**i for i in range(s)]
-        for w in range(ttx.size):
-            mw = self.mult_at(x, w)
-            for si in range(s):
-                lhs = eps_mid[(w // outer_pows[si]) % pair_stx]
-                rhs = (mw // inner_pows[si]) % pair_sx
-                if lhs != rhs:
-                    return w
-        return None

@@ -5,6 +5,7 @@ import pytest
 
 from monadlab.algebra import (
     AlgebraViolation,
+    _integer_root,
     SearchCeilingExceeded,
     TAlgebra,
     algebra_dumps,
@@ -18,7 +19,7 @@ from monadlab.algebra import (
     iso_classes,
     morphism_witness,
 )
-from monadlab.finset import FinSet, FinSetError, Morphism, hom, identity
+from monadlab.finset import FinSet, FinSetError, Morphism, exp_map, hom, identity
 from monadlab.monadicity import function_algebra
 from monadlab.statemonad import StateMonadCtx
 
@@ -62,6 +63,83 @@ class TestCheckAlgebra:
         assert isinstance(ok, TAlgebra)
         bad = check_algebra(ctx, FinSet(2), Morphism(FinSet(1), FinSet(2), (0,)))
         assert isinstance(bad, AlgebraViolation) and bad.law == "unit"
+
+
+def _assoc_reference(ctx, x, h):
+    """First TTX code where ``h . T(h)`` and ``h . mult`` differ, point by point."""
+    s, xn = ctx.state.size, x.size
+    tx = ctx.t_obj(x).size
+    for w in range((s * tx) ** s):
+        code, rest, p = 0, w, 1
+        for _ in range(s):
+            c, t = divmod(rest % (s * tx), tx)
+            rest //= s * tx
+            code += (c * xn + h[t]) * p
+            p *= s * xn
+        lhs, rhs = h[code], h[ctx.mult_at(x, w)]
+        if lhs != rhs:
+            return w, lhs, rhs
+    return None
+
+
+def _square_reference(u, source, target):
+    """First TX code where ``u . h`` and ``h' . T(u)`` differ, point by point."""
+    s = source.ctx.state.size
+    xn, x2n = source.carrier.size, target.carrier.size
+    h, h2 = source.structure.table, target.structure.table
+    for w in range(len(h)):
+        code, rest, p = 0, w, 1
+        for _ in range(s):
+            c, v = divmod(rest % (s * xn), xn)
+            rest //= s * xn
+            code += (c * x2n + u.table[v]) * p
+            p *= s * x2n
+        if u.table[h[w]] != h2[code]:
+            return w
+    return None
+
+
+class TestWitnessOrder:
+    """Witnesses past the Python-int prefix and the first array chunk of
+    the scan are still the least failing codes."""
+
+    def test_check_algebra_least_witness(self, ctx2):
+        # TTX has 648**2 codes; the scan checks codes below 64 on Python
+        # ints and 64..511 in its first array chunk
+        k = function_algebra(ctx2, 3)
+        h = list(k.structure.table)
+        h[300] = (h[300] + 3) % 9
+        result = check_algebra(ctx2, k.carrier, Morphism(k.structure.dom, k.carrier, tuple(h)))
+        w, lhs, rhs = _assoc_reference(ctx2, k.carrier, h)
+        assert w >= 512
+        assert result == AlgebraViolation("associativity", w, lhs, rhs)
+
+    def test_morphism_witness_least_witness(self, ctx2):
+        # TX has 32**2 codes; the scan checks codes below 32 on Python ints
+        # and 32..255 in its first array chunk
+        k = function_algebra(ctx2, 4)
+        u = exp_map(Morphism(FinSet(4), FinSet(4), (1, 3, 0, 2)), ctx2.state)
+        assert morphism_witness(u, k, k) is None
+        h = list(k.structure.table)
+        h[600] = (h[600] + 1) % 16
+        broken = TAlgebra(ctx2, k.carrier, Morphism(k.structure.dom, k.carrier, tuple(h)))
+        w = _square_reference(u, broken, k)
+        assert w >= 256
+        assert morphism_witness(u, broken, k) == w
+
+
+class TestIntegerRoot:
+    def test_exact_beyond_float_precision(self):
+        assert _integer_root((2**60 + 12345) ** 2, 2) == 2**60 + 12345
+        assert _integer_root((2**60 + 12345) ** 2 + 1, 2) is None
+
+    def test_beyond_float_range(self):
+        assert _integer_root(10**400, 2) == 10**200
+        assert _integer_root(10**400 - 1, 2) is None
+
+    def test_small_powers(self):
+        roots = {n: _integer_root(n, 3) for n in range(30)}
+        assert {n: r for n, r in roots.items() if r is not None} == {0: 0, 1: 1, 8: 2, 27: 3}
 
 
 class TestMorphisms:

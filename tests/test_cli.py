@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from monadlab.cli import main
 
 
@@ -70,9 +72,14 @@ class TestAlgebras:
         assert code == 2
         assert "nonempty" in err
 
-    def test_bad_jobs(self, capsys):
-        code, _, _ = run(capsys, "algebras", "--s", "2", "--x", "2", "--jobs", "0")
-        assert code == 2
+    def test_removed_flags_rejected(self):
+        for argv in (
+            ["algebras", "--s", "2", "--x", "2", "--jobs", "2"],
+            ["verify", "--s", "2", "--max-x", "1", "--s0", "0"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "algebras", "--s", "2", "--x", "4",
@@ -96,6 +103,11 @@ class TestVerify:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["carriers"]["2"]["count"] == 0
+
+    def test_negative_max_x_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--s", "1", "--max-x", "-3")
+        assert code == 2 and out == ""
+        assert "non-negative" in err
 
     def test_refuses_empty_state(self, capsys):
         code, _, err = run(capsys, "verify", "--s", "0", "--max-x", "2")

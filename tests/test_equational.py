@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monadlab.equational import (
+    _nested_lookup_witness,
     Lookup,
     RewriteLimitExceeded,
     StateAlgebra,
@@ -215,6 +217,44 @@ class TestCanonicalAlgebra:
             (sa.updates[0], Morphism(sa.carrier, sa.carrier, (1, 3, 0, 3))),
         )
         assert state_algebra_violation(broken) is not None
+
+
+class TestNestedLookupWitness:
+    """Equation 4 follows from equations 2 and 3 (the updates of an
+    algebra jointly determine an element), so no algebra that passes those
+    reaches a failing equation 4; its witness is pinned on the helper."""
+
+    @staticmethod
+    def reference(look, lefts, rights, a_n):
+        for combo in product(*(range(len(p)) for p in lefts)):
+            lcode = sum(lefts[s][i] * a_n**s for s, i in enumerate(combo))
+            rcode = sum(rights[s][i] * a_n**s for s, i in enumerate(combo))
+            if look[lcode] != look[rcode]:
+                return combo
+        return None
+
+    @pytest.mark.parametrize("length", [5, 50])
+    def test_first_combination_in_product_order(self, length):
+        # 5**3 combinations, a tiny scan, and 50**3 = 125,000, which the
+        # scan walks in array chunks.  A permuted lookup tells
+        # every code apart, so the combinations that fail are those picking
+        # a changed right: (0, length - 3, 0) comes first in product order,
+        # (length - 2, 0, 0) first with coordinate 0 least significant.
+        rng = random.Random(length)
+        a_n = 60
+        look = list(range(a_n**3))
+        rng.shuffle(look)
+        lefts = [[rng.randrange(a_n) for _ in range(length)] for _ in range(3)]
+        rights = [list(p) for p in lefts]
+        rights[0][length - 2] = (rights[0][length - 2] + 1) % a_n
+        rights[1][length - 3] = (rights[1][length - 3] + 1) % a_n
+        expected = self.reference(look, lefts, rights, a_n)
+        assert expected == (0, length - 3, 0)
+        assert _nested_lookup_witness(look, lefts, rights, a_n) == expected
+
+    def test_none_when_sides_agree(self):
+        lefts = [[0, 1], [1, 0]]
+        assert _nested_lookup_witness([0, 1, 2, 3], lefts, lefts, 2) is None
 
 
 class TestTranslations:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -256,14 +260,23 @@ class TestExpMap:
                 rhs = compose(exp_map(g, s), exp_map(f, s))
                 assert lhs.table == rhs.table
 
-    def test_matches_bulk_kernel(self):
-        from monadlab._bulk import exp_map_table
+    def test_array_branch_matches_compose(self):
+        # 20**4 = 160,000 functions, enough for exp_map to build its table
+        # with arrays.  The reference decodes every function at once through
+        # evaluation, postcomposes with compose, and re-encodes with curry.
+        s = FinSet(4)
+        f = Morphism(FinSet(20), FinSet(7), tuple((3 * i + 1) % 7 for i in range(20)))
+        ev = evaluation(f.dom, s)
+        reference = curry(compose(f, ev), ProductCodec(s, ExpCodec(f.dom, s).obj))
+        assert exp_map(f, s).table == reference.table
 
-        f = Morphism(FinSet(3), FinSet(4), (2, 0, 3))
-        s = FinSet(3)
-        scalar = exp_map(f, s)
-        bulk = exp_map_table(f.table, 3, 4, 3, scalar.dom.size)
-        assert bulk == scalar.table
+    def test_import_does_not_load_numpy(self):
+        import monadlab
+
+        src = Path(monadlab.__file__).resolve().parents[1]
+        probe = "import sys, monadlab; sys.exit(3 if 'numpy' in sys.modules else 0)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 class TestFactorize:
