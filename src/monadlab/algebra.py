@@ -90,21 +90,6 @@ class AlgebraMorphism:
     map: Morphism
 
 
-def _structure_tools(ctx: StateMonadCtx, x: FinSet):
-    """Shared per-carrier data: sizes, digit table, powers, state combos."""
-    s = ctx.state.size
-    xn = x.size
-    pair_sx = s * xn
-    m = ctx.t_obj(x).size
-    pe = [
-        [(t // pair_sx**c) % pair_sx for t in range(m)] if pair_sx else []
-        for c in range(s)
-    ]
-    pows = [pair_sx**i for i in range(s)]
-    ccombos = list(product(range(s), repeat=s))
-    return s, xn, pair_sx, m, pe, pows, ccombos
-
-
 def check_algebra(
     ctx: StateMonadCtx,
     carrier: FinSet | int,
@@ -256,7 +241,8 @@ def enumerate_algebras(
 def _enumerate_brute(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
     xn = x.size
     m = ctx.t_obj(x).size
-    if xn**m > ceiling:
+    # xn**m > ceiling, without building the power when it is surely past it
+    if xn >= 2 and (m >= ceiling.bit_length() or xn**m > ceiling):
         raise SearchCeilingExceeded(
             f"brute force needs {xn}**{m} candidates, ceiling is {ceiling}"
         )
@@ -291,16 +277,24 @@ class _ConstrainedSearch:
         self.ctx = ctx
         self.x = x
         self.ceiling = ceiling
-        (self.s, self.xn, self.pair_sx, self.m, self.pe, self.pows, self.ccombos) = (
-            _structure_tools(ctx, x)
-        )
-        instance_count = (self.m**self.s) * len(self.ccombos)
+        self.s = s = ctx.state.size
+        self.xn = xn = x.size
+        self.m = m = ctx.t_obj(x).size
+        # counted before any table is built, so a huge carrier fails fast
+        instance_count = m**s * s**s
         if instance_count > ceiling:
             raise SearchCeilingExceeded(
                 f"constrained search needs {instance_count} associativity "
                 f"instances, ceiling is {ceiling}"
             )
-        m = self.m
+        pair_sx = s * xn
+        # digit c of every TX code, and the state combinations of an instance
+        self.pe = [
+            [(t // pair_sx**c) % pair_sx for t in range(m)] if pair_sx else []
+            for c in range(s)
+        ]
+        self.pows = [pair_sx**i for i in range(s)]
+        self.ccombos = list(product(range(s), repeat=s))
         self.parent = list(range(m))
         self.members: list[list[int]] = [[t] for t in range(m)]
         self.value: list[int | None] = [None] * m
@@ -479,10 +473,16 @@ def _enumerate_transport(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
     if k is None:
         return []
     m = ctx.t_obj(x).size
-    cost = factorial(n) * max(m, 1)
-    if cost > ceiling:
+    # the running product of n! stops once it passes the ceiling, so a huge
+    # carrier is refused without computing its factorial
+    bijections = 1
+    for i in range(2, n + 1):
+        bijections *= i
+        if bijections > ceiling:
+            break
+    if bijections * max(m, 1) > ceiling:
         raise SearchCeilingExceeded(
-            f"transport needs {factorial(n)} bijections over {m}-entry tables, "
+            f"transport needs {n}! bijections over {m}-entry tables, "
             f"ceiling is {ceiling}"
         )
     y = FinSet(k)

@@ -3,8 +3,9 @@
 Exit codes follow a CI-friendly contract: 0 for success (verification
 passed, terms equal), 1 for a semantic failure (verification failed, terms
 differ), 2 for usage or resource errors (bad arguments, parse errors,
-search ceilings).  The MONADLAB_CEILING environment variable overrides the
-default search ceiling; all output is deterministic given the flags.
+search ceilings, terms nested too deeply).  The MONADLAB_CEILING
+environment variable overrides the default search ceiling; all output is
+deterministic given the flags.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .algebra import (
 )
 from .equational import (
     FreeClasses,
-    RewriteLimitExceeded,
     TermError,
     format_term,
     free_classes,
@@ -102,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rewrite", help="normalize a term")
     common(p)
-    p.add_argument("--max-steps", type=int, default=100_000)
     p.add_argument("term", metavar="TERM")
 
     p = sub.add_parser("free", help="count denotation classes of terms")
@@ -206,7 +205,7 @@ def _cmd_equal(args) -> int:
 def _cmd_rewrite(args) -> int:
     cfg = _config(args)
     term = parse_term(args.term, cfg.s_size)
-    normal = normalize(term, cfg.s_size, max_steps=args.max_steps)
+    normal = normalize(term, cfg.s_size)
     if cfg.fmt == "json":
         print(json.dumps({"input": format_term(term), "normal": format_term(normal)},
                          sort_keys=True))
@@ -261,8 +260,8 @@ def main(argv: list[str] | None = None) -> int:
     except SearchCeilingExceeded as exc:
         print(f"search ceiling exceeded: {exc}", file=sys.stderr)
         return USAGE
-    except RewriteLimitExceeded as exc:
-        print(f"rewrite limit exceeded: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("term error: term nested too deeply", file=sys.stderr)
         return USAGE
     except FinSetError as exc:
         print(f"error: {exc}", file=sys.stderr)

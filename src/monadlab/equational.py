@@ -3,18 +3,21 @@
 The signature has one lookup symbol ``l`` whose arity is the number of
 states (it reads the state and branches) and one unary update symbol ``u_s``
 per state ``s`` (it overwrites the state and continues).  The theory is
-generated by four equations, oriented left to right as rewrite rules:
+generated by four equations:
 
-1. ``u_s(u_t(x))            ->  u_t(x)``       (a later write wins)
-2. ``u_s(l(a_0,...,a_n))    ->  u_s(a_s)``     (reading after a write is known)
-3. ``l(u_0(x),...,u_n(x))   ->  x``            (writing back what was read)
-4. ``l(l(a_00,..),..)       ->  l(a_00,a_11,..)``  (two reads agree)
+1. ``u_s(u_t(x))            =  u_t(x)``       (a later write wins)
+2. ``u_s(l(a_0,...,a_n))    =  u_s(a_s)``     (reading after a write is known)
+3. ``l(u_0(x),...,u_n(x))   =  x``            (writing back what was read)
+4. ``l(l(a_00,..),..)       =  l(a_00,a_11,..)``  (two reads agree)
 
-Rewriting is a best-effort normalizer; equality of terms is decided
-denotationally in the free model, where a term over ``n`` variables denotes
-a function from states to (state, variable) pairs.  The module also carries
-algebras for this signature in finite sets, the canonical structure on
-function spaces ``B^S``, and the translation to and from monad algebras.
+Terms are decided by evaluation: a term over ``n`` variables denotes a
+function from start states to final (state, variable) pairs, computed by
+running it once per start state.  Two terms are equal in the theory exactly
+when these runs agree, and :func:`normalize` reads the runs back as the
+least term of the class (the global-state normal form of Plotkin and Power).
+The module also carries algebras for this signature in finite sets, the
+canonical structure on function spaces ``B^S``, and the translation to and
+from monad algebras.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from ._bulk import first_mismatch
 from .algebra import (
     AlgebraViolation,
     SearchCeilingExceeded,
@@ -45,10 +47,6 @@ class TermError(ValueError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
-
-
-class RewriteLimitExceeded(RuntimeError):
-    """The rewrite step ceiling was hit; normalization was abandoned."""
 
 
 class Term:
@@ -196,59 +194,46 @@ def parse_term(text: str, s_size: int) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# rewriting
+# evaluation in the free model
 
 
-def _root_step(t: Term, s_size: int) -> Term | None:
-    """One reduction at the root, first applicable rule in the listed order."""
-    if isinstance(t, Update):
-        body = t.body
-        if isinstance(body, Update):
-            return body
-        if isinstance(body, Lookup):
-            return Update(t.state, body.branches[t.state])
-        return None
-    if isinstance(t, Lookup) and t.branches:
-        br = t.branches
-        if all(isinstance(b, Update) and b.state == i for i, b in enumerate(br)):
-            first = br[0].body  # type: ignore[union-attr]
-            if all(b.body == first for b in br):  # type: ignore[union-attr]
-                return first
-        if all(isinstance(b, Lookup) for b in br):
-            return Lookup(tuple(b.branches[i] for i, b in enumerate(br)))  # type: ignore[union-attr]
-    return None
+def _runs(t: Term, s_size: int, nvars: int | None = None) -> list[tuple[int, int]]:
+    """Run the term from each start state to its final (state, variable) pair.
 
-
-def normalize(t: Term, s_size: int, max_steps: int = 100_000) -> Term:
-    """Innermost, leftmost normalization; raises past ``max_steps`` rewrites.
-
-    The four rules strictly decrease a term measure, so the ceiling is a
-    safety net rather than an expected outcome.
+    Two passes, neither recursive.  The first visits every node with an
+    explicit stack and rejects malformed terms: a variable at or past
+    ``nvars`` (unchecked when ``nvars`` is None), an update subscript that
+    names no state, a lookup without exactly ``s_size`` branches, or an
+    object that is not a term.  The second follows one path per start
+    state: a variable ends the run, an update overwrites the state, a lookup
+    takes the branch the state names.
     """
-    steps = 0
-
-    def norm(u: Term) -> Term:
-        nonlocal steps
-        if isinstance(u, Update):
-            u = Update(u.state, norm(u.body))
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            if nvars is not None and u.index >= nvars:
+                raise TermError(f"unbound variable x{u.index} with nvars={nvars}")
+        elif isinstance(u, Update):
+            if u.state >= s_size:
+                raise TermError(f"unknown update subscript {u.state} with {s_size} states")
+            stack.append(u.body)
         elif isinstance(u, Lookup):
-            u = Lookup(tuple(norm(b) for b in u.branches))
-        while True:
-            reduct = _root_step(u, s_size)
-            if reduct is None:
-                return u
-            steps += 1
-            if steps > max_steps:
-                raise RewriteLimitExceeded(
-                    f"gave up after {max_steps} rewrite steps"
-                )
-            u = reduct
-
-    return norm(t)
-
-
-# ---------------------------------------------------------------------------
-# free-model denotation
+            if len(u.branches) != s_size:
+                raise TermError(f"lookup takes {s_size} branches, got {len(u.branches)}")
+            stack.extend(u.branches)
+        else:
+            raise TermError(f"not a term: {u!r}")
+    runs = []
+    for start in range(s_size):
+        state, u = start, t
+        while not isinstance(u, Var):
+            if isinstance(u, Update):
+                state, u = u.state, u.body
+            else:
+                u = u.branches[state]  # type: ignore[union-attr]
+        runs.append((state, u.index))
+    return runs
 
 
 def denote(t: Term, ctx: StateMonadCtx, nvars: int) -> int:
@@ -258,46 +243,53 @@ def denote(t: Term, ctx: StateMonadCtx, nvars: int) -> int:
     to the final (state, variable) pair.  Variables read and restore the
     state; updates overwrite it; lookup branches on it.
     """
-    v = FinSet(nvars)
-    s = ctx.state.size
-    base = s * nvars
-    pows = [base**i for i in range(s)]
-    memo: dict[Term, int] = {}
-
-    def den(u: Term) -> int:
-        cached = memo.get(u)
-        if cached is not None:
-            return cached
-        if isinstance(u, Var):
-            if u.index >= nvars:
-                raise TermError(f"unbound variable x{u.index} with nvars={nvars}")
-            code = ctx.unit_at(v, u.index)
-        elif isinstance(u, Update):
-            if u.state >= s:
-                raise TermError(f"unknown update subscript {u.state} with {s} states")
-            inner = den(u.body)
-            value = (inner // pows[u.state]) % base
-            code = sum(value * p for p in pows)
-        elif isinstance(u, Lookup):
-            if len(u.branches) != s:
-                raise TermError(
-                    f"lookup takes {s} branches, got {len(u.branches)}"
-                )
-            code = 0
-            for i, b in enumerate(u.branches):
-                code += ((den(b) // pows[i]) % base) * pows[i]
-        else:
-            raise TermError(f"not a term: {u!r}")
-        memo[u] = code
-        return code
-
-    return den(t)
+    base = ctx.state.size * nvars
+    code = 0
+    for i, (c, v) in enumerate(_runs(t, ctx.state.size, nvars)):
+        code += (c * nvars + v) * base**i
+    return code
 
 
 def terms_equal(t1: Term, t2: Term, ctx: StateMonadCtx, nvars: int) -> bool:
     """Denotational equality in the free model; sound and complete for the
     four-equation theory."""
-    return denote(t1, ctx, nvars) == denote(t2, ctx, nvars)
+    s = ctx.state.size
+    return _runs(t1, s, nvars) == _runs(t2, s, nvars)
+
+
+def normalize(t: Term, s_size: int) -> Term:
+    """The least term, by size, that denotes what ``t`` denotes.
+
+    Read back from the runs of :func:`_runs`:
+
+    - ``x_v`` when every run keeps its start state and ends at ``v``;
+    - otherwise ``u_c(x_v)`` when every run ends at the same ``(c, v)``;
+    - otherwise ``l(b_0, ..., b_n)``, where ``b_i`` is ``x_v`` when run
+      ``i`` ends at ``(i, v)`` and ``u_c(x_v)`` when it ends at ``(c, v)``
+      with ``c != i``;
+    - with no states, ``l()``: equation 3 with no branches makes every term
+      equal to it.
+
+    This form is least.  A term rooted at a variable keeps every start
+    state, and one rooted at an update ends every run in the same place, so
+    a class of neither shape needs a lookup at the root.  A lookup runs
+    branch ``i`` only from state ``i``, so each branch is minimal on its
+    own: a branch that keeps its state needs only ``x_v`` (size 1), and one
+    that changes it needs an update, so ``u_c(x_v)`` (size 2).  The three
+    shapes have sizes 1 < 2 < 1 + |S| (at one state every class is a
+    variable's).  Equal terms have equal runs, so they get one normal form.
+    """
+    runs = _runs(t, s_size)
+    if not runs:
+        return Lookup(())
+    c0, v0 = runs[0]
+    if all(run == (i, v0) for i, run in enumerate(runs)):
+        return Var(v0)
+    if all(run == (c0, v0) for run in runs):
+        return Update(c0, Var(v0))
+    return Lookup(
+        tuple(Var(v) if c == i else Update(c, Var(v)) for i, (c, v) in enumerate(runs))
+    )
 
 
 def random_term(rng: random.Random, s_size: int, nvars: int, max_depth: int) -> Term:
@@ -322,8 +314,7 @@ class StateAlgebra:
     """A finite-set algebra for the lookup/update signature.
 
     ``lookup`` has type ``A^S -> A`` and each ``updates[s]`` has type
-    ``A -> A``; the four equations are what :func:`state_algebra_violation`
-    checks.
+    ``A -> A``; :func:`state_algebra_violation` checks the four equations.
     """
 
     ctx: StateMonadCtx
@@ -335,20 +326,17 @@ class StateAlgebra:
         return ExpCodec(self.carrier, self.ctx.state)
 
 
-#: Product bound for the nested-lookup equation check.
-DEFAULT_EQ4_LIMIT = 50_000_000
-
-
-def state_algebra_violation(
-    sa: StateAlgebra, eq4_limit: int = DEFAULT_EQ4_LIMIT
-) -> tuple[str, tuple] | None:
+def state_algebra_violation(sa: StateAlgebra) -> tuple[str, tuple] | None:
     """First violated equation with a witness assignment, or None.
 
     Equations 1 to 3 are checked by direct enumeration of their variable
-    assignments.  Equation 4 quantifies over a square matrix of carrier
-    elements, which explodes; it is checked exactly by enumerating, per
-    state, the reachable (outer value, diagonal value) pairs and scanning
-    their product, which covers the same assignments.
+    assignments.  Equation 4 needs no scan, because it follows from
+    equations 2 and 3.  By equation 3 an element is determined by its
+    updates: if ``u_s(x) = u_s(y)`` for every state ``s``, then
+    ``x = l(u_0(x),...,u_n(x)) = l(u_0(y),...,u_n(y)) = y``.  By equation 2,
+    applied twice on the left and once on the right, both sides of
+    equation 4 go to ``u_s(a_ss)`` under every update ``u_s``.  So the two
+    sides are equal whenever equations 2 and 3 hold.
     """
     ctx = sa.ctx
     s = ctx.state.size
@@ -380,42 +368,7 @@ def state_algebra_violation(
         g = sum(ups[s1][a] * pows[s1] for s1 in range(s))
         if look[g] != a:
             return ("lookup_of_updates", (a,))
-
-    # nested lookup: per state, reachable (lookup value, diagonal entry) pairs
-    lefts: list[list[int]] = []
-    rights: list[list[int]] = []
-    total = 1
-    for s1 in range(s):
-        pairs = set()
-        for r in range(exp.obj.size):
-            pairs.add((look[r], (r // pows[s1]) % a_n))
-        ordered = sorted(pairs)
-        lefts.append([p for p, _ in ordered])
-        rights.append([q for _, q in ordered])
-        total *= len(ordered)
-    if total > eq4_limit:
-        raise SearchCeilingExceeded(
-            f"nested-lookup check needs {total} combinations, limit is {eq4_limit}"
-        )
-    combo = _nested_lookup_witness(look, lefts, rights, a_n)
-    return None if combo is None else ("lookup_of_lookups", (combo,))
-
-
-def _nested_lookup_witness(look, lefts, rights, a_n: int) -> tuple[int, ...] | None:
-    """First index combination, in ``itertools.product`` order, where
-    ``look`` differs on the codes of the chosen lefts and of the chosen
-    rights (coordinate ``s`` is the digit of weight ``a_n ** s``)."""
-    s = len(lefts)
-    # coordinate 0 is the most significant digit of the scanned code, so the
-    # least failing code is the first failing combination
-    pows = [a_n**i for i in reversed(range(s))]
-    w = first_mismatch((lefts[::-1], pows, (look,)), (rights[::-1], pows, (look,)))
-    if w is None:
-        return None
-    combo = [0] * s
-    for s1 in reversed(range(s)):
-        w, combo[s1] = divmod(w, len(lefts[s1]))
-    return tuple(combo)
+    return None
 
 
 def canonical_algebra(ctx: StateMonadCtx, b: FinSet | int) -> StateAlgebra:

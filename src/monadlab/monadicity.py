@@ -555,6 +555,8 @@ def empty_state_diagnostic(max_x: int) -> dict:
     carriers.  The comparison with function spaces therefore collapses
     everything and cannot be an equivalence.
     """
+    if max_x < 0:
+        raise FinSetError(f"largest carrier must be non-negative, got {max_x}")
     ctx = StateMonadCtx(0)
     counts: dict[int, int] = {}
     for x_size in range(max_x + 1):

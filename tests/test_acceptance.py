@@ -236,9 +236,10 @@ def test_criterion_08_equational_suite(ctx1, ctx2):
     _report(
         8,
         ok,
-        f"four equations hold in every canonical structure (sizes <= 3, "
-        f"nested-lookup equation by exact reachable-pair product), rewrite "
-        f"preserved denotation on {preserved}/1000 seeded terms, class "
+        f"four equations hold in every canonical structure (sizes <= 3; "
+        f"equations 1-3 scanned, the nested-lookup equation implied by 2 "
+        f"and 3), normal forms preserved denotation on {preserved}/1000 "
+        f"seeded terms, class "
         f"counts {counts} stable under depth",
     )
 

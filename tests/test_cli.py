@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +84,35 @@ class TestAlgebras:
                 main(argv)
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "x,method",
+        [
+            ("99999999999999999", "constrained"),
+            ("99999999999999999", "brute"),
+            ("10000000000000000", "transport"),
+        ],
+    )
+    def test_huge_carrier_refused_before_allocating(self, x, method):
+        # the child caps its own address space at 512 MB, so a table built
+        # before the ceiling check fails fast instead of exhausting the host
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from monadlab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "algebras", "--s", "2",
+             "--x", x, "--method", method],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env={"PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "ceiling" in proc.stderr
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "algebras", "--s", "2", "--x", "4",
                          "--method", "transport", "--format", "json")
@@ -122,6 +154,13 @@ class TestVerify:
         assert "carrier 1: 1 algebra(s)" in out
         assert "carrier 2: 0 algebra(s)" in out
 
+    def test_diagnose_empty_negative_max_x(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--s", "0", "--max-x", "-3", "--diagnose-empty"
+        )
+        assert code == 2 and out == ""
+        assert "non-negative" in err
+
     def test_report_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, _, _ = run(
@@ -162,11 +201,28 @@ class TestRewrite:
         payload = json.loads(out)
         assert code == 0 and payload["normal"] == "u1(x0)"
 
-    def test_step_ceiling(self, capsys):
-        code, _, err = run(
-            capsys, "rewrite", "--s", "2", "--max-steps", "1", "u0(u1(u0(x0)))"
-        )
-        assert code == 2 and "rewrite limit" in err
+    def test_step_ceiling(self):
+        # normal forms are read back, not rewritten: there is no step
+        # ceiling, and its flag is rejected
+        with pytest.raises(SystemExit) as exc:
+            main(["rewrite", "--s", "2", "--max-steps", "1", "u0(u1(u0(x0)))"])
+        assert exc.value.code == 2
+
+
+class TestDeepTerms:
+    # 1,200 nested updates: parsing recurses past the default limit, which
+    # must read as a usage error, never as "different"
+    DEEP = "u0(" * 1200 + "x0" + ")" * 1200
+
+    def test_equal(self, capsys):
+        code, out, err = run(capsys, "equal", "--s", "2", self.DEEP, "x0")
+        assert code == 2 and out == ""
+        assert "term nested too deeply" in err
+
+    def test_rewrite(self, capsys):
+        code, out, err = run(capsys, "rewrite", "--s", "2", self.DEEP)
+        assert code == 2 and out == ""
+        assert "term nested too deeply" in err
 
 
 class TestFree:

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monadlab.equational import (
-    _nested_lookup_witness,
     Lookup,
-    RewriteLimitExceeded,
     StateAlgebra,
     TermError,
     Update,
@@ -27,7 +25,7 @@ from monadlab.equational import (
     to_state_algebra,
     to_t_algebra,
 )
-from monadlab.finset import Morphism
+from monadlab.finset import FinSet, Morphism
 from monadlab.monadicity import function_algebra
 from monadlab.statemonad import StateMonadCtx
 
@@ -98,20 +96,15 @@ class TestRewrite:
 
     def test_nested_lookups(self):
         t = parse_term("l(l(x0,x1),l(x1,x0))", 2)
-        assert format_term(normalize(t, 2)) == "l(x0,x0)"
+        assert format_term(normalize(t, 2)) == "x0"
 
-    def test_mismatched_updates_stay_normal(self):
-        # denotationally equal to u0(x0), but no rule is applicable
+    def test_mismatched_updates_collapse(self):
+        # both branches jump to state 0, whatever the start state
         t = parse_term("l(u0(x0),u0(x0))", 2)
-        assert normalize(t, 2) == t
+        assert normalize(t, 2) == Update(0, Var(0))
 
     def test_variables_are_normal(self):
         assert normalize(Var(3), 2) == Var(3)
-
-    def test_step_ceiling(self):
-        t = parse_term("u0(u1(u0(u1(x0))))", 2)
-        with pytest.raises(RewriteLimitExceeded):
-            normalize(t, 2, max_steps=1)
 
     @given(terms(max_depth=5))
     @settings(max_examples=200)
@@ -132,6 +125,51 @@ class TestRewrite:
         assert normalize(n, 2) == n
 
 
+class TestNormalForm:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_complete_for_equality(self, data):
+        # few variables and shallow terms, so equal pairs are common
+        s = data.draw(st.sampled_from([1, 2, 3]))
+        nvars = data.draw(st.sampled_from([1, 2]))
+        a, b = (data.draw(terms(s, nvars, 3)) for _ in range(2))
+        same = normalize(a, s) == normalize(b, s)
+        assert same == terms_equal(a, b, StateMonadCtx(s), nvars)
+
+    @pytest.mark.parametrize(
+        "s,nvars,depth", [(2, 1, 3), (2, 2, 3), (2, 3, 3), (3, 1, 2)]
+    )
+    def test_free_class_representatives_are_normal(self, s, nvars, depth):
+        # the closure in free_classes finds least terms without the readback
+        result = free_classes(StateMonadCtx(s), nvars, depth)
+        assert result.count == (s * nvars) ** s
+        for rep in result.representatives.values():
+            assert normalize(rep, s) == rep
+
+    def test_deep_term(self):
+        # 1,666 nested lookups, 4,999 nodes, built without recursion: from
+        # state 0 the run descends to x0, from state 1 it jumps to (0, x1)
+        t = Var(0)
+        for _ in range(1666):
+            t = Lookup((t, Update(0, Var(1))))
+        ctx = StateMonadCtx(2)
+        expected = parse_term("l(x0,u0(x1))", 2)
+        assert normalize(t, 2) == expected
+        assert denote(t, ctx, 2) == denote(expected, ctx, 2)
+        assert terms_equal(t, expected, ctx, 2)
+        assert not terms_equal(t, Var(0), ctx, 2)
+
+    def test_no_states(self):
+        # equation 3 with no branches makes every term equal to l()
+        assert normalize(Var(0), 0) == Lookup(())
+        assert normalize(Lookup(()), 0) == Lookup(())
+
+    def test_malformed_terms_rejected(self):
+        for bad in (Update(2, Var(0)), Lookup((Var(0),)), Lookup((Var(0), "x1"))):
+            with pytest.raises(TermError):
+                normalize(bad, 2)
+
+
 class TestDenote:
     def test_variable(self, ctx2):
         # a variable denotes the state-passing function
@@ -150,7 +188,7 @@ class TestDenote:
             denote(Lookup((Var(0),)), ctx2, 1)
 
     def test_rule_schemas_hold_denotationally(self):
-        # each oriented rule, expanded over all subscripts, at 1..3 states
+        # each of the four equations, expanded over all subscripts, at 1..3 states
         for s in (1, 2, 3):
             ctx = StateMonadCtx(s)
             x = Var(0)
@@ -219,42 +257,58 @@ class TestCanonicalAlgebra:
         assert state_algebra_violation(broken) is not None
 
 
-class TestNestedLookupWitness:
-    """Equation 4 follows from equations 2 and 3 (the updates of an
-    algebra jointly determine an element), so no algebra that passes those
-    reaches a failing equation 4; its witness is pinned on the helper."""
+class TestNestedLookupImplied:
+    """Equations 2 and 3 imply equation 4, so state_algebra_violation does
+    not scan it.  Checked here on every 2-state model on at most 4 elements
+    (at 2 and 3 elements no model satisfies equations 1-3; at 4 the twelve
+    algebras do)."""
 
     @staticmethod
-    def reference(look, lefts, rights, a_n):
-        for combo in product(*(range(len(p)) for p in lefts)):
-            lcode = sum(lefts[s][i] * a_n**s for s, i in enumerate(combo))
-            rcode = sum(rights[s][i] * a_n**s for s, i in enumerate(combo))
-            if look[lcode] != look[rcode]:
-                return combo
-        return None
+    def models(a_n):
+        """Every (u0, u1, lookup) satisfying equations 2 and 3: the lookups
+        equation 2 allows, cell by cell, with the cells equation 3 pins."""
+        carrier = range(a_n)
+        funcs = list(product(carrier, repeat=a_n))
+        for u0, u1 in product(funcs, repeat=2):
+            # cell g0 + a_n * g1 holds l(g0, g1)
+            allowed = [
+                [y for y in carrier if u0[y] == u0[g0] and u1[y] == u1[g1]]
+                for g1 in carrier
+                for g0 in carrier
+            ]
+            for a in carrier:
+                g = u0[a] + a_n * u1[a]
+                allowed[g] = [a] if a in allowed[g] else []
+            for look in product(*allowed):
+                yield u0, u1, look
 
-    @pytest.mark.parametrize("length", [5, 50])
-    def test_first_combination_in_product_order(self, length):
-        # 5**3 combinations, a tiny scan, and 50**3 = 125,000, which the
-        # scan walks in array chunks.  A permuted lookup tells
-        # every code apart, so the combinations that fail are those picking
-        # a changed right: (0, length - 3, 0) comes first in product order,
-        # (length - 2, 0, 0) first with coordinate 0 least significant.
-        rng = random.Random(length)
-        a_n = 60
-        look = list(range(a_n**3))
-        rng.shuffle(look)
-        lefts = [[rng.randrange(a_n) for _ in range(length)] for _ in range(3)]
-        rights = [list(p) for p in lefts]
-        rights[0][length - 2] = (rights[0][length - 2] + 1) % a_n
-        rights[1][length - 3] = (rights[1][length - 3] + 1) % a_n
-        expected = self.reference(look, lefts, rights, a_n)
-        assert expected == (0, length - 3, 0)
-        assert _nested_lookup_witness(look, lefts, rights, a_n) == expected
-
-    def test_none_when_sides_agree(self):
-        lefts = [[0, 1], [1, 0]]
-        assert _nested_lookup_witness([0, 1, 2, 3], lefts, lefts, 2) is None
+    @pytest.mark.parametrize("a_n", [0, 1, 2, 3, 4])
+    def test_equations_two_and_three_imply_four(self, a_n):
+        ctx = StateMonadCtx(2)
+        carrier = FinSet(a_n)
+        square = FinSet(a_n * a_n)
+        full = 0
+        for u0, u1, look in self.models(a_n):
+            ups = (u0, u1)
+            for a00, a01, a10, a11 in product(range(a_n), repeat=4):
+                rows = look[a00 + a_n * a01] + a_n * look[a10 + a_n * a11]
+                assert look[rows] == look[a00 + a_n * a11]
+            eq1 = all(
+                ups[s1][ups[s2][a]] == ups[s2][a]
+                for s1 in range(2)
+                for s2 in range(2)
+                for a in range(a_n)
+            )
+            sa = StateAlgebra(
+                ctx,
+                carrier,
+                Morphism(square, carrier, look),
+                tuple(Morphism(carrier, carrier, u) for u in ups),
+            )
+            assert (state_algebra_violation(sa) is None) == eq1
+            full += eq1
+        # x!/k! algebras on x = k**2 elements, none on the others
+        assert full == {0: 1, 1: 1, 2: 0, 3: 0, 4: 12}[a_n]
 
 
 class TestTranslations:
