@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monadlab._bulk import first_mismatch
 from monadlab.equational import (
     Lookup,
     StateAlgebra,
@@ -309,6 +310,57 @@ class TestNestedLookupImplied:
             full += eq1
         # x!/k! algebras on x = k**2 elements, none on the others
         assert full == {0: 1, 1: 1, 2: 0, 3: 0, 4: 12}[a_n]
+
+
+class TestNestedLookupWitness:
+    """The nested-lookup shape of equation 4 (a lookup of lookups, one
+    index per state) on the digit-table kernel: with coordinate 0 as the
+    most significant digit, the least failing code is the first failing
+    combination in ``itertools.product`` order."""
+
+    @staticmethod
+    def reference(look, lefts, rights, a_n):
+        for combo in product(*(range(len(p)) for p in lefts)):
+            lcode = sum(lefts[s][i] * a_n**s for s, i in enumerate(combo))
+            rcode = sum(rights[s][i] * a_n**s for s, i in enumerate(combo))
+            if look[lcode] != look[rcode]:
+                return combo
+        return None
+
+    @staticmethod
+    def witness(look, lefts, rights, a_n):
+        s = len(lefts)
+        pows = [a_n**i for i in reversed(range(s))]
+        w = first_mismatch((lefts[::-1], pows, (look,)), (rights[::-1], pows, (look,)))
+        if w is None:
+            return None
+        combo = [0] * s
+        for s1 in reversed(range(s)):
+            w, combo[s1] = divmod(w, len(lefts[s1]))
+        return tuple(combo)
+
+    @pytest.mark.parametrize("length", [5, 50])
+    def test_first_combination_in_product_order(self, length):
+        # 5**3 combinations, a tiny scan, and 50**3 = 125,000, which the
+        # scan walks in array chunks.  A permuted lookup tells
+        # every code apart, so the combinations that fail are those picking
+        # a changed right: (0, length - 3, 0) comes first in product order,
+        # (length - 2, 0, 0) first with coordinate 0 least significant.
+        rng = random.Random(length)
+        a_n = 60
+        look = list(range(a_n**3))
+        rng.shuffle(look)
+        lefts = [[rng.randrange(a_n) for _ in range(length)] for _ in range(3)]
+        rights = [list(p) for p in lefts]
+        rights[0][length - 2] = (rights[0][length - 2] + 1) % a_n
+        rights[1][length - 3] = (rights[1][length - 3] + 1) % a_n
+        expected = self.reference(look, lefts, rights, a_n)
+        assert expected == (0, length - 3, 0)
+        assert self.witness(look, lefts, rights, a_n) == expected
+
+    def test_none_when_sides_agree(self):
+        lefts = [[0, 1], [1, 0]]
+        assert self.witness([0, 1, 2, 3], lefts, lefts, 2) is None
 
 
 class TestTranslations:
