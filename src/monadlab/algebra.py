@@ -9,8 +9,11 @@ carrier by three independent routes:
     walk every table ``TX -> X`` and keep the ones passing the laws;
 ``constrained``
     fix the table on the unit image, then depth-first search with eager
-    propagation of associativity instances (complete: returns exactly the
-    brute-force set whenever brute force is feasible);
+    propagation of associativity instances, pruning every branch whose
+    algebras all have a carrier relabeling that is smaller on the update
+    cells, and close the algebras found over their relabeling orbits
+    (complete: returns exactly the brute-force set whenever brute force is
+    feasible);
 ``transport``
     conjugate the function-space structure along every bijection from the
     carrier to a function space of matching size (an oracle independent of
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 from ._bulk import Side, first_mismatch, value_at
@@ -215,6 +218,13 @@ def enumerate_algebras(
     if ceiling <= 0:
         raise FinSetError(f"ceiling must be positive, got {ceiling}")
     carrier = carrier if isinstance(carrier, FinSet) else FinSet(carrier)
+    # every method builds at least one |TX|-entry table, so |TX| =
+    # (|S|*|X|)**|S| is compared first, without the power when surely past
+    s, base = ctx.state.size, ctx.state.size * carrier.size
+    if base >= 2 and (s >= ceiling.bit_length() or base**s > ceiling):
+        raise SearchCeilingExceeded(
+            f"|TX| = {base}**{s} entries exceeds the ceiling {ceiling}"
+        )
     if method == "brute":
         tables = _enumerate_brute(ctx, carrier, ceiling)
     elif method == "constrained":
@@ -263,7 +273,7 @@ def _enumerate_brute(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
 
 
 class _ConstrainedSearch:
-    """Backtracking enumeration with eager propagation.
+    """Backtracking enumeration with eager propagation and symmetry breaking.
 
     The unit law pins the table on the unit image.  Every associativity
     instance, once its premise cells are valued, reduces to an equality
@@ -271,6 +281,22 @@ class _ConstrainedSearch:
     per-class values and a trail for rollback.  Instances are generated
     incrementally as cells become valued, so each is processed exactly once
     per search node.
+
+    Relabeling the carrier by a permutation p sends a structure map h to
+    ``p . h . T(p^-1)``, which is again an algebra (transport of structure:
+    unit and multiplication are natural).  On the update cells
+    ``u_c(v) = h(s -> (c, v))``, which the search values first, it acts by
+    conjugation ``u_c -> p . u_c . p^-1``.  Let U be those cells in priority
+    order.  A node is pruned when, for some transposition t, the first
+    position where ``U`` and ``t.U`` are both known and differ has
+    ``t.U < U``, comparing only up to the first unknown value.  Values are
+    never changed below a node, so every algebra under a pruned node has a
+    relabeling with a lex-smaller U.  The algebras whose U is lex-least in
+    their orbit are never pruned, since no relabeling makes their U smaller.
+    So the search meets every orbit, and closing what it finds under the
+    adjacent transpositions, which generate all relabelings, returns every
+    algebra.  Nothing here assumes which carriers admit algebras, and no
+    step enumerates the ``|X|!`` permutations.
     """
 
     def __init__(self, ctx: StateMonadCtx, x: FinSet, ceiling: int):
@@ -288,23 +314,53 @@ class _ConstrainedSearch:
                 f"instances, ceiling is {ceiling}"
             )
         pair_sx = s * xn
-        # digit c of every TX code, and the state combinations of an instance
-        self.pe = [
-            [(t // pair_sx**c) % pair_sx for t in range(m)] if pair_sx else []
-            for c in range(s)
+        self.pows = pows = [pair_sx**i for i in range(s)]
+        ccombos = list(product(range(s), repeat=s))
+        # an instance at state combination ``combo`` equates the cell whose
+        # digit i is ``(combo[i], value of premise i)`` with the cell whose
+        # digit i is digit ``combo[i]`` of premise i.  lhs_base holds the
+        # first sum's part fixed by ``combo``; rhs_digits[i][t][c] is digit
+        # c of cell t weighted for position i
+        self.lhs_base = [
+            sum(c * xn * p for c, p in zip(combo, pows)) for combo in ccombos
         ]
-        self.pows = [pair_sx**i for i in range(s)]
-        self.ccombos = list(product(range(s), repeat=s))
+        self.rhs_digits = [
+            [
+                tuple((t // pair_sx**c) % pair_sx * p for c in range(s))
+                for t in range(m)
+            ]
+            for p in pows
+        ]
+        # the update cells U, and for each transposition t of the carrier
+        # where ``(t.U)[j]`` reads U: ``(t.U)[(c, v)] = t(U[(c, t(v))])``
+        self.update_cells = [
+            (c * xn + v) * sum(pows) for c in range(s) for v in range(xn)
+        ]
+        self.transpositions = []
+        for a, b in combinations(range(xn), 2):
+            swap = list(range(xn))
+            swap[a], swap[b] = b, a
+            source = [c * xn + swap[v] for c in range(s) for v in range(xn)]
+            self.transpositions.append((swap, source))
         self.parent = list(range(m))
         self.members: list[list[int]] = [[t] for t in range(m)]
         self.value: list[int | None] = [None] * m
         self.valued: list[int] = []
         self.processed = 0
         self.trail: list[tuple] = []
-        # work counts value assignments tried plus propagation instances
-        # processed; the ceiling bounds their sum
+        # work counts value assignments tried, propagation instances
+        # processed and |TX| per table the orbit closure builds; the
+        # ceiling bounds their sum
         self.work = 0
         self.solutions: list[tuple[int, ...]] = []
+
+    def _charge(self, units: int) -> None:
+        self.work += units
+        if self.work > self.ceiling:
+            raise SearchCeilingExceeded(
+                f"constrained search exceeded {self.ceiling} "
+                f"assignment/propagation/closure steps"
+            )
 
     # union-find with rollback (no path compression, union by size)
 
@@ -368,34 +424,41 @@ class _ConstrainedSearch:
     # propagation
 
     def _propagate(self) -> bool:
-        s, xn, pows, pe, ccombos = self.s, self.xn, self.pows, self.pe, self.ccombos
-        while self.processed < len(self.valued):
-            cell = self.valued[self.processed]
-            prev = self.valued[: self.processed]
+        s, pows, parent, value = self.s, self.pows, self.parent, self.value
+        valued, lhs_base, rhs_digits = self.valued, self.lhs_base, self.rhs_digits
+        per_tuple = len(lhs_base)
+        while self.processed < len(valued):
+            cell = valued[self.processed]
+            prev = valued[: self.processed]
             self.processed += 1
             for mask in range(1, 1 << s):
                 options = [
                     (cell,) if (mask >> i) & 1 else prev for i in range(s)
                 ]
-                if any(len(o) == 0 for o in options):
+                if not prev and mask != (1 << s) - 1:
                     continue
                 for tup in product(*options):
-                    vals = [self.value[self._find(t)] for t in tup]
-                    self.work += len(ccombos)
-                    if self.work > self.ceiling:
-                        raise SearchCeilingExceeded(
-                            f"constrained search exceeded {self.ceiling} "
-                            f"assignment/propagation steps"
-                        )
-                    for combo in ccombos:
-                        lhs = 0
-                        rhs = 0
-                        for i in range(s):
-                            c = combo[i]
-                            lhs += (c * xn + vals[i]) * pows[i]
-                            rhs += pe[c][tup[i]] * pows[i]
-                        if not self._union(lhs, rhs):
-                            return False
+                    self._charge(per_tuple)
+                    lhs_values = 0
+                    rows = []
+                    for i in range(s):
+                        r = t = tup[i]
+                        while parent[r] != r:
+                            r = parent[r]
+                        lhs_values += value[r] * pows[i]
+                        rows.append(rhs_digits[i][t])
+                    for base, rhs in zip(lhs_base, map(sum, product(*rows))):
+                        lhs = base + lhs_values
+                        while parent[lhs] != lhs:
+                            lhs = parent[lhs]
+                        while parent[rhs] != rhs:
+                            rhs = parent[rhs]
+                        # equal roots, or equal values, are already one fact
+                        if lhs != rhs:
+                            v = value[lhs]
+                            if v is None or v != value[rhs]:
+                                if not self._union(lhs, rhs):
+                                    return False
         return True
 
     def run(self) -> list[tuple[int, ...]]:
@@ -408,24 +471,31 @@ class _ConstrainedSearch:
             return []
         order = self._priority_order()
         self._dfs(order)
-        return self.solutions
+        return self._orbit_closure(self.solutions)
 
     def _priority_order(self) -> list[int]:
-        ones = sum(self.pows)
-        const_state = [
-            (s1 * self.xn + v) * ones
-            for s1 in range(self.s)
-            for v in range(self.xn)
-        ]
-        seen = set()
-        order = []
-        for t in const_state + list(range(self.m)):
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-        return order
+        first = set(self.update_cells)
+        return self.update_cells + [t for t in range(self.m) if t not in first]
+
+    def _relabeling_smaller(self) -> bool:
+        """Whether some transposition makes the known prefix of U smaller."""
+        value, find = self.value, self._find
+        u = [value[find(t)] for t in self.update_cells]
+        for swap, source in self.transpositions:
+            for j, have in enumerate(u):
+                moved = u[source[j]]
+                if have is None or moved is None:
+                    break
+                moved = swap[moved]
+                if moved != have:
+                    if moved < have:
+                        return True
+                    break
+        return False
 
     def _dfs(self, order: list[int]) -> None:
+        if self._relabeling_smaller():
+            return
         cell = next(
             (t for t in order if self.value[self._find(t)] is None), None
         )
@@ -434,16 +504,41 @@ class _ConstrainedSearch:
             self.solutions.append(h)
             return
         for v in range(self.xn):
-            self.work += 1
-            if self.work > self.ceiling:
-                raise SearchCeilingExceeded(
-                    f"constrained search exceeded {self.ceiling} "
-                    f"assignment/propagation steps"
-                )
+            self._charge(1)
             mark = len(self.trail)
             if self._assign(cell, v) and self._propagate():
                 self._dfs(order)
             self._rollback(mark)
+
+    def _orbit_closure(self, tables: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """Close the tables under ``h -> t . h . T(t)`` for the adjacent
+        transpositions t of the carrier, which generate every relabeling."""
+        found = set(tables)
+        if not found:
+            return []
+        ctx, s, xn, m = self.ctx, self.s, self.xn, self.m
+        moves = []
+        for i in range(xn - 1):
+            swap = list(range(xn))
+            swap[i], swap[i + 1] = i + 1, i
+            digits = ctx.t_digits(swap, xn)
+            t_swap = [0]
+            for w in ctx.digit_weights(s * xn):
+                t_swap = [
+                    low + digits[d] * w for d in range(s * xn) for low in t_swap
+                ]
+            self._charge(m)
+            moves.append((swap, t_swap))
+        frontier = list(found)
+        while frontier:
+            h = frontier.pop()
+            for swap, t_swap in moves:
+                self._charge(m)
+                image = tuple([swap[h[t]] for t in t_swap])
+                if image not in found:
+                    found.add(image)
+                    frontier.append(image)
+        return list(found)
 
 
 def _enumerate_constrained(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
@@ -545,12 +640,12 @@ def algebra_to_dict(alg: TAlgebra) -> dict:
     }
 
 
-def algebra_from_dict(d: dict, s0: int | None = None) -> TAlgebra:
+def algebra_from_dict(d: dict) -> TAlgebra:
     try:
         s_size, x_size, h = d["s_size"], d["x_size"], d["h"]
     except (KeyError, TypeError) as exc:
         raise FinSetError(f"malformed algebra record: {d!r}") from exc
-    ctx = StateMonadCtx(s_size, s0)
+    ctx = StateMonadCtx(s_size)
     carrier = FinSet(x_size)
     structure = Morphism(ctx.t_obj(carrier), carrier, tuple(h))
     result = check_algebra(ctx, carrier, structure)

@@ -5,6 +5,7 @@ import pytest
 
 from monadlab.algebra import (
     AlgebraViolation,
+    _ConstrainedSearch,
     _integer_root,
     SearchCeilingExceeded,
     TAlgebra,
@@ -232,6 +233,42 @@ class TestEnumerate:
             assert [a.structure.table for a in brute] == [
                 a.structure.table for a in cons
             ]
+
+    @pytest.mark.parametrize(
+        "s,xn",
+        [(1, xn) for xn in range(7)] + [(2, xn) for xn in range(5)] + [(3, 0), (3, 1)],
+    )
+    def test_constrained_equals_transport(self, s, xn):
+        # the symmetry-pruned search, closed over orbits, against the oracle
+        # that conjugates function-space structures and searches nothing
+        ctx = StateMonadCtx(s)
+        cons = enumerate_algebras(ctx, xn, method="constrained")
+        trans = enumerate_algebras(ctx, xn, method="transport")
+        assert [a.structure.table for a in cons] == [
+            a.structure.table for a in trans
+        ]
+
+    @pytest.mark.parametrize("xn", [6, 7])
+    def test_non_squares_refuted_under_default_ceiling(self, ctx2, xn):
+        assert enumerate_algebras(ctx2, xn, method="constrained") == []
+
+    def test_pruned_search_keeps_the_orbit_leader(self, ctx2, twelve):
+        # the 12 algebras on 4 elements form one orbit; the search itself
+        # keeps only the one whose update cells are lex-least
+        search = _ConstrainedSearch(ctx2, FinSet(4), 10**7)
+        assert len(search.run()) == 12
+        leader = min(
+            (a.structure.table for a in twelve),
+            key=lambda h: [h[t] for t in search.update_cells],
+        )
+        assert search.solutions == [leader]
+
+    def test_constrained_work_counts_each_instance_once(self, ctx3):
+        # one carrier element: no relabeling to prune or close over, one
+        # assignment, then each of the m**s * s**s instances exactly once
+        search = _ConstrainedSearch(ctx3, FinSet(1), 10**7)
+        assert len(search.run()) == 1
+        assert search.work == 27**3 * 3**3 + 1
 
     def test_transport_on_non_power_is_empty(self, ctx2):
         assert enumerate_algebras(ctx2, 3, method="transport") == []

@@ -85,14 +85,24 @@ class TestAlgebras:
             assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "x,method",
+        "s,x,method",
         [
-            ("99999999999999999", "constrained"),
-            ("99999999999999999", "brute"),
-            ("10000000000000000", "transport"),
+            ("2", "99999999999999999", "constrained"),
+            ("2", "99999999999999999", "brute"),
+            ("2", "10000000000000000", "transport"),
+            ("12", "1", "brute"),
+            ("100000000", "2", "constrained"),
+        ],
+        # "<x>-<method>" at two states, "s<S>-<x>-<method>" otherwise
+        ids=[
+            "99999999999999999-constrained",
+            "99999999999999999-brute",
+            "10000000000000000-transport",
+            "s12-1-brute",
+            "s100000000-2-constrained",
         ],
     )
-    def test_huge_carrier_refused_before_allocating(self, x, method):
+    def test_huge_carrier_refused_before_allocating(self, s, x, method):
         # the child caps its own address space at 512 MB, so a table built
         # before the ceiling check fails fast instead of exhausting the host
         script = (
@@ -103,7 +113,7 @@ class TestAlgebras:
         )
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
-            [sys.executable, "-c", script, "algebras", "--s", "2",
+            [sys.executable, "-c", script, "algebras", "--s", s,
              "--x", x, "--method", method],
             capture_output=True,
             text=True,

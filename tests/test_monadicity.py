@@ -315,7 +315,7 @@ class TestVerify:
 
     def test_guarded_carrier_reported(self):
         # a ceiling wide enough for carrier 4 but not for carrier 5
-        report = verify_monadicity(2, 5, ceiling=400_000)
+        report = verify_monadicity(2, 5, ceiling=100_000)
         assert report.carriers[5]["guarded"] is not None
         assert report.carriers[4]["count"] == 12
 
