@@ -8,12 +8,13 @@ carrier by three independent routes:
 ``brute``
     walk every table ``TX -> X`` and keep the ones passing the laws;
 ``constrained``
-    fix the table on the unit image, then depth-first search with eager
-    propagation of associativity instances, pruning every branch whose
-    algebras all have a carrier relabeling that is smaller on the update
-    cells, and close the algebras found over their relabeling orbits
-    (complete: returns exactly the brute-force set whenever brute force is
-    feasible);
+    depth-first search over the update cells ``u_c(v) = h(s -> (c, v))``
+    alone: propagate ``u_c . u_d = u_d``, reject update vectors that repeat
+    or leave some family without a lookup, fold each survivor into its
+    table, prune every branch whose algebras all have a carrier relabeling
+    that is smaller on the update cells, and close the algebras found over
+    their relabeling orbits (complete: returns exactly the brute-force set
+    whenever brute force is feasible);
 ``transport``
     conjugate the function-space structure along every bijection from the
     carrier to a function space of matching size (an oracle independent of
@@ -30,6 +31,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import factorial
+from operator import mul
+from typing import Sequence
 
 from ._bulk import Side, first_mismatch, value_at
 from .finset import FinSet, FinSetError, Morphism, evaluation, exp_map
@@ -45,13 +48,23 @@ class SearchCeilingExceeded(RuntimeError):
     """The configured search ceiling would be exceeded; nothing was computed."""
 
 
+def past_ceiling(base: int, exponent: int, ceiling: int) -> bool:
+    """Whether ``base ** exponent > ceiling``, without building the power
+    when it is surely past: a base of 2 or more to an exponent of at least
+    the ceiling's bit length."""
+    return base >= 2 and (exponent >= ceiling.bit_length() or base**exponent > ceiling)
+
+
 @dataclass(eq=False)
 class TAlgebra:
     """A validated algebra: carrier X plus structure map ``TX -> X``.
 
     ``checked`` records how associativity was verified: ``"full"`` for an
     exhaustive scan, ``"sampled"`` when the instance space was too large and
-    a seeded sample was used instead.
+    a seeded sample was used instead, ``"search"`` when
+    :func:`enumerate_algebras` returned a search result unvalidated because
+    validating every table would scan more than ``10**7`` points, and
+    ``"none"`` for a structure built without validation.
     """
 
     ctx: StateMonadCtx
@@ -219,9 +232,9 @@ def enumerate_algebras(
         raise FinSetError(f"ceiling must be positive, got {ceiling}")
     carrier = carrier if isinstance(carrier, FinSet) else FinSet(carrier)
     # every method builds at least one |TX|-entry table, so |TX| =
-    # (|S|*|X|)**|S| is compared first, without the power when surely past
+    # (|S|*|X|)**|S| is compared first
     s, base = ctx.state.size, ctx.state.size * carrier.size
-    if base >= 2 and (s >= ceiling.bit_length() or base**s > ceiling):
+    if past_ceiling(base, s, ceiling):
         raise SearchCeilingExceeded(
             f"|TX| = {base}**{s} entries exceeds the ceiling {ceiling}"
         )
@@ -251,8 +264,7 @@ def enumerate_algebras(
 def _enumerate_brute(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
     xn = x.size
     m = ctx.t_obj(x).size
-    # xn**m > ceiling, without building the power when it is surely past it
-    if xn >= 2 and (m >= ceiling.bit_length() or xn**m > ceiling):
+    if past_ceiling(xn, m, ceiling):
         raise SearchCeilingExceeded(
             f"brute force needs {xn}**{m} candidates, ceiling is {ceiling}"
         )
@@ -272,215 +284,159 @@ def _enumerate_brute(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
     return found
 
 
-class _ConstrainedSearch:
-    """Backtracking enumeration with eager propagation and symmetry breaking.
+def fold_table(
+    ctx: StateMonadCtx, xn: int, updates: Sequence[int], lookup: Sequence[int]
+) -> list[int]:
+    """The structure table ``TX -> X`` of a lookup/update pair on xn elements.
 
-    The unit law pins the table on the unit image.  Every associativity
-    instance, once its premise cells are valued, reduces to an equality
-    between two table cells; these are maintained in a union-find with
-    per-class values and a trail for rollback.  Instances are generated
-    incrementally as cells become valued, so each is processed exactly once
-    per search node.
+    ``updates[c * xn + v]`` is ``u_c(v)`` and ``lookup`` is indexed by the
+    codes of ``X^S``.  A computation ``s -> (c_s, v_s)`` folds to
+    ``l(s -> u_{c_s}(v_s))``; its digit ``c_s * xn + v_s`` indexes
+    ``updates`` directly.
+    """
+    s = ctx.state.size
+    return [lookup[g] for g in _digit_sums([updates] * s, ctx.digit_weights(xn))]
+
+
+def _digit_sums(columns: list[Sequence[int]], weights: Sequence[int]) -> list[int]:
+    """``sum_i columns[i][d_i] * weights[i]`` for every digit tuple ``(d_i)``,
+    in code order (digit 0 least significant)."""
+    codes = [0]
+    for column, w in zip(columns, weights):
+        codes = [low + v * w for v in column for low in codes]
+    return codes
+
+
+class _ConstrainedSearch:
+    """Depth-first search over the update cells, folding each survivor.
+
+    An algebra h on X has updates ``u_c(v) = h(s -> (c, v))`` and a lookup
+    ``l(g) = h(s -> (s, g_s))``, the operations that
+    :func:`equational.to_state_algebra` reads off it.  On each TTX code
+    below, ``h . T(h)`` gives the left-hand side and ``h . mult`` the
+    right-hand side, so the associativity law makes them equal:
+
+    1. ``s -> (c, (s' -> (d, a)))`` flattens to ``s -> (d, a)``:
+       ``u_c(u_d(a)) = u_d(a)``;
+    2. ``s -> (c, (s' -> (s', g_s')))`` flattens to ``s -> (c, g_c)``:
+       ``u_c(l(g)) = u_c(g_c)``;
+    3. ``s -> (s, (s' -> (s, a)))`` flattens to the unit at a, which h
+       sends to a by the unit law: ``l(s -> u_s(a)) = a``;
+    4. ``s -> (s, (s' -> (c_s, v_s)))`` flattens to ``w = s -> (c_s, v_s)``:
+       ``h(w) = l(s -> u_{c_s}(v_s))``, so h is the fold of (l, U).
+
+    So the update cells U of every algebra pass three tests, and they are
+    all this search makes:
+
+    - equation 1, propagated as plain assignments: ``u_d(a) = b`` forces
+      ``u_c(b) = b`` for every c;
+    - by equation 3, ``a -> (u_c(a))_c`` is injective; this is tested as
+      soon as two update vectors are known;
+    - by equation 2, ``l(g)`` is an a with ``u_s(a) = u_s(g_s)`` for every
+      s, and by injectivity the only one.
+
+    Each leaf builds l by the last test, rejecting U when some g has no
+    such a, and folds h.  :func:`enumerate_algebras` validates every table
+    it returns.
 
     Relabeling the carrier by a permutation p sends a structure map h to
     ``p . h . T(p^-1)``, which is again an algebra (transport of structure:
-    unit and multiplication are natural).  On the update cells
-    ``u_c(v) = h(s -> (c, v))``, which the search values first, it acts by
-    conjugation ``u_c -> p . u_c . p^-1``.  Let U be those cells in priority
-    order.  A node is pruned when, for some transposition t, the first
-    position where ``U`` and ``t.U`` are both known and differ has
-    ``t.U < U``, comparing only up to the first unknown value.  Values are
-    never changed below a node, so every algebra under a pruned node has a
-    relabeling with a lex-smaller U.  The algebras whose U is lex-least in
-    their orbit are never pruned, since no relabeling makes their U smaller.
-    So the search meets every orbit, and closing what it finds under the
-    adjacent transpositions, which generate all relabelings, returns every
-    algebra.  Nothing here assumes which carriers admit algebras, and no
-    step enumerates the ``|X|!`` permutations.
+    unit and multiplication are natural).  On U it acts by conjugation
+    ``u_c -> p . u_c . p^-1``.  Take U in c-major order.  A node is pruned
+    when, for some transposition t, the first position where ``U`` and
+    ``t.U`` are both known and differ has ``t.U < U``, comparing only up to
+    the first unknown value.  Values are never changed below a node, so
+    every algebra under a pruned node has a relabeling with a lex-smaller U.
+    The algebras whose U is lex-least in their orbit are never pruned, since
+    no relabeling makes their U smaller.  So the search meets every orbit,
+    and closing what it finds under the adjacent transpositions, which
+    generate all relabelings, returns every algebra.  Nothing here assumes
+    which carriers admit algebras, and no step enumerates the ``|X|!``
+    permutations.
+
+    Work counts each value tried, each cell forced, each position the
+    relabeling test compares, each entry of the transposition tables, each
+    lookup entry, and ``|TX|`` for each folded leaf and for each table the
+    orbit closure builds.  The ceiling bounds their sum, so it bounds the
+    time and memory of the search with no count checked in advance.
     """
 
     def __init__(self, ctx: StateMonadCtx, x: FinSet, ceiling: int):
         self.ctx = ctx
-        self.x = x
         self.ceiling = ceiling
         self.s = s = ctx.state.size
         self.xn = xn = x.size
-        self.m = m = ctx.t_obj(x).size
-        # counted before any table is built, so a huge carrier fails fast
-        instance_count = m**s * s**s
-        if instance_count > ceiling:
-            raise SearchCeilingExceeded(
-                f"constrained search needs {instance_count} associativity "
-                f"instances, ceiling is {ceiling}"
-            )
-        pair_sx = s * xn
-        self.pows = pows = [pair_sx**i for i in range(s)]
-        ccombos = list(product(range(s), repeat=s))
-        # an instance at state combination ``combo`` equates the cell whose
-        # digit i is ``(combo[i], value of premise i)`` with the cell whose
-        # digit i is digit ``combo[i]`` of premise i.  lhs_base holds the
-        # first sum's part fixed by ``combo``; rhs_digits[i][t][c] is digit
-        # c of cell t weighted for position i
-        self.lhs_base = [
-            sum(c * xn * p for c, p in zip(combo, pows)) for combo in ccombos
-        ]
-        self.rhs_digits = [
-            [
-                tuple((t // pair_sx**c) % pair_sx * p for c in range(s))
-                for t in range(m)
-            ]
-            for p in pows
-        ]
-        # the update cells U, and for each transposition t of the carrier
-        # where ``(t.U)[j]`` reads U: ``(t.U)[(c, v)] = t(U[(c, t(v))])``
-        self.update_cells = [
-            (c * xn + v) * sum(pows) for c in range(s) for v in range(xn)
-        ]
+        self.m = ctx.t_obj(x).size
+        self.work = 0
+        self.solutions: list[tuple[int, ...]] = []
+        # U[c * xn + v] = u_c(v), None while unknown, read from TX code
+        # update_cells[c * xn + v]; assigned lists the cells set, for
+        # rollback, and owner maps each complete update vector to its element
+        self.u: list[int | None] = [None] * (s * xn)
+        self.assigned: list[int] = []
+        self.owner: dict[tuple, int] = {}
+        ones = sum(ctx.digit_weights(s * xn))
+        self.update_cells = [j * ones for j in range(s * xn)]
+        # for each transposition t of the carrier, where ``(t.U)[j]`` reads
+        # U: ``(t.U)[(c, v)] = t(U[(c, t(v))])``
+        self._charge(xn * (xn - 1) // 2 * (s + 1) * xn)
         self.transpositions = []
         for a, b in combinations(range(xn), 2):
             swap = list(range(xn))
             swap[a], swap[b] = b, a
             source = [c * xn + swap[v] for c in range(s) for v in range(xn)]
             self.transpositions.append((swap, source))
-        self.parent = list(range(m))
-        self.members: list[list[int]] = [[t] for t in range(m)]
-        self.value: list[int | None] = [None] * m
-        self.valued: list[int] = []
-        self.processed = 0
-        self.trail: list[tuple] = []
-        # work counts value assignments tried, propagation instances
-        # processed and |TX| per table the orbit closure builds; the
-        # ceiling bounds their sum
-        self.work = 0
-        self.solutions: list[tuple[int, ...]] = []
 
     def _charge(self, units: int) -> None:
         self.work += units
         if self.work > self.ceiling:
             raise SearchCeilingExceeded(
                 f"constrained search exceeded {self.ceiling} "
-                f"assignment/propagation/closure steps"
+                f"assignment/relabeling/lookup/fold steps"
             )
-
-    # union-find with rollback (no path compression, union by size)
-
-    def _find(self, c: int) -> int:
-        parent = self.parent
-        while parent[c] != c:
-            c = parent[c]
-        return c
-
-    def _assign(self, cell: int, v: int) -> bool:
-        r = self._find(cell)
-        val = self.value[r]
-        if val is not None:
-            return val == v
-        self.trail.append(("val", r, len(self.valued)))
-        self.value[r] = v
-        self.valued.extend(self.members[r])
-        return True
-
-    def _union(self, a: int, b: int) -> bool:
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return True
-        va, vb = self.value[ra], self.value[rb]
-        if va is not None and vb is not None and va != vb:
-            return False
-        if len(self.members[ra]) < len(self.members[rb]):
-            ra, rb = rb, ra
-            va, vb = vb, va
-        newly = None
-        if va is None and vb is not None:
-            newly = list(self.members[ra])
-        elif vb is None and va is not None:
-            newly = list(self.members[rb])
-        self.trail.append(
-            ("uni", rb, ra, len(self.members[ra]), va, len(self.valued))
-        )
-        self.parent[rb] = ra
-        self.members[ra].extend(self.members[rb])
-        if va is None and vb is not None:
-            self.value[ra] = vb
-        if newly:
-            self.valued.extend(newly)
-        return True
-
-    def _rollback(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            entry = self.trail.pop()
-            if entry[0] == "val":
-                _, r, vlen = entry
-                self.value[r] = None
-                del self.valued[vlen:]
-            else:
-                _, rb, ra, mlen, old_value, vlen = entry
-                self.parent[rb] = rb
-                del self.members[ra][mlen:]
-                self.value[ra] = old_value
-                del self.valued[vlen:]
-        self.processed = len(self.valued)
-
-    # propagation
-
-    def _propagate(self) -> bool:
-        s, pows, parent, value = self.s, self.pows, self.parent, self.value
-        valued, lhs_base, rhs_digits = self.valued, self.lhs_base, self.rhs_digits
-        per_tuple = len(lhs_base)
-        while self.processed < len(valued):
-            cell = valued[self.processed]
-            prev = valued[: self.processed]
-            self.processed += 1
-            for mask in range(1, 1 << s):
-                options = [
-                    (cell,) if (mask >> i) & 1 else prev for i in range(s)
-                ]
-                if not prev and mask != (1 << s) - 1:
-                    continue
-                for tup in product(*options):
-                    self._charge(per_tuple)
-                    lhs_values = 0
-                    rows = []
-                    for i in range(s):
-                        r = t = tup[i]
-                        while parent[r] != r:
-                            r = parent[r]
-                        lhs_values += value[r] * pows[i]
-                        rows.append(rhs_digits[i][t])
-                    for base, rhs in zip(lhs_base, map(sum, product(*rows))):
-                        lhs = base + lhs_values
-                        while parent[lhs] != lhs:
-                            lhs = parent[lhs]
-                        while parent[rhs] != rhs:
-                            rhs = parent[rhs]
-                        # equal roots, or equal values, are already one fact
-                        if lhs != rhs:
-                            v = value[lhs]
-                            if v is None or v != value[rhs]:
-                                if not self._union(lhs, rhs):
-                                    return False
-        return True
 
     def run(self) -> list[tuple[int, ...]]:
         if self.xn == 0:
             return [()] if self.m == 0 else []
-        for v in range(self.xn):
-            if not self._assign(self.ctx.unit_at(self.x, v), v):
-                return []
-        if not self._propagate():
-            return []
-        order = self._priority_order()
-        self._dfs(order)
+        self._dfs()
         return self._orbit_closure(self.solutions)
 
-    def _priority_order(self) -> list[int]:
-        first = set(self.update_cells)
-        return self.update_cells + [t for t in range(self.m) if t not in first]
+    def _set(self, j: int, b: int) -> bool:
+        """Value cell j as b and force equation 1, ``u_c(b) = b`` for every c.
+
+        False on a conflict, or when a completed update vector is another
+        element's: injectivity is tested as soon as both vectors are known.
+        """
+        u, assigned, xn = self.u, self.assigned, self.xn
+        u[j] = b
+        assigned.append(j)
+        for k in range(b, len(u), xn):
+            if u[k] is None:
+                self._charge(1)
+                u[k] = b
+                assigned.append(k)
+            elif u[k] != b:
+                return False
+        # only the vectors of j's element and of b can have been completed
+        for a in (j % xn, b):
+            vector = tuple(u[a::xn])
+            if None not in vector and self.owner.setdefault(vector, a) != a:
+                return False
+        return True
+
+    def _unset(self, mark: int) -> None:
+        """Roll back every cell set since ``len(assigned)`` was ``mark``."""
+        u, owner, xn = self.u, self.owner, self.xn
+        for k in self.assigned[mark:]:
+            vector = tuple(u[k % xn::xn])
+            if owner.get(vector) == k % xn:
+                del owner[vector]
+            u[k] = None
+        del self.assigned[mark:]
 
     def _relabeling_smaller(self) -> bool:
         """Whether some transposition makes the known prefix of U smaller."""
-        value, find = self.value, self._find
-        u = [value[find(t)] for t in self.update_cells]
+        u, compared = self.u, 0
         for swap, source in self.transpositions:
             for j, have in enumerate(u):
                 moved = u[source[j]]
@@ -489,26 +445,41 @@ class _ConstrainedSearch:
                 moved = swap[moved]
                 if moved != have:
                     if moved < have:
+                        self._charge(compared + j + 1)
                         return True
                     break
+            compared += j + 1
+        self._charge(compared)
         return False
 
-    def _dfs(self, order: list[int]) -> None:
+    def _dfs(self) -> None:
         if self._relabeling_smaller():
             return
-        cell = next(
-            (t for t in order if self.value[self._find(t)] is None), None
-        )
-        if cell is None:
-            h = tuple(self.value[self._find(t)] for t in range(self.m))
-            self.solutions.append(h)
+        u = self.u
+        if None not in u:
+            self._leaf()
             return
-        for v in range(self.xn):
+        j = u.index(None)
+        for b in range(self.xn):
             self._charge(1)
-            mark = len(self.trail)
-            if self._assign(cell, v) and self._propagate():
-                self._dfs(order)
-            self._rollback(mark)
+            mark = len(self.assigned)
+            if self._set(j, b):
+                self._dfs()
+            self._unset(mark)
+
+    def _leaf(self) -> None:
+        """Build l from a complete U, or reject U, and keep the fold."""
+        s, xn, u = self.s, self.xn, self.u
+        weights = self.ctx.digit_weights(xn)
+        # each element's update vector, as a code in X^S (no two are equal)
+        vectors = {sum(map(mul, u[a::xn], weights)): a for a in range(xn)}
+        self._charge(xn**s)
+        columns = [u[c * xn:(c + 1) * xn] for c in range(s)]
+        lookup = [vectors.get(g) for g in _digit_sums(columns, weights)]
+        if None in lookup:
+            return
+        self._charge(self.m)
+        self.solutions.append(tuple(fold_table(self.ctx, xn, u, lookup)))
 
     def _orbit_closure(self, tables: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Close the tables under ``h -> t . h . T(t)`` for the adjacent
@@ -521,13 +492,10 @@ class _ConstrainedSearch:
         for i in range(xn - 1):
             swap = list(range(xn))
             swap[i], swap[i + 1] = i + 1, i
-            digits = ctx.t_digits(swap, xn)
-            t_swap = [0]
-            for w in ctx.digit_weights(s * xn):
-                t_swap = [
-                    low + digits[d] * w for d in range(s * xn) for low in t_swap
-                ]
             self._charge(m)
+            t_swap = _digit_sums(
+                [ctx.t_digits(swap, xn)] * s, ctx.digit_weights(s * xn)
+            )
             moves.append((swap, t_swap))
         frontier = list(found)
         while frontier:

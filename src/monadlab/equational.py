@@ -31,6 +31,7 @@ from .algebra import (
     SearchCeilingExceeded,
     TAlgebra,
     check_algebra,
+    fold_table,
 )
 from .finset import ExpCodec, FinSet, FinSetError, Morphism, compose
 from .statemonad import StateMonadCtx
@@ -442,22 +443,9 @@ def to_t_algebra(sa: StateAlgebra) -> TAlgebra:
     """
     ctx = sa.ctx
     a = sa.carrier
-    s = ctx.state.size
-    a_n = a.size
-    ups = [u.table for u in sa.updates]
-    look = sa.lookup.table
+    ups = [v for u in sa.updates for v in u.table]
+    table = fold_table(ctx, a.size, ups, sa.lookup.table)
     tx = ctx.t_obj(a)
-    outer = s * a_n
-    apows = [a_n**i for i in range(s)]
-    table = []
-    for w in range(tx.size):
-        g = 0
-        rest = w
-        for s1 in range(s):
-            rest, digit = divmod(rest, outer)
-            c, v = divmod(digit, a_n)
-            g += ups[c][v] * apows[s1]
-        table.append(look[g])
     structure = Morphism(tx, a, tuple(table))
     result = check_algebra(ctx, a, structure)
     if isinstance(result, AlgebraViolation):

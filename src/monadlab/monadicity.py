@@ -36,6 +36,7 @@ from .algebra import (
     check_algebra,
     enumerate_algebras,
     morphism_witness,
+    past_ceiling,
 )
 from .finset import (
     ExpCodec,
@@ -409,7 +410,9 @@ def verify_monadicity(
     comparison identity, returning a structured report.
 
     Raises for an empty state object: the equivalence genuinely fails there
-    (see :func:`empty_state_diagnostic` for the demonstration).
+    (see :func:`empty_state_diagnostic` for the demonstration).  Raises
+    :class:`SearchCeilingExceeded` before any carrier is run when the
+    largest carrier's ``|TX|`` exceeds the ceiling.
     """
     if s_size < 1:
         raise FinSetError(
@@ -419,6 +422,13 @@ def verify_monadicity(
         )
     if max_x < 0:
         raise FinSetError(f"largest carrier must be non-negative, got {max_x}")
+    # |TX| = (|S|*x)**|S| grows with x, so the largest carrier's table is
+    # compared with the ceiling before any carrier is run
+    if past_ceiling(s_size * max_x, s_size, ceiling):
+        raise SearchCeilingExceeded(
+            f"|TX| = {s_size * max_x}**{s_size} entries on carrier {max_x} "
+            f"exceeds the ceiling {ceiling}"
+        )
     rng = random.Random(seed)
     report = VerificationReport(s_size=s_size, max_x=max_x, seed=seed, method=method)
     ctx = StateMonadCtx(s_size)
@@ -459,8 +469,12 @@ def verify_monadicity(
     base_datas: dict[int, BaseData] = {}
     for y_size in range(max_x + 1):
         y = FinSet(y_size)
-        if y_size**s_size > max(4096, max_x**s_size):
-            report.notes.append(f"function algebra on {y_size} skipped (carrier too large)")
+        base = s_size * y_size**s_size
+        if past_ceiling(base, s_size, ceiling):
+            report.notes.append(
+                f"function algebra on {y_size} skipped: |T(Y^S)| = "
+                f"{base}**{s_size} entries exceeds the ceiling {ceiling}"
+            )
             continue
         ka = function_algebra(ctx, y, validate=True)
         report.tally("function_algebra_valid").record(True, witness=f"y={y_size}")

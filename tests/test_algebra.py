@@ -248,9 +248,13 @@ class TestEnumerate:
             a.structure.table for a in trans
         ]
 
-    @pytest.mark.parametrize("xn", [6, 7])
+    @pytest.mark.parametrize("xn", [6, 7, 8])
     def test_non_squares_refuted_under_default_ceiling(self, ctx2, xn):
         assert enumerate_algebras(ctx2, xn, method="constrained") == []
+
+    @pytest.mark.parametrize("xn", [2, 3, 4, 5])
+    def test_non_cubes_refuted_under_default_ceiling(self, ctx3, xn):
+        assert enumerate_algebras(ctx3, xn, method="constrained") == []
 
     def test_pruned_search_keeps_the_orbit_leader(self, ctx2, twelve):
         # the 12 algebras on 4 elements form one orbit; the search itself
@@ -263,12 +267,25 @@ class TestEnumerate:
         )
         assert search.solutions == [leader]
 
-    def test_constrained_work_counts_each_instance_once(self, ctx3):
-        # one carrier element: no relabeling to prune or close over, one
-        # assignment, then each of the m**s * s**s instances exactly once
+    def test_constrained_work_counted_by_hand(self, ctx3):
+        # one carrier element: no transposition to compare or close over.
+        # One value tried (u_0(0) = 0), two cells forced (u_1(0), u_2(0)),
+        # one lookup entry, and the 27-entry fold of the only leaf
         search = _ConstrainedSearch(ctx3, FinSet(1), 10**7)
         assert len(search.run()) == 1
-        assert search.work == 27**3 * 3**3 + 1
+        assert search.work == 1 + 2 + 1 + 27
+
+    def test_relabeling_test_stops_at_the_first_unknown(self, ctx2):
+        # U = (u_0(0), u_0(1), u_1(0), u_1(1)); the one transposition t
+        # reads (t.U)[(c, v)] = t(U[(c, t(v))])
+        search = _ConstrainedSearch(ctx2, FinSet(2), 10**7)
+        # position 0 compares t(U[1]) = t(1) = 0 with 1: smaller, so prune
+        search.u = [1, 1, None, None]
+        assert search._relabeling_smaller()
+        # position 0 reads the unknown U[1], so the comparison stops there,
+        # though position 2 would compare t(U[3]) = 0 with 1
+        search.u = [0, None, 1, 1]
+        assert not search._relabeling_smaller()
 
     def test_transport_on_non_power_is_empty(self, ctx2):
         assert enumerate_algebras(ctx2, 3, method="transport") == []
@@ -293,13 +310,17 @@ class TestEnumerate:
         with pytest.raises(SearchCeilingExceeded):
             enumerate_algebras(ctx2, 4, method="brute")
 
-    def test_constrained_instance_guard(self, ctx3):
+    def test_constrained_guard_at_three_states(self, ctx3):
+        # (3,2) completes empty; one unit below the work it needs raises
+        needed = _ConstrainedSearch(ctx3, FinSet(2), 10**7)
+        assert needed.run() == []
         with pytest.raises(SearchCeilingExceeded):
-            enumerate_algebras(ctx3, 2, method="constrained")
+            _ConstrainedSearch(ctx3, FinSet(2), needed.work - 1).run()
 
     def test_constrained_work_guard(self, ctx2):
+        # (2,5) needs about 1,900 work
         with pytest.raises(SearchCeilingExceeded):
-            enumerate_algebras(ctx2, 5, method="constrained", ceiling=50_000)
+            enumerate_algebras(ctx2, 5, method="constrained", ceiling=1_000)
 
     def test_transport_ceiling(self, ctx3):
         with pytest.raises(SearchCeilingExceeded):

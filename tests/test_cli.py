@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,6 +13,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_capped(*argv):
+    """Run the CLI in a child that caps its own address space at 512 MB, so
+    a table built before the ceiling check fails fast instead of exhausting
+    the host."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from monadlab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={"PYTHONPATH": str(src)},
+    )
 
 
 class TestAlgebras:
@@ -103,25 +124,15 @@ class TestAlgebras:
         ],
     )
     def test_huge_carrier_refused_before_allocating(self, s, x, method):
-        # the child caps its own address space at 512 MB, so a table built
-        # before the ceiling check fails fast instead of exhausting the host
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-            "from monadlab.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "algebras", "--s", s,
-             "--x", x, "--method", method],
-            capture_output=True,
-            text=True,
-            timeout=20,
-            env={"PYTHONPATH": str(src)},
-        )
+        proc = run_capped("algebras", "--s", s, "--x", x, "--method", method)
         assert proc.returncode == 2, proc.stderr
         assert "ceiling" in proc.stderr
+
+    @pytest.mark.parametrize("s,x", [("2", "8"), ("3", "2")])
+    def test_refuted_under_default_ceiling(self, capsys, s, x):
+        code, out, _ = run(capsys, "algebras", "--s", s, "--x", x)
+        assert code == 0
+        assert out.startswith("0 algebras")
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "algebras", "--s", "2", "--x", "4",
@@ -132,6 +143,18 @@ class TestAlgebras:
 
 
 class TestVerify:
+    def test_huge_max_x_refused_before_the_loop(self):
+        proc = run_capped("verify", "--s", "2", "--max-x", "100000")
+        assert proc.returncode == 2, proc.stderr
+        assert "ceiling" in proc.stderr and proc.stdout == ""
+
+    def test_three_states_carrier_two_settled(self, capsys):
+        code, out, _ = run(capsys, "verify", "--s", "3", "--max-x", "2",
+                           "--format", "json")
+        report = json.loads(out)
+        assert code == 0
+        assert report["carriers"]["2"] == {"count": 0, "guarded": None}
+
     def test_passes_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--s", "1", "--max-x", "3")
         assert code == 0
@@ -251,3 +274,30 @@ class TestFree:
         payload = json.loads(out)
         assert code == 0
         assert payload["classes"] == 4 and payload["saturated"] is True
+
+
+class TestStdoutDigests:
+    """Default stdout is byte-stable: sha256 of what each command printed
+    when these digests were recorded."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("algebras --s 2 --x 4 --format json",
+             "a0ed0549fa34af3cfe279685c3bb34a9f6206a5d425f7883a009ecf13f12a4bb"),
+            ("algebras --s 2 --x 5 --format json",
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            ("algebras --s 3 --x 1 --format json",
+             "3b8da7784cd700794161a3e2a631d9f99bd9784c3e0a0d0ae524674be772fabe"),
+            ("verify --s 2 --max-x 4 --format json --seed 11",
+             "6a4ece1b73a973954c134d4d63f3613caf1ac5a30a03c1c363903a9f88523754"),
+            ("verify --s 1 --max-x 6 --format json --seed 11",
+             "d4dd48172cd8246c67456b865f51f3be3ba0f17a6fa5d5a811d15cad055d5845"),
+            ("verify --s 3 --max-x 1 --format json --seed 11",
+             "ab2a02c122c93719138ec68001bf9e0fa9087a6dbbef393bae8a9aa5d2c243ec"),
+        ],
+    )
+    def test_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

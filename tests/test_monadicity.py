@@ -314,10 +314,20 @@ class TestVerify:
         assert text.endswith("PASSED")
 
     def test_guarded_carrier_reported(self):
-        # a ceiling wide enough for carrier 4 but not for carrier 5
-        report = verify_monadicity(2, 5, ceiling=100_000)
-        assert report.carriers[5]["guarded"] is not None
+        # carriers 4 and 5 need about 3,100 and 1,900 work, carrier 6 about
+        # 6,900: a ceiling wide enough for 4 and 5 but not for 6
+        report = verify_monadicity(2, 6, ceiling=5_000)
+        assert report.carriers[6]["guarded"] is not None
         assert report.carriers[4]["count"] == 12
+
+    def test_function_algebra_past_the_ceiling_skipped(self):
+        # |T(Y^S)| = (2 * 6**2)**2 = 5,184 on Y = 6, and 2,500 on Y = 5
+        report = verify_monadicity(2, 6, ceiling=5_000)
+        skipped = [n for n in report.notes if "skipped" in n]
+        assert skipped == [
+            "function algebra on 6 skipped: |T(Y^S)| = 72**2 entries "
+            "exceeds the ceiling 5000"
+        ]
 
 
 class TestEmptyStateDiagnostic:
