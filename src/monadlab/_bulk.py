@@ -20,7 +20,7 @@ importing the package does not load it.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 #: ``(digits, weights, lookups)``: one side of an identity, see above.
 Side = tuple[Sequence[Sequence[int]], Sequence[int], Sequence[Sequence[int]]]
@@ -55,18 +55,8 @@ def digit_codes(digits: Sequence[Sequence[int]], weights: Sequence[int]) -> tupl
     return tuple(_int_values(side))
 
 
-def first_mismatch(
-    left: Side, right: Side, points: Iterable[int] | None = None
-) -> int | None:
-    """The least code where the two sides differ, or None.
-
-    With ``points``, only those codes are checked, in the order given, and
-    the first failing one is returned.
-    """
-    if points is not None:
-        return next(
-            (w for w in points if value_at(left, w) != value_at(right, w)), None
-        )
+def first_mismatch(left: Side, right: Side) -> int | None:
+    """The least code where the two sides differ, or None."""
     if prod(map(len, left[0])) <= _INT_POINTS:
         lv, rv = _int_values(left), _int_values(right)
         return None if lv == rv else _first_difference(lv, rv)

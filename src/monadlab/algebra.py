@@ -20,19 +20,19 @@ carrier by three independent routes:
     carrier to a function space of matching size (an oracle independent of
     any search).
 
-Search work is bounded by an explicit ceiling; exceeding it raises
+Every table returned is validated exactly by the lookup/update presentation
+of T, as :func:`check_algebra` does past its full scan of TTX.  Search work
+is bounded by an explicit ceiling; exceeding it raises
 :class:`SearchCeilingExceeded`, never a silent truncation.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from math import factorial
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._bulk import Side, first_mismatch, value_at
 from .finset import FinSet, FinSetError, Morphism, evaluation, exp_map
@@ -40,7 +40,7 @@ from .statemonad import StateMonadCtx
 
 DEFAULT_SEARCH_CEILING = 10**7
 
-#: Associativity domains up to this size are checked exhaustively.
+#: TTX up to this size is scanned exhaustively, past it the presentation decides.
 DEFAULT_ASSOC_LIMIT = 20_000_000
 
 
@@ -59,12 +59,11 @@ def past_ceiling(base: int, exponent: int, ceiling: int) -> bool:
 class TAlgebra:
     """A validated algebra: carrier X plus structure map ``TX -> X``.
 
-    ``checked`` records how associativity was verified: ``"full"`` for an
-    exhaustive scan, ``"sampled"`` when the instance space was too large and
-    a seeded sample was used instead, ``"search"`` when
-    :func:`enumerate_algebras` returned a search result unvalidated because
-    validating every table would scan more than ``10**7`` points, and
-    ``"none"`` for a structure built without validation.
+    ``checked`` records how the laws were verified: ``"full"`` for an
+    exhaustive scan of TTX, ``"presentation"`` for the exact certificate of
+    :func:`_presentation_violation` (used by :func:`check_algebra` past
+    ``DEFAULT_ASSOC_LIMIT`` and by :func:`enumerate_algebras` at every
+    size), and ``"none"`` for a structure built without validation.
     """
 
     ctx: StateMonadCtx
@@ -107,19 +106,14 @@ class AlgebraMorphism:
 
 
 def check_algebra(
-    ctx: StateMonadCtx,
-    carrier: FinSet | int,
-    structure: Morphism,
-    *,
-    assoc_limit: int = DEFAULT_ASSOC_LIMIT,
-    samples: int = 4096,
-    seed: int = 0,
+    ctx: StateMonadCtx, carrier: FinSet | int, structure: Morphism
 ) -> TAlgebra | AlgebraViolation:
     """Validate a structure map, returning the algebra or the first broken law.
 
-    The unit law is always checked exhaustively.  Associativity is checked
-    exhaustively while the instance space TTX fits under ``assoc_limit`` and
-    on a seeded random sample beyond that (recorded on the result).
+    The unit law is always checked exhaustively.  Associativity is scanned
+    exhaustively, for the least failing code, while TTX has at most
+    ``DEFAULT_ASSOC_LIMIT`` codes, and is decided exactly beyond that by
+    :func:`_presentation_violation`; the result records which one ran.
     """
     carrier = carrier if isinstance(carrier, FinSet) else FinSet(carrier)
     tx = ctx.t_obj(carrier)
@@ -135,21 +129,14 @@ def check_algebra(
             return AlgebraViolation("unit", v, image, v)
 
     s = ctx.state.size
-    ttx_size = (s * tx.size) ** s if s else 1
+    if past_ceiling(s * tx.size, s, DEFAULT_ASSOC_LIMIT):
+        violation = _presentation_violation(ctx, carrier.size, h)
+        return violation or TAlgebra(ctx, carrier, structure, checked="presentation")
     left, right = _assoc_sides(ctx, carrier, h)
-    if ttx_size <= assoc_limit:
-        w = first_mismatch(left, right)
-        checked = "full"
-    else:
-        rng = random.Random(seed)
-        points = (rng.randrange(ttx_size) for _ in range(samples))
-        w = first_mismatch(left, right, points)
-        checked = "sampled"
+    w = first_mismatch(left, right)
     if w is not None:
-        return AlgebraViolation(
-            "associativity", w, value_at(left, w), value_at(right, w)
-        )
-    return TAlgebra(ctx, carrier, structure, checked=checked)
+        return AlgebraViolation("associativity", w, value_at(left, w), value_at(right, w))
+    return TAlgebra(ctx, carrier, structure)
 
 
 def _assoc_sides(ctx: StateMonadCtx, x: FinSet, h) -> tuple[Side, Side]:
@@ -160,6 +147,78 @@ def _assoc_sides(ctx: StateMonadCtx, x: FinSet, h) -> tuple[Side, Side]:
         ([ctx.t_digits(h, x.size)] * s, weights, (h,)),
         ([ctx.mult_digits(x)] * s, weights, (h,)),
     )
+
+
+def _equation_violation(xn: int, ups, look) -> tuple[str, tuple, int, int] | None:
+    """The first failing instance of equations 1 to 3 of :mod:`equational`
+    for updates ``ups[c][a] = u_c(a)`` on xn elements and a lookup on the
+    codes of ``X^S``, as ``(equation, instance, lhs, rhs)``: in this order,
+    ``update_after_update`` at ``(c, d, a)``, ``update_after_lookup`` at
+    ``(c, g)`` and ``lookup_of_updates`` at ``(a,)``."""
+    s = len(ups)
+    for c in range(s):
+        for d in range(s):
+            for a in range(xn):
+                inner = ups[d][a]
+                if ups[c][inner] != inner:
+                    return ("update_after_update", (c, d, a), ups[c][inner], inner)
+    pows = [xn**i for i in range(s)]
+    for c in range(s):
+        for g in range(len(look)):
+            branch = g // pows[c] % xn
+            if ups[c][look[g]] != ups[c][branch]:
+                return ("update_after_lookup", (c, g), ups[c][look[g]], ups[c][branch])
+    for a in range(xn):
+        g = sum(ups[c][a] * pows[c] for c in range(s))
+        if look[g] != a:
+            return ("lookup_of_updates", (a,), look[g], a)
+    return None
+
+
+def _presentation_violation(ctx: StateMonadCtx, xn: int, h) -> AlgebraViolation | None:
+    """Decide the algebra laws for h exactly, without scanning TTX: an
+    associativity violation, or None when h is an algebra.
+
+    Plotkin and Power (FoSSaCS 2002) present ``T = (S x -)^S`` by lookup
+    and updates subject to equations 1 to 3 of :func:`_equation_violation`
+    (a fourth follows, see :func:`equational.state_algebra_violation`).  So
+    the T-algebras are exactly the models ``(X, l, U)``, each with its fold
+    (:func:`fold_table`) as structure map.  Hence h is an algebra iff the
+    U and l read off it (as in :class:`_ConstrainedSearch`) satisfy
+    equations 1 to 3 and h is their fold: if h is an algebra, each equation
+    instance and each point of the fold is its associativity law at one TTX
+    code, codes 1 to 4 of :class:`_ConstrainedSearch`; conversely, a
+    model's fold is an algebra, unit law included (equation 3 is the fold
+    at the unit).  A failure is reported at that TTX code, where
+    ``h . T(h)`` gives the left-hand side and ``h . mult`` the right-hand
+    side, given the unit law that :func:`check_algebra` checks first.  The
+    cost is ``|S|^2·|X| + |S|·|X|^|S| + |X| + |TX|`` steps.
+    """
+    s = ctx.state.size
+    weights = ctx.digit_weights(s * xn)
+    ones = sum(weights)
+    updates = [h[j * ones] for j in range(s * xn)]
+    graphs = _digit_sums([range(c * xn, (c + 1) * xn) for c in range(s)], weights)
+    look = [h[t] for t in graphs]
+    found = _equation_violation(xn, [updates[c * xn:(c + 1) * xn] for c in range(s)], look)
+    if found is None:
+        fold = ([updates] * s, ctx.digit_weights(xn), (look,))
+        w = first_mismatch(([range(s * xn)] * s, weights, (h,)), fold)
+        if w is None:
+            return None
+        lhs, rhs = value_at(fold, w), h[w]
+        inner = [(c, w // weight % (s * xn) * ones) for c, weight in enumerate(weights)]
+    else:
+        equation, instance, lhs, rhs = found
+        if equation == "update_after_update":
+            inner = [(instance[0], (instance[1] * xn + instance[2]) * ones)] * s
+        elif equation == "update_after_lookup":
+            inner = [(instance[0], graphs[instance[1]])] * s
+        else:
+            inner = [(c, (c * xn + instance[0]) * ones) for c in range(s)]
+    m = len(h)
+    witness = sum((c * m + t) * wt for (c, t), wt in zip(inner, ctx.digit_weights(s * m)))
+    return AlgebraViolation("associativity", witness, lhs, rhs)
 
 
 def morphism_witness(u: Morphism, source: TAlgebra, target: TAlgebra) -> int | None:
@@ -246,19 +305,15 @@ def enumerate_algebras(
         tables = _enumerate_transport(ctx, carrier, ceiling)
     else:
         raise FinSetError(f"unknown method {method!r}")
+    for table in tables:
+        violation = _presentation_violation(ctx, carrier.size, table)
+        if violation is not None:
+            raise AssertionError(f"enumeration produced a non-algebra: {violation}")
     tx = ctx.t_obj(carrier)
-    out = []
-    validate = len(tables) * max((ctx.state.size * tx.size) ** ctx.state.size, 1) <= 10**7
-    for table in sorted(tables):
-        structure = Morphism(tx, carrier, table)
-        if validate:
-            alg = check_algebra(ctx, carrier, structure)
-            if isinstance(alg, AlgebraViolation):
-                raise AssertionError(f"enumeration produced a non-algebra: {alg}")
-        else:
-            alg = TAlgebra(ctx, carrier, structure, checked="search")
-        out.append(alg)
-    return out
+    return [
+        TAlgebra(ctx, carrier, Morphism(tx, carrier, t), checked="presentation")
+        for t in sorted(tables)
+    ]
 
 
 def _enumerate_brute(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
@@ -337,7 +392,7 @@ class _ConstrainedSearch:
 
     Each leaf builds l by the last test, rejecting U when some g has no
     such a, and folds h.  :func:`enumerate_algebras` validates every table
-    it returns.
+    it returns with :func:`_presentation_violation`.
 
     Relabeling the carrier by a permutation p sends a structure map h to
     ``p . h . T(p^-1)``, which is again an algebra (transport of structure:
@@ -399,7 +454,7 @@ class _ConstrainedSearch:
         if self.xn == 0:
             return [()] if self.m == 0 else []
         self._dfs()
-        return self._orbit_closure(self.solutions)
+        return _orbit_closure(self.ctx, self.xn, self.solutions, self._charge)
 
     def _set(self, j: int, b: int) -> bool:
         """Value cell j as b and force equation 1, ``u_c(b) = b`` for every c.
@@ -481,32 +536,33 @@ class _ConstrainedSearch:
         self._charge(self.m)
         self.solutions.append(tuple(fold_table(self.ctx, xn, u, lookup)))
 
-    def _orbit_closure(self, tables: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Close the tables under ``h -> t . h . T(t)`` for the adjacent
-        transpositions t of the carrier, which generate every relabeling."""
-        found = set(tables)
-        if not found:
-            return []
-        ctx, s, xn, m = self.ctx, self.s, self.xn, self.m
-        moves = []
-        for i in range(xn - 1):
-            swap = list(range(xn))
-            swap[i], swap[i + 1] = i + 1, i
-            self._charge(m)
-            t_swap = _digit_sums(
-                [ctx.t_digits(swap, xn)] * s, ctx.digit_weights(s * xn)
-            )
-            moves.append((swap, t_swap))
-        frontier = list(found)
-        while frontier:
-            h = frontier.pop()
-            for swap, t_swap in moves:
-                self._charge(m)
-                image = tuple([swap[h[t]] for t in t_swap])
-                if image not in found:
-                    found.add(image)
-                    frontier.append(image)
-        return list(found)
+
+def _orbit_closure(ctx, xn: int, tables, charge: Callable[[int], None]) -> list:
+    """Close the tables under ``h -> t . h . T(t)`` for the adjacent
+    transpositions t of the carrier, which generate every relabeling;
+    ``charge(|TX|)`` is called before each table is built."""
+    found = set(tables)
+    if not found:
+        return []
+    s = ctx.state.size
+    m = ctx.t_obj(xn).size
+    moves = []
+    for i in range(xn - 1):
+        swap = list(range(xn))
+        swap[i], swap[i + 1] = i + 1, i
+        charge(m)
+        t_swap = _digit_sums([ctx.t_digits(swap, xn)] * s, ctx.digit_weights(s * xn))
+        moves.append((swap, t_swap))
+    frontier = list(found)
+    while frontier:
+        h = frontier.pop()
+        for swap, t_swap in moves:
+            charge(m)
+            image = tuple([swap[h[t]] for t in t_swap])
+            if image not in found:
+                found.add(image)
+                frontier.append(image)
+    return list(found)
 
 
 def _enumerate_constrained(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
@@ -565,27 +621,21 @@ def _enumerate_transport(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
 # isomorphism classes
 
 
-def canonical_structure(alg: TAlgebra, perm_ceiling: int = 10**5) -> tuple[int, ...]:
-    """Least structure table over all relabelings of the carrier."""
-    n = alg.carrier.size
-    if factorial(n) > perm_ceiling:
-        raise SearchCeilingExceeded(
-            f"canonical form over {factorial(n)} relabelings exceeds {perm_ceiling}"
-        )
-    ctx = alg.ctx
-    h = alg.structure.table
-    best = None
-    for perm in permutations(range(n)):
-        p = Morphism(alg.carrier, alg.carrier, perm)
-        inv = [0] * n
-        for i, v in enumerate(perm):
-            inv[v] = i
-        t_inv = ctx.t_map(Morphism(alg.carrier, alg.carrier, tuple(inv))).table
-        cand = tuple(perm[h[t_inv[w]]] for w in range(len(h)))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+def canonical_structure(alg: TAlgebra) -> tuple[int, ...]:
+    """Least structure table over all relabelings of the carrier: the least
+    table of its orbit closure, whose ``|orbit| · |X| · |TX|`` steps are
+    charged against ``DEFAULT_SEARCH_CEILING``."""
+    work = 0
+
+    def charge(units: int) -> None:
+        nonlocal work
+        work += units
+        if work > DEFAULT_SEARCH_CEILING:
+            raise SearchCeilingExceeded(
+                f"canonical form exceeded {DEFAULT_SEARCH_CEILING} relabeling steps"
+            )
+
+    return min(_orbit_closure(alg.ctx, alg.carrier.size, [alg.structure.table], charge))
 
 
 def iso_classes(algebras: list[TAlgebra]) -> list[list[TAlgebra]]:

@@ -4,8 +4,8 @@ Exit codes follow a CI-friendly contract: 0 for success (verification
 passed, terms equal), 1 for a semantic failure (verification failed, terms
 differ), 2 for usage or resource errors (bad arguments, parse errors,
 search ceilings, terms nested too deeply).  The MONADLAB_CEILING
-environment variable overrides the default search ceiling; all output is
-deterministic given the flags.
+environment variable overrides the default ceiling of ``algebras`` and
+``verify``; all output is deterministic given the flags.
 """
 
 from __future__ import annotations
@@ -42,23 +42,21 @@ PASS, FAIL, USAGE = 0, 1, 2
 @dataclass
 class RunConfig:
     s_size: int
-    method: str = "constrained"
-    ceiling: int = DEFAULT_SEARCH_CEILING
     fmt: str = "text"
-    seed: int = 0
 
 
-def _default_ceiling() -> int:
-    env = os.environ.get("MONADLAB_CEILING")
-    if env is None:
-        return DEFAULT_SEARCH_CEILING
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise FinSetError(f"MONADLAB_CEILING must be an integer, got {env!r}") from exc
-    if value <= 0:
-        raise FinSetError(f"MONADLAB_CEILING must be positive, got {value}")
-    return value
+def _ceiling(args: argparse.Namespace) -> int:
+    """``--ceiling``, else MONADLAB_CEILING, else the default."""
+    ceiling = args.ceiling
+    if ceiling is None:
+        env = os.environ.get("MONADLAB_CEILING", str(DEFAULT_SEARCH_CEILING))
+        try:
+            ceiling = int(env)
+        except ValueError as exc:
+            raise FinSetError(f"MONADLAB_CEILING must be an integer, got {env!r}") from exc
+    if ceiling <= 0:
+        raise FinSetError(f"ceiling must be positive, got {ceiling}")
+    return ceiling
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,26 +67,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_method=False):
+    def common(p):
         p.add_argument("--s", type=int, required=True, help="number of states")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--ceiling", type=int, default=None, help="search ceiling")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        if with_method:
-            p.add_argument(
-                "--method",
-                choices=("brute", "constrained", "transport"),
-                default="constrained",
-            )
 
     p = sub.add_parser("algebras", help="enumerate algebra structures on a carrier")
-    common(p, with_method=True)
+    common(p)
+    p.add_argument("--ceiling", type=int, default=None, help="search ceiling")
+    p.add_argument(
+        "--method", choices=("brute", "constrained", "transport"), default="constrained"
+    )
     p.add_argument("--x", type=int, required=True, help="carrier size")
     p.add_argument("--out", type=str, default=None,
                    help="also write the structures as newline-delimited JSON")
 
     p = sub.add_parser("verify", help="run the full verification pipeline")
     common(p)
+    p.add_argument("--ceiling", type=int, default=None, help="search ceiling")
+    p.add_argument("--seed", type=int, default=0, help="seed for the sampled hom-set maps")
     p.add_argument("--max-x", type=int, required=True, help="largest carrier")
     p.add_argument("--diagnose-empty", action="store_true",
                    help="with --s 0, demonstrate why the equivalence fails")
@@ -112,24 +108,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    ceiling = args.ceiling if args.ceiling is not None else _default_ceiling()
-    if ceiling <= 0:
-        raise FinSetError(f"ceiling must be positive, got {ceiling}")
     if args.s < 0:
         raise FinSetError(f"state count must be non-negative, got {args.s}")
-    return RunConfig(
-        s_size=args.s,
-        method=getattr(args, "method", "constrained"),
-        ceiling=ceiling,
-        fmt=args.format,
-        seed=args.seed,
-    )
+    return RunConfig(s_size=args.s, fmt=args.format)
 
 
 def _cmd_algebras(args) -> int:
+    ceiling = _ceiling(args)
     cfg = _config(args)
     ctx = StateMonadCtx(cfg.s_size)
-    algebras = enumerate_algebras(ctx, args.x, method=cfg.method, ceiling=cfg.ceiling)
+    algebras = enumerate_algebras(ctx, args.x, method=args.method, ceiling=ceiling)
     records = [algebra_to_dict(a) for a in algebras]
     if cfg.fmt == "json":
         for rec in records:
@@ -138,7 +126,7 @@ def _cmd_algebras(args) -> int:
         plural = "" if len(algebras) == 1 else "s"
         print(
             f"{len(algebras)} algebra{plural} on a {args.x}-element carrier "
-            f"with {cfg.s_size} states ({cfg.method})"
+            f"with {cfg.s_size} states ({args.method})"
         )
         for rec in records:
             print(f"  h = {rec['h']}")
@@ -150,6 +138,7 @@ def _cmd_algebras(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    ceiling = _ceiling(args)
     cfg = _config(args)
     if cfg.s_size == 0:
         if args.diagnose_empty:
@@ -172,13 +161,7 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return USAGE
-    report = verify_monadicity(
-        cfg.s_size,
-        args.max_x,
-        seed=cfg.seed,
-        ceiling=cfg.ceiling,
-        method=cfg.method,
-    )
+    report = verify_monadicity(cfg.s_size, args.max_x, seed=args.seed, ceiling=ceiling)
     print(report.to_json() if cfg.fmt == "json" else report.to_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

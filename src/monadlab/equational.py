@@ -30,6 +30,7 @@ from .algebra import (
     AlgebraViolation,
     SearchCeilingExceeded,
     TAlgebra,
+    _equation_violation,
     check_algebra,
     fold_table,
 )
@@ -331,7 +332,8 @@ def state_algebra_violation(sa: StateAlgebra) -> tuple[str, tuple] | None:
     """First violated equation with a witness assignment, or None.
 
     Equations 1 to 3 are checked by direct enumeration of their variable
-    assignments.  Equation 4 needs no scan, because it follows from
+    assignments (:func:`algebra._equation_violation`, which the algebra
+    certificate shares).  Equation 4 needs no scan, because it follows from
     equations 2 and 3.  By equation 3 an element is determined by its
     updates: if ``u_s(x) = u_s(y)`` for every state ``s``, then
     ``x = l(u_0(x),...,u_n(x)) = l(u_0(y),...,u_n(y)) = y``.  By equation 2,
@@ -339,37 +341,17 @@ def state_algebra_violation(sa: StateAlgebra) -> tuple[str, tuple] | None:
     equation 4 go to ``u_s(a_ss)`` under every update ``u_s``.  So the two
     sides are equal whenever equations 2 and 3 hold.
     """
-    ctx = sa.ctx
-    s = ctx.state.size
-    a_n = sa.carrier.size
+    s = sa.ctx.state.size
     if len(sa.updates) != s:
         raise FinSetError(f"expected {s} update maps, got {len(sa.updates)}")
-    look = sa.lookup.table
-    ups = [u.table for u in sa.updates]
-    exp = sa.exp_codec()
-    if sa.lookup.dom != exp.obj or sa.lookup.cod != sa.carrier:
+    if sa.lookup.dom != sa.exp_codec().obj or sa.lookup.cod != sa.carrier:
         raise FinSetError("lookup map has the wrong type")
     for s1 in range(s):
         if sa.updates[s1].dom != sa.carrier or sa.updates[s1].cod != sa.carrier:
             raise FinSetError("update map has the wrong type")
-
-    for s1 in range(s):
-        for s2 in range(s):
-            for a in range(a_n):
-                inner = ups[s2][a]
-                if ups[s1][inner] != inner:
-                    return ("update_after_update", (s1, s2, a))
-    pows = [a_n**i for i in range(s)]
-    for s1 in range(s):
-        for g in range(exp.obj.size):
-            branch = (g // pows[s1]) % a_n if a_n else 0
-            if ups[s1][look[g]] != ups[s1][branch]:
-                return ("update_after_lookup", (s1, g))
-    for a in range(a_n):
-        g = sum(ups[s1][a] * pows[s1] for s1 in range(s))
-        if look[g] != a:
-            return ("lookup_of_updates", (a,))
-    return None
+    ups = [u.table for u in sa.updates]
+    found = _equation_violation(sa.carrier.size, ups, sa.lookup.table)
+    return None if found is None else found[:2]
 
 
 def canonical_algebra(ctx: StateMonadCtx, b: FinSet | int) -> StateAlgebra:

@@ -55,6 +55,12 @@ from .finset import (
 )
 from .statemonad import StateMonadCtx
 
+#: Hom-sets of at most HOM_LIMIT maps are walked in full by the naturality
+#: checks of :func:`verify_monadicity`; from larger ones, and for the
+#: functoriality check, SAMPLE_SIZE random maps or pairs are drawn.
+HOM_LIMIT = 10_000
+SAMPLE_SIZE = 100
+
 
 def function_algebra(ctx: StateMonadCtx, y: FinSet | int, validate: bool = True) -> TAlgebra:
     """The algebra of S-indexed functions into Y: carrier ``Y^S``, structure
@@ -381,19 +387,10 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _sample_maps(rng: random.Random, dom: FinSet, cod: FinSet, count: int):
+def _random_map(rng: random.Random, dom: FinSet, cod: FinSet) -> Morphism | None:
     if dom.size > 0 and cod.size == 0:
-        return
-    for _ in range(count):
-        table = tuple(rng.randrange(cod.size) for _ in range(dom.size))
-        yield Morphism(dom, cod, table)
-
-
-def _hom_or_sample(rng, dom, cod, limit, count):
-    if hom_size(dom, cod) <= limit:
-        yield from hom(dom, cod)
-    else:
-        yield from _sample_maps(rng, dom, cod, count)
+        return None
+    return Morphism(dom, cod, tuple(rng.randrange(cod.size) for _ in range(dom.size)))
 
 
 def verify_monadicity(
@@ -403,8 +400,6 @@ def verify_monadicity(
     seed: int = 0,
     ceiling: int = DEFAULT_SEARCH_CEILING,
     method: str = "constrained",
-    hom_limit: int = 10_000,
-    sample_size: int = 100,
 ) -> VerificationReport:
     """Enumerate algebras on every carrier up to ``max_x`` and verify every
     comparison identity, returning a structured report.
@@ -509,7 +504,12 @@ def verify_monadicity(
             d1, d2 = base_datas[y1], base_datas[y2]
             xi1 = base_iso(ctx, FinSet(y1), d1)
             xi2 = base_iso(ctx, FinSet(y2), d2)
-            for v in _hom_or_sample(rng, FinSet(y1), FinSet(y2), hom_limit, sample_size):
+            # past HOM_LIMIT maps the codomain is nonempty: every draw is a map
+            if hom_size(FinSet(y1), FinSet(y2)) <= HOM_LIMIT:
+                maps = hom(FinSet(y1), FinSet(y2))
+            else:
+                maps = (_random_map(rng, FinSet(y1), FinSet(y2)) for _ in range(SAMPLE_SIZE))
+            for v in maps:
                 u = exp_map(v, ctx.state)
                 report.tally("function_algebra_map_valid").record(
                     morphism_witness(u, d1.algebra, d2.algebra) is None,
@@ -527,7 +527,7 @@ def verify_monadicity(
             == identity(d1.base).table,
             witness=f"id on K({y1})",
         )
-    for _ in range(sample_size if sizes else 0):
+    for _ in range(SAMPLE_SIZE if sizes else 0):
         y1, y2, y3 = (rng.choice(sizes) for _ in range(3))
         f = _random_map(rng, FinSet(y1), FinSet(y2))
         g = _random_map(rng, FinSet(y2), FinSet(y3))
@@ -547,12 +547,6 @@ def verify_monadicity(
         "x!/k! (verified only at these sizes)"
     )
     return report
-
-
-def _random_map(rng: random.Random, dom: FinSet, cod: FinSet) -> Morphism | None:
-    if dom.size > 0 and cod.size == 0:
-        return None
-    return Morphism(dom, cod, tuple(rng.randrange(cod.size) for _ in range(dom.size)))
 
 
 def _count_conjecture(x_size: int, k: int) -> int:

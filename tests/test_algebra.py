@@ -1,12 +1,17 @@
 import json
+import random
+from itertools import permutations
 from math import factorial
 
 import pytest
 
+from monadlab._bulk import value_at
 from monadlab.algebra import (
     AlgebraViolation,
     _ConstrainedSearch,
+    _assoc_sides,
     _integer_root,
+    _presentation_violation,
     SearchCeilingExceeded,
     TAlgebra,
     algebra_dumps,
@@ -127,6 +132,66 @@ class TestWitnessOrder:
         w = _square_reference(u, broken, k)
         assert w >= 256
         assert morphism_witness(u, broken, k) == w
+
+
+class TestPresentationCertificate:
+    """Past the full-scan limit, check_algebra decides the laws by the
+    lookup/update presentation; its witnesses must break the law."""
+
+    def _breaks_law(self, ctx, x, h, violation):
+        left, right = _assoc_sides(ctx, x, h)
+        w = violation.witness
+        return value_at(left, w) == violation.lhs != violation.rhs == value_at(right, w)
+
+    def test_one_cell_mutant_rejected_at_three_states(self, ctx3):
+        # TTX of K(2) has about 7 * 10^13 codes; this cell is neither an
+        # update cell nor a graph, so only the fold comparison sees it
+        k = function_algebra(ctx3, 2)
+        h = list(k.structure.table)
+        assert h[13144] == 4
+        h[13144] = 3
+        result = check_algebra(ctx3, k.carrier, Morphism(k.structure.dom, k.carrier, tuple(h)))
+        assert isinstance(result, AlgebraViolation) and result.law == "associativity"
+        assert self._breaks_law(ctx3, k.carrier, h, result)
+        with pytest.raises(FinSetError):
+            algebra_from_dict({"s_size": 3, "x_size": 8, "h": h})
+
+    def test_agrees_with_full_scan(self):
+        # every algebra on these carriers, 30 one-cell mutants of each, and
+        # 100 random tables keeping the unit law per carrier; all are under
+        # the full-scan limit, so check_algebra scans TTX
+        rng = random.Random(2002)
+        accepted = rejected = 0
+        for s, sizes in ((1, (1, 2, 3)), (2, (1, 2, 3, 4)), (3, (1,))):
+            ctx = StateMonadCtx(s)
+            for xn in sizes:
+                x = FinSet(xn)
+                m = ctx.t_obj(x).size
+                candidates = []
+                for alg in enumerate_algebras(ctx, x):
+                    h = alg.structure.table
+                    candidates.append(h)
+                    for _ in range(30 if xn > 1 else 0):
+                        mutant = list(h)
+                        cell = rng.randrange(m)
+                        mutant[cell] = (mutant[cell] + rng.randrange(1, xn)) % xn
+                        candidates.append(tuple(mutant))
+                for _ in range(100):
+                    table = [rng.randrange(xn) for _ in range(m)]
+                    for v in range(xn):
+                        table[ctx.unit_at(x, v)] = v
+                    candidates.append(tuple(table))
+                for h in candidates:
+                    full = check_algebra(ctx, x, Morphism(ctx.t_obj(x), x, h))
+                    certificate = _presentation_violation(ctx, xn, h)
+                    assert (certificate is None) == isinstance(full, TAlgebra), (s, xn, h)
+                    if isinstance(full, TAlgebra):
+                        assert full.checked == "full"
+                        accepted += 1
+                    elif full.law == "associativity":
+                        assert self._breaks_law(ctx, x, h, certificate), (s, xn, h)
+                        rejected += 1
+        assert accepted > 500 and rejected > 600
 
 
 class TestIntegerRoot:
@@ -347,6 +412,7 @@ class TestCardinalityClassification:
     def test_three_states_cube_has_structure(self, ctx3):
         alg = function_algebra(ctx3, 2, validate=True)
         assert alg.carrier.size == 8
+        assert alg.checked == "presentation"
 
     def test_count_matches_relabeling_conjecture(self, twelve):
         assert len(twelve) == factorial(4) // factorial(2)
@@ -359,6 +425,26 @@ class TestIsoClasses:
     def test_canonical_form_is_invariant(self, twelve):
         forms = {canonical_structure(a) for a in twelve}
         assert len(forms) == 1
+
+    def test_canonical_form_is_least_over_all_relabelings(self, ctx2, twelve):
+        x = twelve[0].carrier
+        for alg in twelve:
+            h = alg.structure.table
+            least = None
+            for perm in permutations(range(x.size)):
+                inv = [0] * x.size
+                for i, v in enumerate(perm):
+                    inv[v] = i
+                t_inv = ctx2.t_map(Morphism(x, x, tuple(inv))).table
+                relabeled = tuple(perm[h[t_inv[w]]] for w in range(len(h)))
+                least = relabeled if least is None else min(least, relabeled)
+            assert canonical_structure(alg) == least
+
+    def test_canonical_form_of_a_large_singleton_orbit(self, ctx1):
+        # one state, 9 elements: the only algebra is its own orbit, though
+        # the carrier has 9! relabelings
+        k = function_algebra(ctx1, 9)
+        assert canonical_structure(k) == k.structure.table
 
 
 class TestSerialization:

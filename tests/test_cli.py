@@ -100,6 +100,10 @@ class TestAlgebras:
         for argv in (
             ["algebras", "--s", "2", "--x", "2", "--jobs", "2"],
             ["verify", "--s", "2", "--max-x", "1", "--s0", "0"],
+            # --seed and --ceiling exist only where they are read
+            ["equal", "--s", "2", "--seed", "3", "x0", "x0"],
+            ["free", "--s", "2", "--vars", "1", "--ceiling", "5"],
+            ["rewrite", "--s", "2", "--ceiling", "1", "x0"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -154,6 +158,9 @@ class TestVerify:
         report = json.loads(out)
         assert code == 0
         assert report["carriers"]["2"] == {"count": 0, "guarded": None}
+        # K(2) is past the full-scan limit and is decided exactly
+        assert not any("sampled" in note for note in report["notes"])
+        assert "function algebra on 2: associativity checked by presentation" in report["notes"]
 
     def test_passes_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--s", "1", "--max-x", "3")
@@ -211,6 +218,12 @@ class TestEqual:
     def test_different_terms(self, capsys):
         code, out, _ = run(capsys, "equal", "--s", "2", "x0", "u0(x0)")
         assert code == 1 and out.strip() == "different"
+
+    def test_ceiling_environment_not_read(self, capsys, monkeypatch):
+        # equal runs no search, so a malformed ceiling is not its concern
+        monkeypatch.setenv("MONADLAB_CEILING", "many")
+        code, out, _ = run(capsys, "equal", "--s", "2", "u0(u1(x0))", "u1(x0)")
+        assert code == 0 and out.strip() == "equal"
 
     def test_parse_error_position(self, capsys):
         code, _, err = run(capsys, "equal", "--s", "2", "l(x0)", "x0")
