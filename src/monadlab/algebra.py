@@ -175,6 +175,17 @@ def _equation_violation(xn: int, ups, look) -> tuple[str, tuple, int, int] | Non
     return None
 
 
+def read_presentation(ctx: StateMonadCtx, xn: int, h) -> tuple[list[int], list[int]]:
+    """The updates and lookup a structure table h on xn elements interprets:
+    ``updates[c * xn + v] = u_c(v) = h(s -> (c, v))`` and
+    ``lookup[g] = l(g) = h(s -> (s, g_s))`` on the codes g of ``X^S``."""
+    s = ctx.state.size
+    weights = ctx.digit_weights(s * xn)
+    ones = sum(weights)
+    graphs = _digit_sums([range(c * xn, (c + 1) * xn) for c in range(s)], weights)
+    return [h[j * ones] for j in range(s * xn)], [h[t] for t in graphs]
+
+
 def _presentation_violation(ctx: StateMonadCtx, xn: int, h) -> AlgebraViolation | None:
     """Decide the algebra laws for h exactly, without scanning TTX: an
     associativity violation, or None when h is an algebra.
@@ -184,7 +195,7 @@ def _presentation_violation(ctx: StateMonadCtx, xn: int, h) -> AlgebraViolation 
     (a fourth follows, see :func:`equational.state_algebra_violation`).  So
     the T-algebras are exactly the models ``(X, l, U)``, each with its fold
     (:func:`fold_table`) as structure map.  Hence h is an algebra iff the
-    U and l read off it (as in :class:`_ConstrainedSearch`) satisfy
+    U and l read off it (:func:`read_presentation`) satisfy
     equations 1 to 3 and h is their fold: if h is an algebra, each equation
     instance and each point of the fold is its associativity law at one TTX
     code, codes 1 to 4 of :class:`_ConstrainedSearch`; conversely, a
@@ -197,9 +208,7 @@ def _presentation_violation(ctx: StateMonadCtx, xn: int, h) -> AlgebraViolation 
     s = ctx.state.size
     weights = ctx.digit_weights(s * xn)
     ones = sum(weights)
-    updates = [h[j * ones] for j in range(s * xn)]
-    graphs = _digit_sums([range(c * xn, (c + 1) * xn) for c in range(s)], weights)
-    look = [h[t] for t in graphs]
+    updates, look = read_presentation(ctx, xn, h)
     found = _equation_violation(xn, [updates[c * xn:(c + 1) * xn] for c in range(s)], look)
     if found is None:
         fold = ([updates] * s, ctx.digit_weights(xn), (look,))
@@ -213,7 +222,7 @@ def _presentation_violation(ctx: StateMonadCtx, xn: int, h) -> AlgebraViolation 
         if equation == "update_after_update":
             inner = [(instance[0], (instance[1] * xn + instance[2]) * ones)] * s
         elif equation == "update_after_lookup":
-            inner = [(instance[0], graphs[instance[1]])] * s
+            inner = [(instance[0], ctx.graph_at(FinSet(xn), instance[1]))] * s
         else:
             inner = [(c, (c * xn + instance[0]) * ones) for c in range(s)]
     m = len(h)
@@ -367,7 +376,7 @@ class _ConstrainedSearch:
 
     An algebra h on X has updates ``u_c(v) = h(s -> (c, v))`` and a lookup
     ``l(g) = h(s -> (s, g_s))``, the operations that
-    :func:`equational.to_state_algebra` reads off it.  On each TTX code
+    :func:`read_presentation` reads off it.  On each TTX code
     below, ``h . T(h)`` gives the left-hand side and ``h . mult`` the
     right-hand side, so the associativity law makes them equal:
 

@@ -33,8 +33,9 @@ from .algebra import (
     _equation_violation,
     check_algebra,
     fold_table,
+    read_presentation,
 )
-from .finset import ExpCodec, FinSet, FinSetError, Morphism, compose
+from .finset import ExpCodec, FinSet, FinSetError, Morphism
 from .statemonad import StateMonadCtx
 
 
@@ -400,17 +401,13 @@ def to_state_algebra(alg: TAlgebra) -> StateAlgebra:
     """
     ctx = alg.ctx
     x = alg.carrier
-    s = ctx.state.size
     xn = x.size
-    h = alg.structure.table
-    lookup = compose(alg.structure, ctx.graph_map(x))
-    pair_sx = s * xn
-    ones = sum(pair_sx**i for i in range(s)) if s else 0
-    updates = []
-    for s1 in range(s):
-        table = tuple(h[(s1 * xn + v) * ones] for v in range(xn))
-        updates.append(Morphism(x, x, table))
-    sa = StateAlgebra(ctx, x, lookup, tuple(updates))
+    ups, look = read_presentation(ctx, xn, alg.structure.table)
+    lookup = Morphism(ExpCodec(x, ctx.state).obj, x, tuple(look))
+    updates = tuple(
+        Morphism(x, x, tuple(ups[c * xn:(c + 1) * xn])) for c in range(ctx.state.size)
+    )
+    sa = StateAlgebra(ctx, x, lookup, updates)
     violation = state_algebra_violation(sa)
     if violation is not None:
         raise AssertionError(f"translated algebra failed validation: {violation}")

@@ -26,6 +26,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from . import _bulk
 from .algebra import (
     DEFAULT_SEARCH_CEILING,
     AlgebraViolation,
@@ -326,6 +327,13 @@ class CheckTally:
             if self.witness is None:
                 self.witness = witness
 
+    def merge(self, other: "CheckTally") -> None:
+        """Record every check of ``other`` after those already recorded."""
+        self.checked += other.checked
+        self.failed += other.failed
+        if self.witness is None:
+            self.witness = other.witness
+
 
 @dataclass
 class VerificationReport:
@@ -393,16 +401,92 @@ def _random_map(rng: random.Random, dom: FinSet, cod: FinSet) -> Morphism | None
     return Morphism(dom, cod, tuple(rng.randrange(cod.size) for _ in range(dom.size)))
 
 
+def _hom_naturality(
+    d1: BaseData, d2: BaseData, xi1: Morphism, xi2: Morphism, maps
+) -> tuple[CheckTally, CheckTally]:
+    """Check every map ``v: Y1 -> Y2`` in the rows of the int64 array
+    ``maps`` at once, as ``function_algebra_map_valid`` and
+    ``roundtrip_iso_natural`` tallies, each witnessed by its first failing
+    row.
+
+    For each v, with ``u = v^S`` (:func:`exp_map`) and ``lv`` the map
+    between the bases of d1 and d2 (:func:`base_map`), the first decides
+    ``u . h1 == h2 . T(u)`` on every TX1 code (:func:`morphism_witness`)
+    and the second ``xi2 . lv == v . xi1``, where xi1 and xi2 take the bases
+    back to Y1 and Y2 (:func:`base_iso`).  A fiber collision raises what
+    :func:`base_map` raises on the first colliding row.  Rows are taken in
+    blocks and TX1 codes in slices, so that no array holds more than
+    ``_bulk._MAX_CHUNK`` entries.
+    """
+    import numpy as np
+
+    s = d1.algebra.ctx.state.size
+    y1, y2 = xi1.cod.size, xi2.cod.size
+    x1, x2 = d1.algebra.carrier.size, d2.algebra.carrier.size
+    h1, h2, epi1, epi2, iso1, iso2 = (
+        np.asarray(t, dtype=np.int64)
+        for t in (
+            d1.algebra.structure.table, d2.algebra.structure.table,
+            d1.epi.table, d2.epi.table, xi1.table, xi2.table,
+        )
+    )
+    # u = v^S: digit i of a code of Y1^S, read through v, weighs y2**i
+    code1 = np.arange(x1, dtype=np.int64)
+    exp_digits = [(code1 // y1**i % y1, y2**i) for i in range(s)]
+    # a TX1 code's digits (c_i, a_i) go to (c_i, u(a_i)) in TX2
+    tx1 = np.arange(len(h1), dtype=np.int64)
+    t_digits = [tx1 // (s * x1) ** i % (s * x1) for i in range(s)]
+    t_args = [(d % x1, (s * x2) ** i) for i, d in enumerate(t_digits)]
+    t_base = sum(d // x1 * x2 * (s * x2) ** i for i, d in enumerate(t_digits))
+    # base_map reads (s, a) in S x X1 as epi2(s, u(a)); each fiber of epi1
+    # must agree with its least element
+    pair = np.arange(s * x1, dtype=np.int64)
+    pair_base, pair_arg = pair // x1 * x2, pair % x1
+    first = np.unique(epi1, return_index=True)[1]
+    fiber_first = first[epi1]
+
+    chunk = _bulk._MAX_CHUNK
+    rows = max(1, chunk // max(len(h1), 1))
+    cols = chunk // rows
+    square = np.ones(len(maps), dtype=bool)
+    natural = np.ones(len(maps), dtype=bool)
+    for r in range(0, len(maps), rows):
+        v = maps[r:r + rows]
+        u = sum(v[:, digit] * weight for digit, weight in exp_digits)
+        images = epi2[pair_base + u[:, pair_arg]]
+        clash = (images != images[:, fiber_first]).any(axis=1)
+        if clash.any():
+            row = tuple(v[int(clash.argmax())].tolist())
+            # raises the fiber collision
+            base_map(exp_map(Morphism(FinSet(y1), FinSet(y2), row), s), d1, d2)
+        for c in range(0, len(h1), cols):
+            cut = slice(c, c + cols)
+            image = t_base[cut] + sum(u[:, a[cut]] * weight for a, weight in t_args)
+            square[r:r + rows] &= (u[:, h1[cut]] == h2[image]).all(axis=1)
+        natural[r:r + rows] = (iso2[images[:, first]] == v[:, iso1]).all(axis=1)
+
+    def tally(ok) -> CheckTally:
+        bad = np.flatnonzero(~ok)
+        witness = f"v={maps[bad[0]].tolist()}: {y1}->{y2}" if bad.size else None
+        return CheckTally(len(ok), int(bad.size), witness)
+
+    return tally(square), tally(natural)
+
+
 def verify_monadicity(
     s_size: int,
     max_x: int,
     *,
     seed: int = 0,
     ceiling: int = DEFAULT_SEARCH_CEILING,
-    method: str = "constrained",
 ) -> VerificationReport:
     """Enumerate algebras on every carrier up to ``max_x`` and verify every
     comparison identity, returning a structured report.
+
+    On the function-algebra side, each hom-set ``Y1 -> Y2`` (every map, or
+    ``SAMPLE_SIZE`` random ones past ``HOM_LIMIT``) is checked in one batch
+    by :func:`_hom_naturality`: that each ``v^S`` is an algebra morphism
+    and that ``base_iso`` is natural in v.
 
     Raises for an empty state object: the equivalence genuinely fails there
     (see :func:`empty_state_diagnostic` for the demonstration).  Raises
@@ -425,7 +509,7 @@ def verify_monadicity(
             f"exceeds the ceiling {ceiling}"
         )
     rng = random.Random(seed)
-    report = VerificationReport(s_size=s_size, max_x=max_x, seed=seed, method=method)
+    report = VerificationReport(s_size=s_size, max_x=max_x, seed=seed, method="constrained")
     ctx = StateMonadCtx(s_size)
     s0_values = list(range(s_size))
 
@@ -438,7 +522,7 @@ def verify_monadicity(
             ctx.pairing_via_diagonal_identity(x), witness=f"x={x_size}"
         )
         try:
-            algebras = enumerate_algebras(ctx, x, method=method, ceiling=ceiling)
+            algebras = enumerate_algebras(ctx, x, ceiling=ceiling)
         except SearchCeilingExceeded as exc:
             report.carriers[x_size] = {"count": None, "guarded": str(exc)}
             continue
@@ -462,6 +546,7 @@ def verify_monadicity(
 
     # function-algebra side
     base_datas: dict[int, BaseData] = {}
+    isos: dict[int, Morphism] = {}
     for y_size in range(max_x + 1):
         y = FinSet(y_size)
         base = s_size * y_size**s_size
@@ -483,7 +568,7 @@ def verify_monadicity(
             data.base.size == y_size,
             witness=f"y={y_size}: base {data.base.size}",
         )
-        xi = base_iso(ctx, y, data)
+        xi = isos[y_size] = base_iso(ctx, y, data)
         ok = (
             classify(xi).iso
             and compose(ctx.const_map(y), xi).table == data.mono.table
@@ -498,28 +583,25 @@ def verify_monadicity(
             report.tally(name).record(ok, witness=f"K({y_size})")
 
     # naturality and functoriality across the function-algebra side
+    import numpy as np
+
     sizes = sorted(base_datas)
     for y1 in sizes:
         for y2 in sizes:
-            d1, d2 = base_datas[y1], base_datas[y2]
-            xi1 = base_iso(ctx, FinSet(y1), d1)
-            xi2 = base_iso(ctx, FinSet(y2), d2)
             # past HOM_LIMIT maps the codomain is nonempty: every draw is a map
-            if hom_size(FinSet(y1), FinSet(y2)) <= HOM_LIMIT:
-                maps = hom(FinSet(y1), FinSet(y2))
+            n = hom_size(y1, y2)
+            if n <= HOM_LIMIT:
+                # hom's order: the first entry is the most significant digit
+                place = y2 ** np.arange(y1 - 1, -1, -1, dtype=np.int64)
+                maps = np.arange(n, dtype=np.int64)[:, None] // place % y2
             else:
-                maps = (_random_map(rng, FinSet(y1), FinSet(y2)) for _ in range(SAMPLE_SIZE))
-            for v in maps:
-                u = exp_map(v, ctx.state)
-                report.tally("function_algebra_map_valid").record(
-                    morphism_witness(u, d1.algebra, d2.algebra) is None,
-                    witness=f"v={list(v.table)}: {y1}->{y2}",
-                )
-                lv = base_map(u, d1, d2)
-                report.tally("roundtrip_iso_natural").record(
-                    compose(xi2, lv).table == compose(v, xi1).table,
-                    witness=f"v={list(v.table)}: {y1}->{y2}",
-                )
+                draws = (_random_map(rng, FinSet(y1), FinSet(y2)) for _ in range(SAMPLE_SIZE))
+                maps = np.array([v.table for v in draws], dtype=np.int64)
+            square, natural = _hom_naturality(
+                base_datas[y1], base_datas[y2], isos[y1], isos[y2], maps
+            )
+            report.tally("function_algebra_map_valid").merge(square)
+            report.tally("roundtrip_iso_natural").merge(natural)
     for y1 in sizes:
         d1 = base_datas[y1]
         report.tally("base_map_functorial").record(

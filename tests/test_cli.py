@@ -308,6 +308,9 @@ class TestStdoutDigests:
              "d4dd48172cd8246c67456b865f51f3be3ba0f17a6fa5d5a811d15cad055d5845"),
             ("verify --s 3 --max-x 1 --format json --seed 11",
              "ab2a02c122c93719138ec68001bf9e0fa9087a6dbbef393bae8a9aa5d2c243ec"),
+            # the pair (5, 5) checks 3,125 maps on 2,500 TX codes in blocks
+            ("verify --s 2 --max-x 5 --format json --seed 11",
+             "6d3e115976a72c9bc9f82745189e329a7478c12f5fec30ded6a222cb68f1d6b3"),
         ],
     )
     def test_digest(self, capsys, argv, digest):

@@ -1,6 +1,17 @@
+import random
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from monadlab.algebra import check_algebra, check_morphism, enumerate_algebras
+from monadlab import _bulk
+from monadlab.algebra import (
+    TAlgebra,
+    check_algebra,
+    check_morphism,
+    enumerate_algebras,
+    morphism_witness,
+)
 from monadlab.finset import (
     ExpCodec,
     FinSet,
@@ -16,6 +27,8 @@ from monadlab.finset import (
     product_map,
 )
 from monadlab.monadicity import (
+    CheckTally,
+    _hom_naturality,
     base_iso,
     base_map,
     check_suite,
@@ -328,6 +341,133 @@ class TestVerify:
             "function algebra on 6 skipped: |T(Y^S)| = 72**2 entries "
             "exceeds the ceiling 5000"
         ]
+
+
+def _side(ctx, y):
+    """The base data of K(y) and its iso back to y."""
+    data = extract_base(function_algebra(ctx, y, validate=False))
+    return data, base_iso(ctx, FinSet(y), data)
+
+
+def _hom_rows(y1, y2):
+    tables = [v.table for v in hom(y1, y2)]
+    return np.array(tables, dtype=np.int64).reshape(len(tables), y1)
+
+
+def _reference(d1, d2, xi1, xi2, maps):
+    """The two tallies of :func:`_hom_naturality`, one map at a time."""
+    y1, y2 = xi1.cod.size, xi2.cod.size
+    square, natural = CheckTally(), CheckTally()
+    for row in maps.tolist():
+        v = Morphism(FinSet(y1), FinSet(y2), tuple(row))
+        u = exp_map(v, d1.algebra.ctx.state)
+        witness = f"v={row}: {y1}->{y2}"
+        square.record(morphism_witness(u, d1.algebra, d2.algebra) is None, witness)
+        lv = base_map(u, d1, d2)
+        natural.record(compose(xi2, lv).table == compose(v, xi1).table, witness)
+    return square, natural
+
+
+def _one_cell_mutant(data, cell):
+    """The base data with one cell of its algebra's table moved, unvalidated."""
+    alg = data.algebra
+    table = list(alg.structure.table)
+    table[cell] = (table[cell] + 1) % alg.carrier.size
+    structure = Morphism(alg.structure.dom, alg.carrier, tuple(table))
+    return replace(data, algebra=TAlgebra(alg.ctx, alg.carrier, structure, checked="none"))
+
+
+def _perturbed(f, i):
+    table = list(f.table)
+    table[i] = (table[i] + 1) % f.cod.size
+    return Morphism(f.dom, f.cod, tuple(table))
+
+
+class TestHomNaturality:
+    """The batched naturality check of verify_monadicity against a
+    per-map reference built from morphism_witness, base_map, exp_map and
+    compose."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_agrees_on_every_hom_set(self, s):
+        ctx = StateMonadCtx(s)
+        sides = {y: _side(ctx, y) for y in range(4)}
+        for y1 in range(4):
+            for y2 in range(4):
+                (d1, xi1), (d2, xi2) = sides[y1], sides[y2]
+                maps = _hom_rows(y1, y2)
+                got = _hom_naturality(d1, d2, xi1, xi2, maps)
+                assert got == _reference(d1, d2, xi1, xi2, maps)
+                assert got[0] == got[1] == CheckTally(len(maps), 0, None)
+
+    def test_agrees_on_a_sampled_pair(self, ctx2):
+        (d1, xi1), (d2, xi2) = _side(ctx2, 6), _side(ctx2, 5)
+        rng = random.Random(5)
+        maps = np.array([[rng.randrange(5) for _ in range(6)] for _ in range(100)])
+        got = _hom_naturality(d1, d2, xi1, xi2, maps)
+        assert got == _reference(d1, d2, xi1, xi2, maps)
+        assert got[0].checked == 100
+
+    @pytest.mark.parametrize("chunk", [100, 700, _bulk._MAX_CHUNK])
+    def test_mutant_target_agrees(self, ctx2, monkeypatch, chunk):
+        # with 2 states K(3) has 18**2 = 324 TX codes: a chunk of 700 takes
+        # two maps per block, one of 100 one map in four slices of codes
+        monkeypatch.setattr(_bulk, "_MAX_CHUNK", chunk)
+        (d1, xi1), (d2, xi2) = _side(ctx2, 3), _side(ctx2, 3)
+        maps = _hom_rows(3, 3)
+        partial = 0
+        for cell in range(0, 324, 7):
+            mutant = _one_cell_mutant(d2, cell)
+            got = _hom_naturality(d1, mutant, xi1, xi2, maps)
+            assert got == _reference(d1, mutant, xi1, xi2, maps), cell
+            assert got[1].failed == 0
+            partial += 0 < got[0].failed < got[0].checked
+        assert partial
+
+    def test_first_failure_past_the_first_block(self, ctx2, monkeypatch):
+        # two maps per block: the first failure of some mutants lies in a
+        # later block, behind blocks where every map passes
+        monkeypatch.setattr(_bulk, "_MAX_CHUNK", 700)
+        (d1, xi1), (d2, xi2) = _side(ctx2, 3), _side(ctx2, 3)
+        maps = _hom_rows(3, 3)
+        witnesses = [f"v={row}: 3->3" for row in maps.tolist()]
+        late = 0
+        for cell in range(0, 324, 2):
+            mutant = _one_cell_mutant(d2, cell)
+            square, _ = _reference(d1, mutant, xi1, xi2, maps)
+            if square.failed and witnesses.index(square.witness) >= 2:
+                late += 1
+                assert _hom_naturality(d1, mutant, xi1, xi2, maps)[0] == square
+        assert late
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_perturbed_iso(self, s):
+        ctx = StateMonadCtx(s)
+        (d1, xi1), (d2, xi2) = _side(ctx, 3), _side(ctx, 3)
+        maps = _hom_rows(3, 3)
+        for i in range(3):
+            bad = _perturbed(xi2, i)
+            square, natural = _hom_naturality(d1, d2, xi1, bad, maps)
+            ref_square, ref_natural = _reference(d1, d2, xi1, bad, maps)
+            assert (square, natural) == (ref_square, ref_natural)
+            assert square.failed == 0 and natural.failed > 0
+
+    def test_fiber_collision_raises_like_base_map(self, ctx2):
+        (d1, xi1), (d2, xi2) = _side(ctx2, 2), _side(ctx2, 3)
+        maps = _hom_rows(2, 3)
+        collisions = 0
+        for i in range(len(d2.epi.table)):
+            broken = replace(d2, epi=_perturbed(d2.epi, i))
+            try:
+                expected = _reference(d1, broken, xi1, xi2, maps)
+            except FinSetError as exc:
+                collisions += 1
+                with pytest.raises(FinSetError) as caught:
+                    _hom_naturality(d1, broken, xi1, xi2, maps)
+                assert str(caught.value) == str(exc)
+            else:
+                assert _hom_naturality(d1, broken, xi1, xi2, maps) == expected
+        assert collisions
 
 
 class TestEmptyStateDiagnostic:
