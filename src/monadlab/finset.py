@@ -12,7 +12,7 @@ inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import product as _iproduct
 from typing import Iterator, Sequence
@@ -24,21 +24,45 @@ class FinSetError(ValueError):
     """Raised when a table, codec, or composition precondition is violated."""
 
 
-@dataclass(frozen=True)
 class FinSet:
     """A finite set with elements ``0 .. size-1``.
 
     Two FinSets are equal iff their sizes are equal; the empty set (size 0)
-    is a legal object.
+    is a legal object.  There is one instance per size, validated once.
     """
 
+    __slots__ = ("size",)
     size: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or isinstance(self.size, bool):
-            raise FinSetError(f"size must be an int, got {self.size!r}")
-        if self.size < 0:
-            raise FinSetError(f"size must be non-negative, got {self.size}")
+    def __new__(cls, size: int) -> "FinSet":
+        if type(size) is not int:
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise FinSetError(f"size must be an int, got {size!r}")
+            size = int(size)
+        got = _FINSETS.get(size)
+        if got is None:
+            if size < 0:
+                raise FinSetError(f"size must be non-negative, got {size}")
+            got = _FINSETS[size] = object.__new__(cls)
+            object.__setattr__(got, "size", size)
+        return got
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.size == other.size
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.size,))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return FinSet, (self.size,)
 
     def elements(self) -> range:
         return range(self.size)
@@ -50,11 +74,13 @@ class FinSet:
         return f"FinSet({self.size})"
 
 
+_FINSETS: dict[int, FinSet] = {}
+
+
 def _as_finset(x: FinSet | int) -> FinSet:
     return x if isinstance(x, FinSet) else FinSet(x)
 
 
-@dataclass(frozen=True)
 class Morphism:
     """A total map between finite sets, stored as a dense lookup table.
 
@@ -63,22 +89,39 @@ class Morphism:
     empty set does not, and construction rejects it.
     """
 
+    __slots__ = ("dom", "cod", "table")
     dom: FinSet
     cod: FinSet
     table: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != self.dom.size:
-            raise FinSetError(
-                f"table length {len(self.table)} != domain size {self.dom.size}"
-            )
-        if self.dom.size > 0 and self.cod.size == 0:
+    def __init__(self, dom: FinSet, cod: FinSet, table: Sequence[int]) -> None:
+        table = tuple(table)
+        n = cod.size
+        if len(table) != dom.size:
+            raise FinSetError(f"table length {len(table)} != domain size {dom.size}")
+        if table and not n:
             raise FinSetError("no map from a nonempty set into the empty set")
-        n = self.cod.size
-        for i, v in enumerate(self.table):
-            if not 0 <= v < n:
-                raise FinSetError(f"table entry {v} at {i} not in 0..{n - 1}")
+        if table and (min(table) < 0 or max(table) >= n):
+            for i, v in enumerate(table):
+                if not 0 <= v < n:
+                    raise FinSetError(f"table entry {v} at {i} not in 0..{n - 1}")
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_table(self, table)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.dom, self.cod, self.table) == (other.dom, other.cod, other.table)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.table))
+
+    __setattr__ = FinSet.__setattr__
+    __delattr__ = FinSet.__delattr__
+
+    def __reduce__(self):
+        return Morphism, (self.dom, self.cod, self.table)
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -93,6 +136,12 @@ class Morphism:
         return f"Morphism({self.dom.size}->{self.cod.size}, <{self.dom.size} entries>)"
 
 
+# the slots' own setters: assignment through an instance raises
+_set_dom = Morphism.dom.__set__
+_set_cod = Morphism.cod.__set__
+_set_table = Morphism.table.__set__
+
+
 def identity(x: FinSet | int) -> Morphism:
     x = _as_finset(x)
     return Morphism(x, x, tuple(range(x.size)))
@@ -104,8 +153,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         raise FinSetError(
             f"cannot compose: codomain {f.cod.size} != domain {g.dom.size}"
         )
-    gt = g.table
-    return Morphism(f.dom, g.cod, tuple(gt[v] for v in f.table))
+    return Morphism(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
 
 def hom(dom: FinSet | int, cod: FinSet | int) -> Iterator[Morphism]:
@@ -132,7 +180,7 @@ class ProductCodec:
     left: FinSet
     right: FinSet
 
-    @property
+    @cached_property
     def obj(self) -> FinSet:
         return FinSet(self.left.size * self.right.size)
 
@@ -164,7 +212,7 @@ class ExpCodec:
     base: FinSet
     exponent: FinSet
 
-    @property
+    @cached_property
     def obj(self) -> FinSet:
         return FinSet(self.base.size ** self.exponent.size)
 
@@ -202,21 +250,16 @@ def pairing(f: Morphism, g: Morphism) -> Morphism:
     """The map ``z -> (f(z), g(z))`` into the product of the codomains."""
     if f.dom != g.dom:
         raise FinSetError("pairing requires a common domain")
-    codec = ProductCodec(f.cod, g.cod)
     n = g.cod.size
-    return Morphism(
-        f.dom, codec.obj, tuple(a * n + b for a, b in zip(f.table, g.table))
-    )
+    table = [a * n + b for a, b in zip(f.table, g.table)]
+    return Morphism(f.dom, FinSet(f.cod.size * n), table)
 
 
 def product_map(f: Morphism, g: Morphism) -> Morphism:
     """The map ``f x g`` acting coordinatewise on pair codes."""
-    dc = ProductCodec(f.dom, g.dom)
-    cc = ProductCodec(f.cod, g.cod)
-    ft, gt = f.table, g.table
-    n, m = g.dom.size, g.cod.size
-    table = tuple(ft[c // n] * m + gt[c % n] for c in range(dc.obj.size))
-    return Morphism(dc.obj, cc.obj, table)
+    gt, m = g.table, g.cod.size
+    table = [a * m + b for a in f.table for b in gt]
+    return Morphism(FinSet(f.dom.size * len(gt)), FinSet(f.cod.size * m), table)
 
 
 def curry(f: Morphism, codec: ProductCodec) -> Morphism:
@@ -232,15 +275,11 @@ def curry(f: Morphism, codec: ProductCodec) -> Morphism:
     x_size = codec.right.size
     y = f.cod.size
     ft = f.table
-    table = []
-    for x in range(x_size):
-        code = 0
-        p = 1
-        for s in range(s_size):
-            code += ft[s * x_size + x] * p
-            p *= y
-        table.append(code)
-    return Morphism(codec.right, ExpCodec(f.cod, codec.left).obj, tuple(table))
+    # Horner over the rows ``f(s, -)``, from the last state, the most significant
+    table = ft[(s_size - 1) * x_size :] if s_size else (0,) * x_size
+    for s in reversed(range(s_size - 1)):
+        table = [c * y + v for c, v in zip(table, ft[s * x_size : (s + 1) * x_size])]
+    return Morphism(codec.right, FinSet(y**s_size), table)
 
 
 def uncurry(g: Morphism, codec: ExpCodec) -> Morphism:
@@ -249,17 +288,10 @@ def uncurry(g: Morphism, codec: ExpCodec) -> Morphism:
         raise FinSetError(
             f"codec object size {codec.obj.size} != morphism codomain {g.cod.size}"
         )
-    s_size = codec.exponent.size
-    x_size = g.dom.size
     y = codec.base.size
     gt = g.table
-    table = []
-    for s in range(s_size):
-        p = y**s
-        for x in range(x_size):
-            table.append((gt[x] // p) % y)
-    dom = ProductCodec(codec.exponent, g.dom).obj
-    return Morphism(dom, codec.base, tuple(table))
+    table = [v // p % y for p in codec._pows for v in gt]
+    return Morphism(FinSet(len(table)), codec.base, table)
 
 
 def evaluation(x: FinSet | int, s: FinSet | int) -> Morphism:
@@ -268,16 +300,11 @@ def evaluation(x: FinSet | int, s: FinSet | int) -> Morphism:
     Equals ``uncurry(identity(X^S))``.
     """
     x, s = _as_finset(x), _as_finset(s)
-    exp = ExpCodec(x, s)
-    n = exp.obj.size
     xs = x.size
-    table = []
-    for si in range(s.size):
-        p = xs**si
-        for f in range(n):
-            table.append((f // p) % xs)
-    dom = ProductCodec(s, exp.obj).obj
-    return Morphism(dom, x, tuple(table))
+    n = xs**s.size
+    pows = [xs**si for si in range(s.size)]
+    table = [f // p % xs for p in pows for f in range(n)]
+    return Morphism(FinSet(len(table)), x, table)
 
 
 def exp_map(f: Morphism, s: FinSet | int) -> Morphism:

@@ -174,10 +174,9 @@ def epi_section(data: BaseData, s0: int | None = None) -> Morphism:
         s0 = ctx.s0
     if s0 is None:
         raise FinSetError("a section requires a nonempty state object")
-    picked = StateMonadCtx(ctx.state, s0)
     x = data.algebra.carrier
     embed = compose(ctx.unit(x), data.mono)
-    return compose(picked.chosen_eval(ctx.pair_obj(x)), embed)
+    return compose(ctx.chosen_eval(ctx.pair_obj(x), s0), embed)
 
 
 def compare_section(data: BaseData, s0: int | None = None) -> Morphism:

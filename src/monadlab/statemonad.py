@@ -8,7 +8,10 @@ package needs: the graph map ``Z^S -> TZ``, evaluation at the chosen state
 
 Tables are built eagerly for objects of manageable size; the ``*_at``
 methods evaluate the same maps at a single point without materializing any
-table, which is what the large-object law checks use.
+table, which is what the unit law and the structural identities use on large
+objects.  The sampled associativity check evaluates its draws in batches on
+their digits, in int64 arrays where the digits fit one (numpy is imported
+only there).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._bulk import Side, first_mismatch
+from ._bulk import _INT64_MAX, Side, first_mismatch
 from .finset import (
     ExpCodec,
     FinSet,
@@ -41,6 +44,11 @@ DEFAULT_REDUCED_LIMIT = 20_000_000
 
 #: Sample count for law checks whose exhaustive domain is out of reach.
 DEFAULT_SAMPLES = 20_000
+
+#: Draws the sampled check evaluates per batch.  A batch's Python ints and
+#: arrays then fit in memory the previous batch freed, so the check does not
+#: grow the process.
+SAMPLE_BATCH = 2048
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,8 @@ class StateMonadCtx:
         return ProductCodec(self.state, x)
 
     def pair_obj(self, x: FinSet | int) -> FinSet:
-        return self.pair_codec(x).obj
+        x = x if isinstance(x, FinSet) else FinSet(x)
+        return FinSet(self.state.size * x.size)
 
     def t_codec(self, x: FinSet | int) -> ExpCodec:
         return ExpCodec(self.pair_obj(x), self.state)
@@ -260,20 +269,34 @@ class StateMonadCtx:
         a = a if isinstance(a, FinSet) else FinSet(a)
         return Morphism(ExpCodec(a, FinSet(1)).obj, a, tuple(range(a.size)))
 
-    def restrict_to_chosen(self, z: FinSet | int) -> Morphism:
-        """``Z^S -> Z^1`` precomposing with the chosen state ``s0``."""
-        if self.s0 is None:
-            raise FinSetError("no chosen state: the state object is empty")
+    def restrict_to_chosen(self, z: FinSet | int, s0: int | None = None) -> Morphism:
+        """``Z^S -> Z^1`` precomposing with a chosen state: ``s0`` if given,
+        else the context's own."""
+        if s0 is None:
+            s0 = self.s0
+            if s0 is None:
+                raise FinSetError("no chosen state: the state object is empty")
+        elif not 0 <= s0 < self.state.size:
+            raise FinSetError(f"s0={s0} is not an element of a {self.state.size}-state object")
         z = z if isinstance(z, FinSet) else FinSet(z)
-        codec = ExpCodec(z, self.state)
-        cod = ExpCodec(z, FinSet(1)).obj
-        table = tuple(codec.digit(g, self.s0) for g in range(codec.obj.size))
-        return Morphism(codec.obj, cod, table)
+        key = ("restrict", z.size, s0)
+        if key not in self._cache:
+            # digit s0 of the codes 0 .. |Z|^|S| - 1: each value |Z|^s0 times
+            # in a row, the run of all values once per setting of higher digits
+            n = self.state.size
+            run = [v for v in range(z.size) for _ in range(z.size**s0)]
+            table = run * z.size ** (n - 1 - s0)
+            self._cache[key] = Morphism(FinSet(z.size**n), ExpCodec(z, FinSet(1)).obj, table)
+        return self._cache[key]
 
-    def chosen_eval(self, z: FinSet | int) -> Morphism:
-        """``Z^S -> Z`` evaluating a function at the chosen state ``s0``."""
+    def chosen_eval(self, z: FinSet | int, s0: int | None = None) -> Morphism:
+        """``Z^S -> Z`` evaluating a function at a chosen state: ``s0`` if
+        given, else the context's own."""
         z = z if isinstance(z, FinSet) else FinSet(z)
-        return compose(self.exp_one_iso(z), self.restrict_to_chosen(z))
+        key = ("chosen_eval", z.size, self.s0 if s0 is None else s0)
+        if key not in self._cache:
+            self._cache[key] = compose(self.exp_one_iso(z), self.restrict_to_chosen(z, s0))
+        return self._cache[key]
 
     def diagonal(self) -> Morphism:
         """``S -> S x S`` duplicating the state."""
@@ -372,7 +395,10 @@ class StateMonadCtx:
         large but ``S x TTX`` is not, checks the equivalent transposed
         identity on ``S x TTX`` instead (exact: the exponential functor is
         faithful for nonempty S, since it preserves constants).  Beyond
-        that, falls back to a seeded random sample.
+        that, falls back to ``samples`` codes drawn with
+        ``random.Random(seed).randrange``, evaluated ``SAMPLE_BATCH`` at a
+        time by :meth:`_first_assoc_failure`; the witness is the first
+        failing draw.
         """
         x = x if isinstance(x, FinSet) else FinSet(x)
         s = self.state.size
@@ -404,34 +430,52 @@ class StateMonadCtx:
             )
 
         rng = random.Random(seed)
-        for _ in range(samples):
-            w = rng.randrange(tttx_size)
-            if self._assoc_point(x, w) is not None:
-                return LawCheck("associativity", "sampled", samples, False, w)
+        for start in range(0, samples, SAMPLE_BATCH):
+            draws = [rng.randrange(tttx_size) for _ in range(min(SAMPLE_BATCH, samples - start))]
+            witness = self._first_assoc_failure(x, draws)
+            if witness is not None:
+                return LawCheck("associativity", "sampled", samples, False, witness)
         return LawCheck("associativity", "sampled", samples, True)
 
-    def _assoc_point(self, x: FinSet, w: int) -> int | None:
-        """Return ``w`` when the two flattening orders disagree there.
+    def _first_assoc_failure(self, x: FinSet, draws: list[int]) -> int | None:
+        """The first of the ``TTTX`` codes ``draws`` where ``mult . T(mult)``
+        and ``mult . mult_T`` disagree, evaluated for all of them at once.
 
-        Evaluated on Python ints with :meth:`mult_at`, because sampled
-        ``TTTX`` codes go past int64 and their digit tables past memory.
+        A code's digit i in ``S x TTX`` is ``(c_i, t_i)``; write ``d_ij`` for
+        digit j of ``t_i`` in ``S x TX``.  ``T(mult)`` sends the code to the
+        ``TTX`` code with digits ``(c_i, mult(t_i))``, ``mult_T`` to the one
+        with digits ``d_{i, c_i}``.  The draws are split into their digits in
+        ``S x TTX`` on Python ints; every later value is a digit in ``S x TX``
+        or a TX code, so it runs in int64 arrays whenever ``|S| * |TX|`` fits
+        one, and on Python ints in object arrays otherwise.
         """
-        tx = self.t_obj(x)
-        ttx = self.t_obj(tx)
+        import numpy as np
+
         s = self.state.size
-        outer = s * ttx.size
-        mid = s * tx.size
-        lhs_code = 0
-        rhs_code = 0
-        p = 1
-        rest = w
-        for _ in range(s):
-            a = rest % outer
+        tx = self.t_obj(x).size
+        mid = s * tx
+        ttx = mid**s
+        outer = s * ttx
+        rest = np.array(draws, dtype=object)
+        a = np.empty((len(draws), s), dtype=np.int64 if outer - 1 <= _INT64_MAX else object)
+        for i in range(s):
+            a[:, i] = rest % outer
             rest //= outer
-            c, t = divmod(a, ttx.size)
-            lhs_code += (c * tx.size + self.mult_at(x, t)) * p
-            rhs_code += ((t // mid**c) % mid) * p
-            p *= mid
-        lhs = self.mult_at(x, lhs_code)
-        rhs = self.mult_at(x, rhs_code)
-        return None if lhs == rhs else w
+        c = (a // ttx).astype(np.intp)
+        mid_pows = np.array([mid**j for j in range(s)], dtype=a.dtype)
+        d = (a % ttx)[:, :, None] // mid_pows % mid
+        d = d.astype(np.int64 if mid - 1 <= _INT64_MAX else object)
+        lhs = self._mult_rows(x, c.astype(d.dtype) * tx + self._mult_rows(x, d))
+        rhs = self._mult_rows(x, np.take_along_axis(d, c[:, :, None], axis=2)[:, :, 0])
+        bad = np.flatnonzero(lhs != rhs)
+        return draws[bad[0]] if bad.size else None
+
+    def _mult_rows(self, x: FinSet, rows):
+        """:meth:`mult_at` on an array: ``rows[..., i]`` is digit i in
+        ``S x TX`` of a ``TTX`` code, and the result holds the TX codes."""
+        import numpy as np
+
+        tx = self.t_obj(x).size
+        pair = self.state.size * x.size
+        pows = np.array([pair**i for i in range(self.state.size)], dtype=rows.dtype)
+        return (rows % tx // pows[(rows // tx).astype(np.intp)] % pair * pows).sum(axis=-1)

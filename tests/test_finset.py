@@ -1,7 +1,11 @@
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
+from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
@@ -79,6 +83,136 @@ class TestMorphism:
     def test_call(self):
         f = Morphism(FinSet(3), FinSet(2), (1, 0, 1))
         assert [f(i) for i in range(3)] == [1, 0, 1]
+
+
+class TestValueContract:
+    """FinSet and Morphism keep the equality, hash, immutability and
+    messages of frozen dataclasses over their fields."""
+
+    def test_finset_equality_and_hash(self):
+        assert FinSet(3) == FinSet(3) and FinSet(3) != FinSet(4)
+        assert FinSet(3) is FinSet(3)
+        assert hash(FinSet(3)) == hash((3,))
+        assert FinSet(3).__eq__(3) is NotImplemented and FinSet(3) != 3
+        assert {FinSet(2): "a", FinSet(2): "b"} == {FinSet(2): "b"}
+
+    def test_morphism_equality_and_hash(self):
+        f = Morphism(FinSet(2), FinSet(3), [0, 2])
+        g = Morphism(FinSet(2), FinSet(3), (0, 2))
+        assert f == g and f.table == (0, 2)
+        assert hash(f) == hash(g) == hash((FinSet(2), FinSet(3), (0, 2)))
+        assert f != Morphism(FinSet(2), FinSet(3), (0, 1))
+        assert f != Morphism(FinSet(2), FinSet(4), (0, 2))
+        assert f.__eq__((FinSet(2), FinSet(3), (0, 2))) is NotImplemented
+        assert len({f, g, identity(2)}) == 2
+
+    def test_assignment_raises(self):
+        f = identity(2)
+        for obj, attr in [(FinSet(2), "size"), (f, "table"), (f, "dom"), (f, "extra")]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, attr, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, attr)
+        assert FinSet(2).size == 2 and f.table == (0, 1)
+
+    def test_pickle_and_copy(self):
+        f = Morphism(FinSet(3), FinSet(2), (1, 0, 1))
+        assert pickle.loads(pickle.dumps(f)) == f
+        assert pickle.loads(pickle.dumps(FinSet(5))) is FinSet(5)
+        assert copy.deepcopy(f) == f and copy.copy(FinSet(1)) is FinSet(1)
+
+    @pytest.mark.parametrize("size,message", [
+        (True, "size must be an int, got True"),
+        (1.0, "size must be an int, got 1.0"),
+        ("2", "size must be an int, got '2'"),
+        (-1, "size must be non-negative, got -1"),
+    ])
+    def test_finset_messages(self, size, message):
+        with pytest.raises(FinSetError) as err:
+            FinSet(size)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("dom,cod,table,message", [
+        (2, 2, (0,), "table length 1 != domain size 2"),
+        (1, 0, (0,), "no map from a nonempty set into the empty set"),
+        (4, 3, (0, 5, -1, 7), "table entry 5 at 1 not in 0..2"),
+        (3, 3, (0, 2, -1), "table entry -1 at 2 not in 0..2"),
+        (3, 3, (0, 1, 3), "table entry 3 at 2 not in 0..2"),
+    ])
+    def test_morphism_messages(self, dom, cod, table, message):
+        with pytest.raises(FinSetError) as err:
+            Morphism(FinSet(dom), FinSet(cod), table)
+        assert str(err.value) == message
+
+
+def _curry_loops(ft, s_size, x_size, y):
+    table = []
+    for x in range(x_size):
+        code = 0
+        p = 1
+        for s in range(s_size):
+            code += ft[s * x_size + x] * p
+            p *= y
+        table.append(code)
+    return tuple(table)
+
+
+def _uncurry_loops(gt, s_size, x_size, y):
+    table = []
+    for s in range(s_size):
+        p = y**s
+        for x in range(x_size):
+            table.append((gt[x] // p) % y)
+    return tuple(table)
+
+
+def _evaluation_loops(xs, s_size):
+    n = xs**s_size
+    table = []
+    for si in range(s_size):
+        p = xs**si
+        for f in range(n):
+            table.append((f // p) % xs)
+    return tuple(table)
+
+
+def _product_map_loops(ft, gt, n, m):
+    return tuple(ft[c // n] * m + gt[c % n] for c in range(len(ft) * n))
+
+
+class TestTablesAgainstLoops:
+    """The comprehension-built tables equal the digit-by-digit loops on
+    every hom-set with sizes <= 3."""
+
+    @pytest.mark.parametrize("s,x,y", list(iproduct(range(4), repeat=3)))
+    def test_curry_and_uncurry(self, s, x, y):
+        codec = ProductCodec(FinSet(s), FinSet(x))
+        exp = ExpCodec(FinSet(y), FinSet(s))
+        for f in hom(codec.obj, y):
+            got = curry(f, codec)
+            assert got.table == _curry_loops(f.table, s, x, y)
+            assert (got.dom, got.cod) == (FinSet(x), FinSet(y**s))
+        for g in hom(x, exp.obj):
+            got = uncurry(g, exp)
+            assert got.table == _uncurry_loops(g.table, s, x, y)
+            assert (got.dom, got.cod) == (FinSet(s * x), FinSet(y))
+
+    def test_evaluation(self):
+        for xs, s in iproduct(range(4), repeat=2):
+            ev = evaluation(xs, s)
+            assert ev.table == _evaluation_loops(xs, s)
+            assert (ev.dom, ev.cod) == (FinSet(s * xs**s), FinSet(xs))
+
+    def test_product_map(self):
+        sizes = list(iproduct(range(4), repeat=2))
+        maps = [f for a, b in sizes for f in hom(a, b)]
+        for f in maps:
+            for g in maps:
+                got = product_map(f, g)
+                n, m = g.dom.size, g.cod.size
+                assert got.table == _product_map_loops(f.table, g.table, n, m)
+                assert got.dom == FinSet(f.dom.size * n)
+                assert got.cod == FinSet(f.cod.size * m)
 
 
 class TestCompose:

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from monadlab.finset import (
@@ -10,7 +13,11 @@ from monadlab.finset import (
     hom,
     identity,
 )
-from monadlab.statemonad import StateMonadCtx
+from monadlab import statemonad
+from monadlab.statemonad import DEFAULT_SAMPLES, SAMPLE_BATCH, LawCheck, StateMonadCtx
+
+#: The seed criterion 02 in test_acceptance.py passes to the law checks.
+ACCEPTANCE_SEED = 20260810
 
 
 class TestContext:
@@ -179,6 +186,140 @@ class TestChosenEval:
                         lhs = compose(f, ctx.chosen_eval(f.dom))
                         rhs = compose(ctx.chosen_eval(f.cod), exp_map(f, ctx.state))
                         assert lhs.table == rhs.table
+
+
+class TestChosenState:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_tables_read_the_chosen_digit(self, s):
+        ctx = StateMonadCtx(s)
+        for s0 in range(s):
+            for zn in range(4):
+                z = FinSet(zn)
+                exp = ExpCodec(z, ctx.state)
+                digits = tuple(exp.digit(g, s0) for g in range(zn**s))
+                restrict = ctx.restrict_to_chosen(z, s0)
+                assert restrict.table == digits
+                assert (restrict.dom, restrict.cod) == (exp.obj, FinSet(zn))
+                ev = ctx.chosen_eval(z, s0)
+                assert ev.table == digits and ev.cod == z
+                assert ev == StateMonadCtx(s, s0=s0).chosen_eval(z)
+
+    def test_cached_per_size_and_state(self, ctx3):
+        z = FinSet(2)
+        assert ctx3.chosen_eval(z, 1) is ctx3.chosen_eval(z, 1)
+        assert ctx3.restrict_to_chosen(z, 2) is ctx3.restrict_to_chosen(z, 2)
+        assert ctx3.chosen_eval(z, 0) is ctx3.chosen_eval(z)
+        assert ctx3.chosen_eval(z, 1) != ctx3.chosen_eval(z, 2)
+
+    def test_state_out_of_range(self, ctx2):
+        for bad in (2, -1):
+            with pytest.raises(FinSetError, match=f"s0={bad} is not an element of a 2-state"):
+                ctx2.chosen_eval(FinSet(2), bad)
+
+
+def _flattened_codes(ctx, x, w):
+    """The TTX codes that ``T(mult)`` and ``mult_T`` send the TTTX code ``w``
+    to, one digit at a time on Python ints."""
+    tx = ctx.t_obj(x)
+    ttx = ctx.t_obj(tx)
+    s = ctx.state.size
+    outer = s * ttx.size
+    mid = s * tx.size
+    lhs_code = 0
+    rhs_code = 0
+    p = 1
+    rest = w
+    for _ in range(s):
+        a = rest % outer
+        rest //= outer
+        c, t = divmod(a, ttx.size)
+        lhs_code += (c * tx.size + ctx.mult_at(x, t)) * p
+        rhs_code += ((t // mid**c) % mid) * p
+        p *= mid
+    return lhs_code, rhs_code
+
+
+def _assoc_point(ctx, x, w):
+    """Return ``w`` when the two flattening orders disagree there, evaluated
+    with ``mult_at`` on Python ints: the reference for the batched check."""
+    lhs_code, rhs_code = _flattened_codes(ctx, x, w)
+    return None if ctx.mult_at(x, lhs_code) == ctx.mult_at(x, rhs_code) else w
+
+
+def _draws(ctx, x, samples, seed):
+    tttx = (ctx.state.size * ctx.t_obj(ctx.t_obj(x)).size) ** ctx.state.size
+    rng = random.Random(seed)
+    return [rng.randrange(tttx) for _ in range(samples)]
+
+
+def _reference(ctx, x, samples, seed):
+    for w in _draws(ctx, x, samples, seed):
+        if _assoc_point(ctx, x, w) is not None:
+            return LawCheck("associativity", "sampled", samples, False, w)
+    return LawCheck("associativity", "sampled", samples, True)
+
+
+def _break_mult(monkeypatch, broken):
+    """Make the multiplication flip the low bit of its value at the TTX codes
+    in ``broken``, both per point and in the batch."""
+    mult_at = StateMonadCtx.mult_at
+    mult_rows = StateMonadCtx._mult_rows
+
+    def bad_at(self, x, w):
+        v = mult_at(self, x, w)
+        return v ^ 1 if w in broken else v
+
+    def bad_rows(self, x, rows):
+        out = mult_rows(self, x, rows)
+        mid = self.state.size * self.t_obj(x).size
+        codes = sum(rows[..., i].astype(object) * mid**i for i in range(rows.shape[-1]))
+        hit = np.vectorize(broken.__contains__, otypes=[bool])(codes)
+        return np.where(hit, out ^ 1, out)
+
+    monkeypatch.setattr(StateMonadCtx, "mult_at", bad_at)
+    monkeypatch.setattr(StateMonadCtx, "_mult_rows", bad_rows)
+
+
+class TestSampledAssociativity:
+    """The batch returns the LawCheck of the per-draw reference loop."""
+
+    @pytest.mark.parametrize("seed", [0, ACCEPTANCE_SEED])
+    def test_matches_reference_at_three_states(self, ctx3, seed):
+        got = ctx3.associativity_check(FinSet(2), seed=seed)
+        assert got == _reference(ctx3, FinSet(2), DEFAULT_SAMPLES, seed)
+        assert got.mode == "sampled" and got.checked == DEFAULT_SAMPLES and got.ok
+
+    # (3,40): TTX codes pass 2^63, the S x TX digits do not.  (2,20000): the
+    # S x TTX digits pass 2^63.  (3,10**6): the S x TX digits pass it too.
+    @pytest.mark.parametrize("s,xn,samples", [
+        (1, 10**9, 2000), (3, 40, 2000), (2, 20_000, 500), (3, 10**6, 200),
+    ])
+    def test_matches_reference_past_int64(self, s, xn, samples):
+        ctx = StateMonadCtx(s)
+        got = ctx.associativity_check(FinSet(xn), samples=samples, seed=ACCEPTANCE_SEED)
+        assert got == _reference(ctx, FinSet(xn), samples, ACCEPTANCE_SEED)
+        assert got.mode == "sampled" and got.ok
+
+    @pytest.mark.parametrize("batch", [SAMPLE_BATCH, 7])
+    @pytest.mark.parametrize("xn,samples,picks", [
+        (2, 2000, (3, 7, 11)),
+        (2, 2000, (0,)),
+        (2, 2000, (1999,)),
+        (40, 300, (5, 250)),
+        (10**6, 100, (2, 60)),
+    ])
+    def test_witness_is_the_first_failing_draw(self, monkeypatch, batch, xn, samples, picks):
+        monkeypatch.setattr(statemonad, "SAMPLE_BATCH", batch)
+        ctx = StateMonadCtx(3)
+        x = FinSet(xn)
+        assert ctx.t_obj(x).size % 2 == 0  # a flipped low bit stays in TX
+        draws = _draws(ctx, x, samples, seed=1)
+        _break_mult(monkeypatch, {_flattened_codes(ctx, x, draws[k])[1] for k in picks})
+        failing = [w for w in draws if _assoc_point(ctx, x, w) is not None]
+        assert failing[0] == draws[picks[0]] and len(failing) >= len(picks)
+        got = ctx.associativity_check(x, samples=samples, seed=1)
+        assert got == LawCheck("associativity", "sampled", samples, False, failing[0])
+        assert got == _reference(ctx, x, samples, seed=1)
 
 
 class TestStructuralIdentities:
