@@ -20,8 +20,8 @@ carrier by three independent routes:
     carrier to a function space of matching size (an oracle independent of
     any search).
 
-Every table returned is validated exactly by the lookup/update presentation
-of T, as :func:`check_algebra` does past its full scan of TTX.  Search work
+Every table returned passes :func:`check_algebra`, which decides the laws
+exactly by the lookup/update presentation of T at every size.  Search work
 is bounded by an explicit ceiling; exceeding it raises
 :class:`SearchCeilingExceeded`, never a silent truncation.
 """
@@ -35,13 +35,10 @@ from operator import mul
 from typing import Callable, Sequence
 
 from ._bulk import Side, first_mismatch, value_at
-from .finset import FinSet, FinSetError, Morphism, evaluation, exp_map
+from .finset import FinSet, FinSetError, Morphism, evaluation, exp_map, int_entries
 from .statemonad import StateMonadCtx
 
 DEFAULT_SEARCH_CEILING = 10**7
-
-#: TTX up to this size is scanned exhaustively, past it the presentation decides.
-DEFAULT_ASSOC_LIMIT = 20_000_000
 
 
 class SearchCeilingExceeded(RuntimeError):
@@ -59,17 +56,15 @@ def past_ceiling(base: int, exponent: int, ceiling: int) -> bool:
 class TAlgebra:
     """A validated algebra: carrier X plus structure map ``TX -> X``.
 
-    ``checked`` records how the laws were verified: ``"full"`` for an
-    exhaustive scan of TTX, ``"presentation"`` for the exact certificate of
-    :func:`_presentation_violation` (used by :func:`check_algebra` past
-    ``DEFAULT_ASSOC_LIMIT`` and by :func:`enumerate_algebras` at every
-    size), and ``"none"`` for a structure built without validation.
+    ``checked`` records how the laws were verified: ``"presentation"`` when
+    :func:`check_algebra` decided them, ``"none"`` for a structure built
+    without validation.
     """
 
     ctx: StateMonadCtx
     carrier: FinSet
     structure: Morphism
-    checked: str = "full"
+    checked: str = "none"
 
     def key(self) -> tuple:
         return (self.ctx.state.size, self.carrier.size, self.structure.table)
@@ -110,10 +105,10 @@ def check_algebra(
 ) -> TAlgebra | AlgebraViolation:
     """Validate a structure map, returning the algebra or the first broken law.
 
-    The unit law is always checked exhaustively.  Associativity is scanned
-    exhaustively, for the least failing code, while TTX has at most
-    ``DEFAULT_ASSOC_LIMIT`` codes, and is decided exactly beyond that by
-    :func:`_presentation_violation`; the result records which one ran.
+    The unit law is checked at every carrier element, then associativity is
+    decided exactly by :func:`_presentation_violation` in ``O(|TX|)`` steps
+    at every size.  Its witness is the TTX code of the first failing
+    presentation instance, which need not be the least failing code.
     """
     carrier = carrier if isinstance(carrier, FinSet) else FinSet(carrier)
     tx = ctx.t_obj(carrier)
@@ -128,19 +123,13 @@ def check_algebra(
         if image != v:
             return AlgebraViolation("unit", v, image, v)
 
-    s = ctx.state.size
-    if past_ceiling(s * tx.size, s, DEFAULT_ASSOC_LIMIT):
-        violation = _presentation_violation(ctx, carrier.size, h)
-        return violation or TAlgebra(ctx, carrier, structure, checked="presentation")
-    left, right = _assoc_sides(ctx, carrier, h)
-    w = first_mismatch(left, right)
-    if w is not None:
-        return AlgebraViolation("associativity", w, value_at(left, w), value_at(right, w))
-    return TAlgebra(ctx, carrier, structure)
+    violation = _presentation_violation(ctx, carrier.size, h)
+    return violation or TAlgebra(ctx, carrier, structure, checked="presentation")
 
 
 def _assoc_sides(ctx: StateMonadCtx, x: FinSet, h) -> tuple[Side, Side]:
-    """``h . T(h)`` and ``h . mult`` on TTX, as digit sums read through h."""
+    """``h . T(h)`` and ``h . mult`` on TTX, as digit sums read through h:
+    the associativity law by definition, which brute force scans."""
     s = ctx.state.size
     weights = ctx.digit_weights(s * x.size)
     return (
@@ -314,15 +303,14 @@ def enumerate_algebras(
         tables = _enumerate_transport(ctx, carrier, ceiling)
     else:
         raise FinSetError(f"unknown method {method!r}")
-    for table in tables:
-        violation = _presentation_violation(ctx, carrier.size, table)
-        if violation is not None:
-            raise AssertionError(f"enumeration produced a non-algebra: {violation}")
     tx = ctx.t_obj(carrier)
-    return [
-        TAlgebra(ctx, carrier, Morphism(tx, carrier, t), checked="presentation")
-        for t in sorted(tables)
-    ]
+    algebras = []
+    for table in sorted(tables):
+        result = check_algebra(ctx, carrier, Morphism(tx, carrier, table))
+        if isinstance(result, AlgebraViolation):
+            raise AssertionError(f"enumeration produced a non-algebra: {result}")
+        algebras.append(result)
+    return algebras
 
 
 def _enumerate_brute(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
@@ -401,7 +389,7 @@ class _ConstrainedSearch:
 
     Each leaf builds l by the last test, rejecting U when some g has no
     such a, and folds h.  :func:`enumerate_algebras` validates every table
-    it returns with :func:`_presentation_violation`.
+    it returns with :func:`check_algebra`.
 
     Relabeling the carrier by a permutation p sends a structure map h to
     ``p . h . T(p^-1)``, which is again an algebra (transport of structure:
@@ -674,7 +662,7 @@ def algebra_from_dict(d: dict) -> TAlgebra:
         raise FinSetError(f"malformed algebra record: {d!r}") from exc
     ctx = StateMonadCtx(s_size)
     carrier = FinSet(x_size)
-    structure = Morphism(ctx.t_obj(carrier), carrier, tuple(h))
+    structure = Morphism(ctx.t_obj(carrier), carrier, int_entries(h, "h"))
     result = check_algebra(ctx, carrier, structure)
     if isinstance(result, AlgebraViolation):
         raise FinSetError(f"record does not satisfy the algebra laws: {result}")

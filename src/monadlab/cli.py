@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .algebra import (
     DEFAULT_SEARCH_CEILING,
@@ -37,12 +36,6 @@ from .monadicity import empty_state_diagnostic, verify_monadicity
 from .statemonad import StateMonadCtx
 
 PASS, FAIL, USAGE = 0, 1, 2
-
-
-@dataclass
-class RunConfig:
-    s_size: int
-    fmt: str = "text"
 
 
 def _ceiling(args: argparse.Namespace) -> int:
@@ -107,26 +100,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _states(args: argparse.Namespace) -> int:
+    """``--s``, refused when negative."""
     if args.s < 0:
         raise FinSetError(f"state count must be non-negative, got {args.s}")
-    return RunConfig(s_size=args.s, fmt=args.format)
+    return args.s
 
 
 def _cmd_algebras(args) -> int:
     ceiling = _ceiling(args)
-    cfg = _config(args)
-    ctx = StateMonadCtx(cfg.s_size)
+    s = _states(args)
+    ctx = StateMonadCtx(s)
     algebras = enumerate_algebras(ctx, args.x, method=args.method, ceiling=ceiling)
     records = [algebra_to_dict(a) for a in algebras]
-    if cfg.fmt == "json":
+    if args.format == "json":
         for rec in records:
             print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
     else:
         plural = "" if len(algebras) == 1 else "s"
         print(
             f"{len(algebras)} algebra{plural} on a {args.x}-element carrier "
-            f"with {cfg.s_size} states ({args.method})"
+            f"with {s} states ({args.method})"
         )
         for rec in records:
             print(f"  h = {rec['h']}")
@@ -139,11 +133,11 @@ def _cmd_algebras(args) -> int:
 
 def _cmd_verify(args) -> int:
     ceiling = _ceiling(args)
-    cfg = _config(args)
-    if cfg.s_size == 0:
+    s = _states(args)
+    if s == 0:
         if args.diagnose_empty:
             diag = empty_state_diagnostic(args.max_x)
-            if cfg.fmt == "json":
+            if args.format == "json":
                 print(json.dumps(diag, sort_keys=True, indent=2))
             else:
                 print("empty state object: demonstrating the failure")
@@ -161,8 +155,8 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return USAGE
-    report = verify_monadicity(cfg.s_size, args.max_x, seed=args.seed, ceiling=ceiling)
-    print(report.to_json() if cfg.fmt == "json" else report.to_text())
+    report = verify_monadicity(s, args.max_x, seed=args.seed, ceiling=ceiling)
+    print(report.to_json() if args.format == "json" else report.to_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
@@ -170,15 +164,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_equal(args) -> int:
-    cfg = _config(args)
-    t1 = parse_term(args.terms[0], cfg.s_size)
-    t2 = parse_term(args.terms[1], cfg.s_size)
+    s = _states(args)
+    t1 = parse_term(args.terms[0], s)
+    t2 = parse_term(args.terms[1], s)
     nvars = args.vars
     if nvars is None:
         nvars = max(max_var(t1), max_var(t2)) + 1
-    ctx = StateMonadCtx(cfg.s_size)
+    ctx = StateMonadCtx(s)
     equal = terms_equal(t1, t2, ctx, nvars)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"equal": equal, "nvars": nvars}, sort_keys=True))
     else:
         print("equal" if equal else "different")
@@ -186,10 +180,10 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_rewrite(args) -> int:
-    cfg = _config(args)
-    term = parse_term(args.term, cfg.s_size)
-    normal = normalize(term, cfg.s_size)
-    if cfg.fmt == "json":
+    s = _states(args)
+    term = parse_term(args.term, s)
+    normal = normalize(term, s)
+    if args.format == "json":
         print(json.dumps({"input": format_term(term), "normal": format_term(normal)},
                          sort_keys=True))
     else:
@@ -198,12 +192,12 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_free(args) -> int:
-    cfg = _config(args)
+    s = _states(args)
     if args.vars < 0:
         raise FinSetError(f"vars must be non-negative, got {args.vars}")
-    ctx = StateMonadCtx(cfg.s_size)
+    ctx = StateMonadCtx(s)
     result: FreeClasses = free_classes(ctx, args.vars, args.depth)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {

@@ -38,6 +38,9 @@ from .algebra import (
 from .finset import ExpCodec, FinSet, FinSetError, Morphism
 from .statemonad import StateMonadCtx
 
+#: Most lookup combinations one round of :func:`free_classes` may close over.
+FREE_COMBO_LIMIT = 10**6
+
 
 class TermError(ValueError):
     """A malformed term: syntax error, bad arity, or unbound variable.
@@ -445,12 +448,7 @@ class FreeClasses:
     saturated: bool
 
 
-def free_classes(
-    ctx: StateMonadCtx,
-    nvars: int,
-    depth: int,
-    combo_limit: int = 10**6,
-) -> FreeClasses:
+def free_classes(ctx: StateMonadCtx, nvars: int, depth: int) -> FreeClasses:
     """Bucket all terms up to the given depth by free-model denotation.
 
     Works on denotation classes rather than raw terms: the denotation is
@@ -478,9 +476,9 @@ def free_classes(
 
     saturated = False
     for _ in range(depth):
-        if len(reps) ** max(s, 1) > combo_limit:
+        if len(reps) ** max(s, 1) > FREE_COMBO_LIMIT:
             raise SearchCeilingExceeded(
-                f"lookup closure over {len(reps)} classes exceeds {combo_limit}"
+                f"lookup closure over {len(reps)} classes exceeds {FREE_COMBO_LIMIT}"
             )
         new: dict[int, Term] = {}
 

@@ -387,7 +387,19 @@ def morphism_from_dict(d: dict) -> Morphism:
         dom, cod, table = d["dom"], d["cod"], d["table"]
     except (KeyError, TypeError) as exc:
         raise FinSetError(f"malformed morphism record: {d!r}") from exc
-    return Morphism(FinSet(dom), FinSet(cod), tuple(table))
+    return Morphism(FinSet(dom), FinSet(cod), int_entries(table, "table"))
+
+
+def int_entries(values: object, field: str) -> tuple[int, ...]:
+    """A decoded record's table as a tuple of plain ints.  A bool, float or
+    string entry raises FinSetError: ``Morphism`` checks entries only by
+    value, so the JSON loaders check their types here."""
+    if not isinstance(values, (list, tuple)):
+        raise FinSetError(f"{field} must be a list of ints, got {values!r}")
+    for i, v in enumerate(values):
+        if type(v) is not int:
+            raise FinSetError(f"{field} entries must be ints, got {v!r} at index {i}")
+    return tuple(values)
 
 
 def morphism_dumps(f: Morphism) -> str:

@@ -209,8 +209,8 @@ class StateMonadCtx:
     def t_digits(self, table: Sequence[int], cod: int) -> list[int]:
         """Per-digit code table of ``T(f)`` for ``f`` with the given table
         into a ``cod``-element set: the digit ``(c, v)`` goes to ``(c, f(v))``."""
-        # list and map, not a comprehension: check_algebra rebuilds this for
-        # every table it validates, even when the scan stops at code 0
+        # list and map, not a comprehension: brute force and morphism_witness
+        # rebuild this for every table or map they check
         s = self.state.size
         out = list(table) if s else []
         for c in range(1, s):
@@ -366,17 +366,13 @@ class StateMonadCtx:
         ev = evaluation(self.pair_obj(x), self.state).table
         return ([ev] * s, weights, ()), ([self.mult_digits(x)] * s, weights, ())
 
-    def mult_agreement(
-        self,
-        x: FinSet | int,
-        limit: int = DEFAULT_SCAN_LIMIT,
-    ) -> LawCheck:
+    def mult_agreement(self, x: FinSet | int) -> LawCheck:
         """Compare the two multiplication implementations over all of TTX."""
         x = x if isinstance(x, FinSet) else FinSet(x)
         ttx = self.t_obj(self.t_obj(x)).size
-        if ttx > limit:
+        if ttx > DEFAULT_SCAN_LIMIT:
             raise FinSetError(
-                f"TTX has {ttx} elements, above the scan limit {limit}"
+                f"TTX has {ttx} elements, above the scan limit {DEFAULT_SCAN_LIMIT}"
             )
         witness = first_mismatch(*self._mult_sides(x))
         return LawCheck("mult_agreement", "full", ttx, witness is None, witness)
@@ -384,8 +380,6 @@ class StateMonadCtx:
     def associativity_check(
         self,
         x: FinSet | int,
-        scan_limit: int = DEFAULT_SCAN_LIMIT,
-        reduced_limit: int = DEFAULT_REDUCED_LIMIT,
         samples: int = DEFAULT_SAMPLES,
         seed: int = 0,
     ) -> LawCheck:
@@ -409,7 +403,7 @@ class StateMonadCtx:
         if s == 0:
             return LawCheck("associativity", "full", 1, True)
 
-        if tttx_size <= scan_limit:
+        if tttx_size <= DEFAULT_SCAN_LIMIT:
             mult = self.mult(x).table
             weights = self.digit_weights(s * tx.size)
             witness = first_mismatch(
@@ -418,7 +412,7 @@ class StateMonadCtx:
             )
             return LawCheck("associativity", "full", tttx_size, witness is None, witness)
 
-        if s * ttx.size <= reduced_limit and ttx.size <= reduced_limit:
+        if s * ttx.size <= DEFAULT_REDUCED_LIMIT:
             # Both flattening orders arise as ``(-)^S`` of maps
             # ``S x TTX -> S x X``; for nonempty S it suffices to compare
             # those, i.e. "evaluate twice" against "flatten, then evaluate"

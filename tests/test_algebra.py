@@ -5,18 +5,18 @@ from math import factorial
 
 import pytest
 
-from monadlab._bulk import value_at
+from monadlab._bulk import first_mismatch, value_at
 from monadlab.algebra import (
     AlgebraViolation,
     _ConstrainedSearch,
     _assoc_sides,
     _integer_root,
-    _presentation_violation,
     SearchCeilingExceeded,
     TAlgebra,
     algebra_dumps,
     algebra_from_dict,
     algebra_morphism,
+    algebra_to_dict,
     canonical_structure,
     check_algebra,
     check_morphism,
@@ -88,6 +88,13 @@ def _assoc_reference(ctx, x, h):
     return None
 
 
+def _breaks_law(ctx, x, h, violation):
+    """Whether the associativity witness breaks the law, with the sides reported."""
+    left, right = _assoc_sides(ctx, x, h)
+    w = violation.witness
+    return value_at(left, w) == violation.lhs != violation.rhs == value_at(right, w)
+
+
 def _square_reference(u, source, target):
     """First TX code where ``u . h`` and ``h' . T(u)`` differ, point by point."""
     s = source.ctx.state.size
@@ -110,15 +117,21 @@ class TestWitnessOrder:
     the scan are still the least failing codes."""
 
     def test_check_algebra_least_witness(self, ctx2):
-        # TTX has 648**2 codes; the scan checks codes below 64 on Python
-        # ints and 64..511 in its first array chunk
+        # TTX has 648**2 codes; the kernel checks codes below 64 on Python
+        # ints and 64..511 in its first array chunk.  check_algebra reports
+        # the first failing presentation instance instead, which must break
+        # the law too
         k = function_algebra(ctx2, 3)
         h = list(k.structure.table)
         h[300] = (h[300] + 3) % 9
-        result = check_algebra(ctx2, k.carrier, Morphism(k.structure.dom, k.carrier, tuple(h)))
+        left, right = _assoc_sides(ctx2, k.carrier, h)
         w, lhs, rhs = _assoc_reference(ctx2, k.carrier, h)
         assert w >= 512
-        assert result == AlgebraViolation("associativity", w, lhs, rhs)
+        assert first_mismatch(left, right) == w
+        assert (value_at(left, w), value_at(right, w)) == (lhs, rhs)
+        result = check_algebra(ctx2, k.carrier, Morphism(k.structure.dom, k.carrier, tuple(h)))
+        assert isinstance(result, AlgebraViolation) and result.law == "associativity"
+        assert _breaks_law(ctx2, k.carrier, h, result)
 
     def test_morphism_witness_least_witness(self, ctx2):
         # TX has 32**2 codes; the scan checks codes below 32 on Python ints
@@ -135,13 +148,9 @@ class TestWitnessOrder:
 
 
 class TestPresentationCertificate:
-    """Past the full-scan limit, check_algebra decides the laws by the
-    lookup/update presentation; its witnesses must break the law."""
-
-    def _breaks_law(self, ctx, x, h, violation):
-        left, right = _assoc_sides(ctx, x, h)
-        w = violation.witness
-        return value_at(left, w) == violation.lhs != violation.rhs == value_at(right, w)
+    """check_algebra decides the laws by the lookup/update presentation at
+    every size; it must agree with the full scan of TTX, and its witnesses
+    must break the law."""
 
     def test_one_cell_mutant_rejected_at_three_states(self, ctx3):
         # TTX of K(2) has about 7 * 10^13 codes; this cell is neither an
@@ -152,14 +161,14 @@ class TestPresentationCertificate:
         h[13144] = 3
         result = check_algebra(ctx3, k.carrier, Morphism(k.structure.dom, k.carrier, tuple(h)))
         assert isinstance(result, AlgebraViolation) and result.law == "associativity"
-        assert self._breaks_law(ctx3, k.carrier, h, result)
+        assert _breaks_law(ctx3, k.carrier, h, result)
         with pytest.raises(FinSetError):
             algebra_from_dict({"s_size": 3, "x_size": 8, "h": h})
 
     def test_agrees_with_full_scan(self):
         # every algebra on these carriers, 30 one-cell mutants of each, and
-        # 100 random tables keeping the unit law per carrier; all are under
-        # the full-scan limit, so check_algebra scans TTX
+        # 100 random tables keeping the unit law per carrier, each against
+        # the unit law plus the kernel's scan of all of TTX
         rng = random.Random(2002)
         accepted = rejected = 0
         for s, sizes in ((1, (1, 2, 3)), (2, (1, 2, 3, 4)), (3, (1,))):
@@ -182,16 +191,41 @@ class TestPresentationCertificate:
                         table[ctx.unit_at(x, v)] = v
                     candidates.append(tuple(table))
                 for h in candidates:
-                    full = check_algebra(ctx, x, Morphism(ctx.t_obj(x), x, h))
-                    certificate = _presentation_violation(ctx, xn, h)
-                    assert (certificate is None) == isinstance(full, TAlgebra), (s, xn, h)
-                    if isinstance(full, TAlgebra):
-                        assert full.checked == "full"
+                    result = check_algebra(ctx, x, Morphism(ctx.t_obj(x), x, h))
+                    assert isinstance(result, TAlgebra) == _full_scan_accepts(ctx, x, h), (
+                        s, xn, h
+                    )
+                    if isinstance(result, TAlgebra):
+                        assert result.checked == "presentation"
                         accepted += 1
-                    elif full.law == "associativity":
-                        assert self._breaks_law(ctx, x, h, certificate), (s, xn, h)
+                    elif result.law == "associativity":
+                        assert _breaks_law(ctx, x, h, result), (s, xn, h)
                         rejected += 1
         assert accepted > 500 and rejected > 600
+
+    def test_agrees_with_full_scan_at_the_empty_edges(self):
+        # no states (the certificate has no digits) and an empty carrier
+        # (it has no elements): every table of hom(TX, X)
+        accepted = []
+        for s, xn in [(0, xn) for xn in range(4)] + [(s, 0) for s in range(1, 4)]:
+            ctx = StateMonadCtx(s)
+            x = FinSet(xn)
+            for structure in hom(ctx.t_obj(x), x):
+                result = check_algebra(ctx, x, structure)
+                assert isinstance(result, TAlgebra) == _full_scan_accepts(
+                    ctx, x, structure.table
+                ), (s, xn, structure.table)
+                if isinstance(result, TAlgebra):
+                    accepted.append((s, xn))
+        assert accepted == [(0, 1), (1, 0), (2, 0), (3, 0)]
+
+
+def _full_scan_accepts(ctx, x, h):
+    """The algebra laws by definition: the unit law at every element, then
+    the kernel's scan of all of TTX."""
+    if any(h[ctx.unit_at(x, v)] != v for v in range(x.size)):
+        return False
+    return first_mismatch(*_assoc_sides(ctx, x, h)) is None
 
 
 class TestIntegerRoot:
@@ -458,3 +492,15 @@ class TestSerialization:
     def test_invalid_record_rejected(self):
         with pytest.raises(FinSetError):
             algebra_from_dict({"s_size": 2, "x_size": 2, "h": [0] * 16})
+
+    @pytest.mark.parametrize("entry,message", [
+        (0.0, "h entries must be ints, got 0.0 at index 5"),
+        ("0", "h entries must be ints, got '0' at index 5"),
+        (False, "h entries must be ints, got False at index 5"),
+    ])
+    def test_non_int_entries_rejected(self, twelve, entry, message):
+        record = algebra_to_dict(twelve[0])
+        record["h"][5] = entry
+        with pytest.raises(FinSetError) as err:
+            algebra_from_dict(record)
+        assert str(err.value) == message

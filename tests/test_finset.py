@@ -475,3 +475,14 @@ class TestSerialization:
     def test_malformed_record(self):
         with pytest.raises(FinSetError):
             morphism_from_dict({"dom": 2})
+
+    @pytest.mark.parametrize("table,message", [
+        ("[0,0.5]", "table entries must be ints, got 0.5 at index 1"),
+        ('["a"]', "table entries must be ints, got 'a' at index 0"),
+        ("[0,true]", "table entries must be ints, got True at index 1"),
+        ("1", "table must be a list of ints, got 1"),
+    ])
+    def test_non_int_entries_rejected(self, table, message):
+        with pytest.raises(FinSetError) as err:
+            morphism_loads(f'{{"dom":2,"cod":2,"table":{table}}}')
+        assert str(err.value) == message
