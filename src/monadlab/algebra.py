@@ -164,6 +164,15 @@ def _equation_violation(xn: int, ups, look) -> tuple[str, tuple, int, int] | Non
     return None
 
 
+def update_codes(ctx: StateMonadCtx, xn: int) -> list[int]:
+    """The TX codes of the constant computations ``s -> (c, v)`` on xn
+    elements, in c-major order: entry ``c * xn + v`` is the cell where a
+    structure map holds ``u_c(v)``."""
+    s = ctx.state.size
+    ones = sum(ctx.digit_weights(s * xn))
+    return [j * ones for j in range(s * xn)]
+
+
 def read_presentation(ctx: StateMonadCtx, xn: int, h) -> tuple[list[int], list[int]]:
     """The updates and lookup a structure table h on xn elements interprets:
     ``updates[c * xn + v] = u_c(v) = h(s -> (c, v))`` and
@@ -220,29 +229,46 @@ def _presentation_violation(ctx: StateMonadCtx, xn: int, h) -> AlgebraViolation 
 
 
 def morphism_witness(u: Morphism, source: TAlgebra, target: TAlgebra) -> int | None:
-    """First TX code where ``u . h != h' . T(u)``, or None when none exists."""
+    """The TX code of the first update cell where ``u . h != h' . T(u)``, or
+    None when u is an algebra morphism.
+
+    Source and target must be algebras (:func:`check_algebra`): on other
+    tables the test below can pass a map that breaks the square.  Each
+    algebra is the fold of its updates U and lookup l
+    (:func:`_presentation_violation`), so u is a morphism iff it preserves
+    both.  Update preservation, ``u . u_c = u'_c . u`` for every state c,
+    is the square at the constant computations ``s -> (c, v)``, and lookup
+    preservation follows from it.  For g in ``X^S``, equation 2 in the
+    source and then in the target gives
+
+        ``u'_c(u(l(g))) = u(u_c(l(g))) = u(u_c(g_c)) = u'_c(u(g_c))
+        = u'_c(l'(u . g))``
+
+    for every c, and by equation 3 an element of the target is fixed by its
+    update vector ``(u'_c(a))_c``, so ``u(l(g)) = l'(u . g)``.  Then at
+    every ``w = s -> (c_s, v_s)``, ``u(h(w)) = u(l(s -> u_{c_s}(v_s))) =
+    l'(s -> u'_{c_s}(u(v_s))) = h'(T(u)(w))``.  So the square costs
+    ``|S|·|X|`` comparisons instead of ``|TX|``.  The cells are taken in
+    c-major order; the witness is the code of ``s -> (c, v)`` at the first
+    failing cell, where the square fails, but it need not be the least
+    failing TX code.
+    """
     ctx = source.ctx
     s = ctx.state.size
     xn, x2n = source.carrier.size, target.carrier.size
-    # FinSets are equal iff their sizes are: sizes are compared directly,
-    # since verification calls this once per map of a hom-set
+    # FinSets are equal iff their sizes are: sizes are compared directly
     if s != target.ctx.state.size:
         raise FinSetError("algebra morphism requires a common state object")
     if u.dom.size != xn or u.cod.size != x2n:
         raise FinSetError(f"map must be {xn} -> {x2n}, got {u.dom.size} -> {u.cod.size}")
-    radix = s * xn
-    return first_mismatch(
-        (
-            [range(radix)] * s,
-            ctx.digit_weights(radix),
-            (source.structure.table, u.table),
-        ),
-        (
-            [ctx.t_digits(u.table, x2n)] * s,
-            ctx.digit_weights(s * x2n),
-            (target.structure.table,),
-        ),
-    )
+    h, ut = source.structure.table, u.table
+    h2 = target.structure.table
+    cells2 = update_codes(ctx, x2n)
+    for j, t in enumerate(update_codes(ctx, xn)):
+        c, v = divmod(j, xn)
+        if ut[h[t]] != h2[cells2[c * x2n + ut[v]]]:
+            return t
+    return None
 
 
 def check_morphism(u: Morphism, source: TAlgebra, target: TAlgebra) -> bool:
@@ -427,8 +453,7 @@ class _ConstrainedSearch:
         self.u: list[int | None] = [None] * (s * xn)
         self.assigned: list[int] = []
         self.owner: dict[tuple, int] = {}
-        ones = sum(ctx.digit_weights(s * xn))
-        self.update_cells = [j * ones for j in range(s * xn)]
+        self.update_cells = update_codes(ctx, xn)
         # for each transposition t of the carrier, where ``(t.U)[j]`` reads
         # U: ``(t.U)[(c, v)] = t(U[(c, t(v))])``
         self._charge(xn * (xn - 1) // 2 * (s + 1) * xn)
@@ -662,7 +687,13 @@ def algebra_from_dict(d: dict) -> TAlgebra:
         raise FinSetError(f"malformed algebra record: {d!r}") from exc
     ctx = StateMonadCtx(s_size)
     carrier = FinSet(x_size)
-    structure = Morphism(ctx.t_obj(carrier), carrier, int_entries(h, "h"))
+    h = int_entries(h, "h")
+    # |TX| = (|S|*|X|)**|S| is compared with len(h) before TX is built
+    if past_ceiling(s_size * x_size, s_size, len(h)):
+        raise FinSetError(
+            f"h has {len(h)} entries, fewer than |TX| = {s_size * x_size}**{s_size}"
+        )
+    structure = Morphism(ctx.t_obj(carrier), carrier, h)
     result = check_algebra(ctx, carrier, structure)
     if isinstance(result, AlgebraViolation):
         raise FinSetError(f"record does not satisfy the algebra laws: {result}")

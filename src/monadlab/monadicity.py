@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 
 from . import _bulk
@@ -38,6 +39,7 @@ from .algebra import (
     enumerate_algebras,
     morphism_witness,
     past_ceiling,
+    update_codes,
 )
 from .finset import (
     ExpCodec,
@@ -400,76 +402,88 @@ def _random_map(rng: random.Random, dom: FinSet, cod: FinSet) -> Morphism | None
     return Morphism(dom, cod, tuple(rng.randrange(cod.size) for _ in range(dom.size)))
 
 
+class _FunctionSide:
+    """What the hom-set batches read of one function algebra K(y), built
+    once per size as int64 arrays: its updates ``ups[c, a] = u_c(a)``, its
+    base surjection ``epi[c, a]``, the iso ``xi`` from its base back to Y,
+    the least preimage ``first[b]`` of each base element, ``fiber_first =
+    first[epi]``, and the digits of the codes of ``Y^S``."""
+
+    def __init__(self, data: BaseData, xi: Morphism):
+        import numpy as np
+
+        ctx, h = data.algebra.ctx, data.algebra.structure.table
+        s, x = ctx.state.size, data.algebra.carrier.size
+        self.data, self.y = data, xi.cod.size
+        self.ups = np.array([h[t] for t in update_codes(ctx, x)], dtype=np.int64).reshape(s, x)
+        self.epi = np.array(data.epi.table, dtype=np.int64).reshape(s, x)
+        self.xi = np.array(xi.table, dtype=np.int64)
+        self.first = np.unique(self.epi, return_index=True)[1]
+        self.fiber_first = self.first[self.epi.ravel()]
+        self.digits = [np.arange(x, dtype=np.int64) // self.y**i % self.y for i in range(s)]
+
+
 def _hom_naturality(
-    d1: BaseData, d2: BaseData, xi1: Morphism, xi2: Morphism, maps
-) -> tuple[CheckTally, CheckTally]:
+    k1: _FunctionSide, k2: _FunctionSide, maps
+) -> tuple[CheckTally, CheckTally, object]:
     """Check every map ``v: Y1 -> Y2`` in the rows of the int64 array
     ``maps`` at once, as ``function_algebra_map_valid`` and
     ``roundtrip_iso_natural`` tallies, each witnessed by its first failing
-    row.
+    row, and return the rows of their base maps with them.
 
-    For each v, with ``u = v^S`` (:func:`exp_map`) and ``lv`` the map
-    between the bases of d1 and d2 (:func:`base_map`), the first decides
-    ``u . h1 == h2 . T(u)`` on every TX1 code (:func:`morphism_witness`)
-    and the second ``xi2 . lv == v . xi1``, where xi1 and xi2 take the bases
-    back to Y1 and Y2 (:func:`base_iso`).  A fiber collision raises what
-    :func:`base_map` raises on the first colliding row.  Rows are taken in
-    blocks and TX1 codes in slices, so that no array holds more than
-    ``_bulk._MAX_CHUNK`` entries.
+    For each v, with ``u = v^S`` (:func:`exp_map`) and ``lv`` its base map
+    (:func:`base_map`), the first decides by the update cells that u is an
+    algebra morphism, ``u . u_c == u'_c . u`` for every state c (see
+    :func:`morphism_witness`), and the second ``xi2 . lv == v . xi1``.
+    ``lv`` reads ``(c, a)`` in ``S x X1`` as ``epi2(c, u(a))``, and each
+    fiber of epi1 must agree with its least element: a fiber collision
+    raises what base_map raises on the first colliding row.  Rows are taken
+    in blocks of at most ``_bulk._MAX_CHUNK`` entries of ``S x X1``.
     """
     import numpy as np
 
-    s = d1.algebra.ctx.state.size
-    y1, y2 = xi1.cod.size, xi2.cod.size
-    x1, x2 = d1.algebra.carrier.size, d2.algebra.carrier.size
-    h1, h2, epi1, epi2, iso1, iso2 = (
-        np.asarray(t, dtype=np.int64)
-        for t in (
-            d1.algebra.structure.table, d2.algebra.structure.table,
-            d1.epi.table, d2.epi.table, xi1.table, xi2.table,
-        )
-    )
-    # u = v^S: digit i of a code of Y1^S, read through v, weighs y2**i
-    code1 = np.arange(x1, dtype=np.int64)
-    exp_digits = [(code1 // y1**i % y1, y2**i) for i in range(s)]
-    # a TX1 code's digits (c_i, a_i) go to (c_i, u(a_i)) in TX2
-    tx1 = np.arange(len(h1), dtype=np.int64)
-    t_digits = [tx1 // (s * x1) ** i % (s * x1) for i in range(s)]
-    t_args = [(d % x1, (s * x2) ** i) for i, d in enumerate(t_digits)]
-    t_base = sum(d // x1 * x2 * (s * x2) ** i for i, d in enumerate(t_digits))
-    # base_map reads (s, a) in S x X1 as epi2(s, u(a)); each fiber of epi1
-    # must agree with its least element
-    pair = np.arange(s * x1, dtype=np.int64)
-    pair_base, pair_arg = pair // x1 * x2, pair % x1
-    first = np.unique(epi1, return_index=True)[1]
-    fiber_first = first[epi1]
-
-    chunk = _bulk._MAX_CHUNK
-    rows = max(1, chunk // max(len(h1), 1))
-    cols = chunk // rows
+    s, x1 = k1.ups.shape
+    rows = max(1, _bulk._MAX_CHUNK // max(s * x1, 1))
     square = np.ones(len(maps), dtype=bool)
     natural = np.ones(len(maps), dtype=bool)
+    lifted = np.empty((len(maps), len(k1.first)), dtype=np.int64)
     for r in range(0, len(maps), rows):
         v = maps[r:r + rows]
-        u = sum(v[:, digit] * weight for digit, weight in exp_digits)
-        images = epi2[pair_base + u[:, pair_arg]]
-        clash = (images != images[:, fiber_first]).any(axis=1)
+        u = sum(v[:, d] * k2.y**i for i, d in enumerate(k1.digits))
+        images = k2.epi[np.arange(s)[:, None], u[:, None, :]].reshape(len(v), s * x1)
+        clash = (images != images[:, k1.fiber_first]).any(axis=1)
         if clash.any():
             row = tuple(v[int(clash.argmax())].tolist())
-            # raises the fiber collision
-            base_map(exp_map(Morphism(FinSet(y1), FinSet(y2), row), s), d1, d2)
-        for c in range(0, len(h1), cols):
-            cut = slice(c, c + cols)
-            image = t_base[cut] + sum(u[:, a[cut]] * weight for a, weight in t_args)
-            square[r:r + rows] &= (u[:, h1[cut]] == h2[image]).all(axis=1)
-        natural[r:r + rows] = (iso2[images[:, first]] == v[:, iso1]).all(axis=1)
+            v_s = exp_map(Morphism(FinSet(k1.y), FinSet(k2.y), row), s)
+            base_map(v_s, k1.data, k2.data)  # raises the fiber collision
+        for up1, up2 in zip(k1.ups, k2.ups):
+            square[r:r + rows] &= (u[:, up1] == up2[u]).all(axis=1)
+        lv = lifted[r:r + rows] = images[:, k1.first]
+        natural[r:r + rows] = (k2.xi[lv] == v[:, k1.xi]).all(axis=1)
 
     def tally(ok) -> CheckTally:
         bad = np.flatnonzero(~ok)
-        witness = f"v={maps[bad[0]].tolist()}: {y1}->{y2}" if bad.size else None
+        witness = f"v={maps[bad[0]].tolist()}: {k1.y}->{k2.y}" if bad.size else None
         return CheckTally(len(ok), int(bad.size), witness)
 
-    return tally(square), tally(natural)
+    return tally(square), tally(natural), lifted
+
+
+def _charge_hom_sets(s_size: int, sizes: range, ceiling: int) -> None:
+    """Raise :class:`SearchCeilingExceeded` when the hom-set batches of
+    :func:`verify_monadicity`, ``|S|·y1^|S|`` cells for each map out of
+    K(y1), and its draws, three maps each, pass the ceiling.  The largest
+    sources are charged first, so a refusal comes early."""
+    work = SAMPLE_SIZE * 3 * s_size * sizes[-1] ** s_size
+    for y1 in reversed(sizes):
+        for y2 in sizes:
+            maps = SAMPLE_SIZE if past_ceiling(y2, y1, HOM_LIMIT) else y2**y1
+            work += maps * s_size * y1**s_size
+            if work > ceiling:
+                raise SearchCeilingExceeded(
+                    f"the hom-sets between function algebras on 0..{sizes[-1]} "
+                    f"need more than {ceiling} steps"
+                )
 
 
 def verify_monadicity(
@@ -482,15 +496,20 @@ def verify_monadicity(
     """Enumerate algebras on every carrier up to ``max_x`` and verify every
     comparison identity, returning a structured report.
 
-    On the function-algebra side, each hom-set ``Y1 -> Y2`` (every map, or
+    On the function-algebra side, each K(y) is read once
+    (:class:`_FunctionSide`), and each hom-set ``Y1 -> Y2`` (every map, or
     ``SAMPLE_SIZE`` random ones past ``HOM_LIMIT``) is checked in one batch
     by :func:`_hom_naturality`: that each ``v^S`` is an algebra morphism
-    and that ``base_iso`` is natural in v.
+    and that ``base_iso`` is natural in v.  The functoriality of
+    :func:`base_map` is then checked on identities and on ``SAMPLE_SIZE``
+    random composable pairs, reading the base maps the batches computed.
 
     Raises for an empty state object: the equivalence genuinely fails there
     (see :func:`empty_state_diagnostic` for the demonstration).  Raises
     :class:`SearchCeilingExceeded` before any carrier is run when the
-    largest carrier's ``|TX|`` exceeds the ceiling.
+    largest carrier's ``|TX|`` exceeds the ceiling, or when the work of the
+    hom-set batches and draws over the function algebras that are not
+    skipped does (:func:`_charge_hom_sets`).
     """
     if s_size < 1:
         raise FinSetError(
@@ -507,6 +526,13 @@ def verify_monadicity(
             f"|TX| = {s_size * max_x}**{s_size} entries on carrier {max_x} "
             f"exceeds the ceiling {ceiling}"
         )
+    # |T(Y^S)| = (|S|*y**|S|)**|S| grows with y: the function algebras
+    # below the first y where it exceeds the ceiling are kept, the rest skipped
+    def skipped(y: int) -> bool:
+        return past_ceiling(s_size * y**s_size, s_size, ceiling)
+
+    sizes = range(bisect(range(max_x + 1), False, key=skipped))
+    _charge_hom_sets(s_size, sizes, ceiling)
     rng = random.Random(seed)
     report = VerificationReport(s_size=s_size, max_x=max_x, seed=seed, method="constrained")
     ctx = StateMonadCtx(s_size)
@@ -544,26 +570,23 @@ def verify_monadicity(
                 )
 
     # function-algebra side
-    base_datas: dict[int, BaseData] = {}
-    isos: dict[int, Morphism] = {}
+    sides: dict[int, _FunctionSide] = {}
     for y_size in range(max_x + 1):
         y = FinSet(y_size)
-        base = s_size * y_size**s_size
-        if past_ceiling(base, s_size, ceiling):
+        if y_size not in sizes:
             report.notes.append(
                 f"function algebra on {y_size} skipped: |T(Y^S)| = "
-                f"{base}**{s_size} entries exceeds the ceiling {ceiling}"
+                f"{s_size * y_size**s_size}**{s_size} entries exceeds the ceiling {ceiling}"
             )
             continue
         ka = function_algebra(ctx, y)
         report.tally("function_algebra_valid").record(True, witness=f"y={y_size}")
         data = extract_base(ka)
-        base_datas[y_size] = data
         report.tally("base_recovery").record(
             data.base.size == y_size,
             witness=f"y={y_size}: base {data.base.size}",
         )
-        xi = isos[y_size] = base_iso(ctx, y, data)
+        xi = base_iso(ctx, y, data)
         ok = (
             classify(xi).iso
             and compose(ctx.const_map(y), xi).table == data.mono.table
@@ -576,11 +599,13 @@ def verify_monadicity(
         )
         for name, ok in check_suite(ka, s0_values).items():
             report.tally(name).record(ok, witness=f"K({y_size})")
+        sides[y_size] = _FunctionSide(data, xi)
 
-    # naturality and functoriality across the function-algebra side
+    # naturality and functoriality across the function-algebra side; the
+    # base maps of each hom-set walked in full are kept in hom's order
     import numpy as np
 
-    sizes = sorted(base_datas)
+    lifted = {}
     for y1 in sizes:
         for y2 in sizes:
             # past HOM_LIMIT maps the codomain is nonempty: every draw is a map
@@ -592,16 +617,25 @@ def verify_monadicity(
             else:
                 draws = (_random_map(rng, FinSet(y1), FinSet(y2)) for _ in range(SAMPLE_SIZE))
                 maps = np.array([v.table for v in draws], dtype=np.int64)
-            square, natural = _hom_naturality(
-                base_datas[y1], base_datas[y2], isos[y1], isos[y2], maps
-            )
+            square, natural, rows = _hom_naturality(sides[y1], sides[y2], maps)
             report.tally("function_algebra_map_valid").merge(square)
             report.tally("roundtrip_iso_natural").merge(natural)
+            if n <= HOM_LIMIT:
+                lifted[y1, y2] = rows
+
+    def lift(v: tuple[int, ...], y1: int, y2: int) -> list[int]:
+        """The base map of ``v^S`` for ``v: y1 -> y2``."""
+        if (y1, y2) not in lifted:
+            row = np.array([v], dtype=np.int64)
+            return _hom_naturality(sides[y1], sides[y2], row)[2][0].tolist()
+        code = 0
+        for d in v:
+            code = code * y2 + d
+        return lifted[y1, y2][code].tolist()
+
     for y1 in sizes:
-        d1 = base_datas[y1]
         report.tally("base_map_functorial").record(
-            base_map(identity(d1.algebra.carrier), d1, d1).table
-            == identity(d1.base).table,
+            lift(tuple(range(y1)), y1, y1) == list(range(len(sides[y1].first))),
             witness=f"id on K({y1})",
         )
     for _ in range(SAMPLE_SIZE if sizes else 0):
@@ -610,14 +644,10 @@ def verify_monadicity(
         g = _random_map(rng, FinSet(y2), FinSet(y3))
         if f is None or g is None:
             continue
-        d1, d2, d3 = base_datas[y1], base_datas[y2], base_datas[y3]
-        lhs = base_map(exp_map(compose(g, f), ctx.state), d1, d3)
-        rhs = compose(
-            base_map(exp_map(g, ctx.state), d2, d3),
-            base_map(exp_map(f, ctx.state), d1, d2),
-        )
+        lf, lg = lift(f.table, y1, y2), lift(g.table, y2, y3)
         report.tally("base_map_functorial").record(
-            lhs.table == rhs.table, witness=f"{y1}->{y2}->{y3}"
+            lift(compose(g, f).table, y1, y3) == [lg[b] for b in lf],
+            witness=f"{y1}->{y2}->{y3}",
         )
     report.notes.append(
         "structure counts compared against the relabeling conjecture "

@@ -209,8 +209,8 @@ class StateMonadCtx:
     def t_digits(self, table: Sequence[int], cod: int) -> list[int]:
         """Per-digit code table of ``T(f)`` for ``f`` with the given table
         into a ``cod``-element set: the digit ``(c, v)`` goes to ``(c, f(v))``."""
-        # list and map, not a comprehension: brute force and morphism_witness
-        # rebuild this for every table or map they check
+        # list and map, not a comprehension: brute force rebuilds this for
+        # every table it checks
         s = self.state.size
         out = list(table) if s else []
         for c in range(1, s):

@@ -1,6 +1,7 @@
 import json
 import random
-from itertools import permutations
+import time
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -24,8 +25,9 @@ from monadlab.algebra import (
     free_algebra,
     iso_classes,
     morphism_witness,
+    update_codes,
 )
-from monadlab.finset import FinSet, FinSetError, Morphism, exp_map, hom, identity
+from monadlab.finset import FinSet, FinSetError, Morphism, compose, exp_map, hom, identity
 from monadlab.monadicity import function_algebra
 from monadlab.statemonad import StateMonadCtx
 
@@ -96,20 +98,40 @@ def _breaks_law(ctx, x, h, violation):
 
 
 def _square_reference(u, source, target):
-    """First TX code where ``u . h`` and ``h' . T(u)`` differ, point by point."""
-    s = source.ctx.state.size
-    xn, x2n = source.carrier.size, target.carrier.size
-    h, h2 = source.structure.table, target.structure.table
-    for w in range(len(h)):
-        code, rest, p = 0, w, 1
-        for _ in range(s):
-            c, v = divmod(rest % (s * xn), xn)
-            rest //= s * xn
-            code += (c * x2n + u.table[v]) * p
-            p *= s * x2n
-        if u.table[h[w]] != h2[code]:
-            return w
-    return None
+    """First TX code where ``u . h`` and ``h' . T(u)`` differ, scanning all
+    of TX: a code with digits ``(c_i, a_i)`` goes to ``u(h(code))`` on one
+    side and to h' at the digits ``(c_i, u(a_i))`` on the other."""
+    ctx = source.ctx
+    s, xn, x2n = ctx.state.size, source.carrier.size, target.carrier.size
+    return first_mismatch(
+        ([range(s * xn)] * s, ctx.digit_weights(s * xn), (source.structure.table, u.table)),
+        ([ctx.t_digits(u.table, x2n)] * s, ctx.digit_weights(s * x2n), (target.structure.table,)),
+    )
+
+
+def _relabeled(alg, perm):
+    """The algebra relabeled along the permutation p of its carrier with
+    table perm, ``p . h . T(p^-1)``: again an algebra, and a different one
+    unless p is an automorphism."""
+    x = alg.carrier
+    inverse = [0] * x.size
+    for i, v in enumerate(perm):
+        inverse[v] = i
+    ctx = alg.ctx
+    relabeled = compose(Morphism(x, x, perm), alg.structure)
+    result = check_algebra(ctx, x, compose(relabeled, ctx.t_map(Morphism(x, x, inverse))))
+    assert isinstance(result, TAlgebra)
+    return result
+
+
+def _relabelings(alg):
+    """The algebra and its relabelings along every transposition."""
+    out = [alg]
+    for a, b in combinations(range(alg.carrier.size), 2):
+        swap = list(range(alg.carrier.size))
+        swap[a], swap[b] = b, a
+        out.append(_relabeled(alg, swap))
+    return out
 
 
 class TestWitnessOrder:
@@ -134,17 +156,21 @@ class TestWitnessOrder:
         assert _breaks_law(ctx2, k.carrier, h, result)
 
     def test_morphism_witness_least_witness(self, ctx2):
-        # TX has 32**2 codes; the scan checks codes below 32 on Python ints
-        # and 32..255 in its first array chunk
+        # between algebras the witness is the least failing update cell
+        # (TestUpdateSquare); the scan of all of TX can fail first at a
+        # smaller code that is no update cell
         k = function_algebra(ctx2, 4)
         u = exp_map(Morphism(FinSet(4), FinSet(4), (1, 3, 0, 2)), ctx2.state)
         assert morphism_witness(u, k, k) is None
-        h = list(k.structure.table)
-        h[600] = (h[600] + 1) % 16
-        broken = TAlgebra(ctx2, k.carrier, Morphism(k.structure.dom, k.carrier, tuple(h)))
-        w = _square_reference(u, broken, k)
-        assert w >= 256
-        assert morphism_witness(u, broken, k) == w
+        cells = set(update_codes(ctx2, 16))
+        earlier = 0
+        for target in _relabelings(k)[1:]:
+            w, least = morphism_witness(u, k, target), _square_reference(u, k, target)
+            assert (w is None) == (least is None)
+            if w is not None:
+                assert w in cells and least <= w
+                earlier += least not in cells
+        assert earlier
 
 
 class TestPresentationCertificate:
@@ -240,6 +266,46 @@ class TestIntegerRoot:
     def test_small_powers(self):
         roots = {n: _integer_root(n, 3) for n in range(30)}
         assert {n: r for n, r in roots.items() if r is not None} == {0: 0, 1: 1, 8: 2, 27: 3}
+
+
+class TestUpdateSquare:
+    """morphism_witness decides the square by the update cells alone.  On
+    algebras, relabeled so that some maps fail, it must agree with the scan
+    of all of TX: the failing update cells are read off the scan, and the
+    witness is the first of them."""
+
+    def _agree(self, sources, targets, maps):
+        ctx = sources[0].ctx
+        cells = update_codes(ctx, sources[0].carrier.size)
+        failed = 0
+        for u in maps:
+            tu = ctx.t_map(u)
+            for source in sources:
+                lhs = compose(u, source.structure).table
+                for target in targets:
+                    rhs = compose(target.structure, tu).table
+                    bad = [t for t in cells if lhs[t] != rhs[t]]
+                    w = morphism_witness(u, source, target)
+                    assert w == (bad[0] if bad else None)
+                    assert (w is None) == (lhs == rhs)
+                    failed += w is not None
+        return failed
+
+    @pytest.mark.parametrize("s,y", [(1, 3), (2, 3), (3, 2)])
+    def test_exponentiated_maps_into_relabelings(self, s, y):
+        ctx = StateMonadCtx(s)
+        k = function_algebra(ctx, y)
+        maps = [exp_map(v, ctx.state) for v in hom(y, y)]
+        failed = self._agree([k], _relabelings(k), maps)
+        # with one state every algebra is the identity on its carrier
+        assert failed if s > 1 else not failed
+
+    def test_every_map_between_relabelings(self, ctx2):
+        # a map off a morphism at one element that no update reaches fails
+        # at that element's cells alone, here also at the last element
+        k = function_algebra(ctx2, 2)
+        algebras = _relabelings(k)
+        assert self._agree(algebras, algebras, list(hom(4, 4)))
 
 
 class TestMorphisms:
@@ -492,6 +558,15 @@ class TestSerialization:
     def test_invalid_record_rejected(self):
         with pytest.raises(FinSetError):
             algebra_from_dict({"s_size": 2, "x_size": 2, "h": [0] * 16})
+
+    @pytest.mark.parametrize("s_size", [3000, 10**6])
+    def test_huge_state_object_refused_at_once(self, s_size):
+        # |TX| = (2 * s_size)**s_size is compared with len(h) before TX is
+        # built; at 3,000 states building it raised a plain ValueError
+        start = time.perf_counter()
+        with pytest.raises(FinSetError, match="h has 1 entries"):
+            algebra_from_dict({"s_size": s_size, "x_size": 2, "h": [0]})
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("entry,message", [
         (0.0, "h entries must be ints, got 0.0 at index 5"),

@@ -152,6 +152,18 @@ class TestVerify:
         assert proc.returncode == 2, proc.stderr
         assert "ceiling" in proc.stderr and proc.stdout == ""
 
+    def test_hom_sets_refused_before_the_loop(self):
+        # 151 function algebras at one state: the hom-sets between them
+        # would take minutes, and are charged against the ceiling first
+        proc = run_capped("verify", "--s", "1", "--max-x", "150")
+        assert proc.returncode == 2, proc.stderr
+        assert "hom-sets" in proc.stderr and proc.stdout == ""
+
+    def test_hom_sets_past_a_small_ceiling(self, capsys):
+        code, out, err = run(capsys, "verify", "--s", "2", "--max-x", "3", "--ceiling", "2000")
+        assert code == 2 and out == ""
+        assert "hom-sets" in err
+
     def test_three_states_carrier_two_settled(self, capsys):
         code, out, _ = run(capsys, "verify", "--s", "3", "--max-x", "2",
                            "--format", "json")

@@ -6,6 +6,7 @@ import pytest
 
 from monadlab import _bulk
 from monadlab.algebra import (
+    SearchCeilingExceeded,
     TAlgebra,
     check_algebra,
     check_morphism,
@@ -28,6 +29,7 @@ from monadlab.finset import (
 )
 from monadlab.monadicity import (
     CheckTally,
+    _FunctionSide,
     _hom_naturality,
     base_iso,
     base_map,
@@ -45,6 +47,7 @@ from monadlab.monadicity import (
     verify_monadicity,
 )
 from monadlab.statemonad import StateMonadCtx
+from test_algebra import _relabeled, _relabelings, _square_reference
 
 
 class TestFunctionAlgebra:
@@ -327,20 +330,33 @@ class TestVerify:
         assert text.endswith("PASSED")
 
     def test_guarded_carrier_reported(self):
-        # carriers 4 and 5 need about 3,100 and 1,900 work, carrier 6 about
-        # 6,900: a ceiling wide enough for 4 and 5 but not for 6
-        report = verify_monadicity(2, 6, ceiling=5_000)
-        assert report.carriers[6]["guarded"] is not None
-        assert report.carriers[4]["count"] == 12
+        # with 3 states carrier 4 needs 2,344 work and carrier 5 22,998: a
+        # ceiling wide enough for 4 but not for 5, and for the hom-sets
+        # between K(0..2) (7,329)
+        report = verify_monadicity(3, 5, ceiling=20_000)
+        assert report.carriers[5]["guarded"] is not None
+        assert report.carriers[4]["count"] == 0
+        assert report.carriers[1]["count"] == 1
+        assert report.passed
 
     def test_function_algebra_past_the_ceiling_skipped(self):
-        # |T(Y^S)| = (2 * 6**2)**2 = 5,184 on Y = 6, and 2,500 on Y = 5
-        report = verify_monadicity(2, 6, ceiling=5_000)
+        # |T(Y^S)| = (3 * 3**3)**3 = 531,441 on Y = 3, and 13,824 on Y = 2
+        report = verify_monadicity(3, 3, ceiling=20_000)
         skipped = [n for n in report.notes if "skipped" in n]
         assert skipped == [
-            "function algebra on 6 skipped: |T(Y^S)| = 72**2 entries "
-            "exceeds the ceiling 5000"
+            "function algebra on 3 skipped: |T(Y^S)| = 81**3 entries "
+            "exceeds the ceiling 20000"
         ]
+
+    def test_hom_sets_past_the_ceiling_refused(self):
+        # the 3,125 maps K(5) -> K(5) alone read 2 * 25 cells each; no
+        # ceiling that guards a carrier at 2 states admits the hom-sets
+        # between the function algebras it keeps
+        with pytest.raises(SearchCeilingExceeded, match="hom-sets .* on 0..5"):
+            verify_monadicity(2, 6, ceiling=5_000)
+        assert verify_monadicity(2, 4, ceiling=22_988).passed
+        with pytest.raises(SearchCeilingExceeded):
+            verify_monadicity(2, 4, ceiling=22_987)
 
 
 def _side(ctx, y):
@@ -354,27 +370,40 @@ def _hom_rows(y1, y2):
     return np.array(tables, dtype=np.int64).reshape(len(tables), y1)
 
 
+def _batch(d1, d2, xi1, xi2, maps):
+    """:func:`_hom_naturality` on the sides of d1 and d2, base maps as lists."""
+    square, natural, lifted = _hom_naturality(_FunctionSide(d1, xi1), _FunctionSide(d2, xi2), maps)
+    return square, natural, lifted.tolist()
+
+
 def _reference(d1, d2, xi1, xi2, maps):
-    """The two tallies of :func:`_hom_naturality`, one map at a time."""
+    """What :func:`_batch` returns, one map at a time, with the square
+    scanned on all of TX."""
     y1, y2 = xi1.cod.size, xi2.cod.size
-    square, natural = CheckTally(), CheckTally()
+    square, natural, lifted = CheckTally(), CheckTally(), []
     for row in maps.tolist():
         v = Morphism(FinSet(y1), FinSet(y2), tuple(row))
         u = exp_map(v, d1.algebra.ctx.state)
         witness = f"v={row}: {y1}->{y2}"
-        square.record(morphism_witness(u, d1.algebra, d2.algebra) is None, witness)
+        square.record(_square_reference(u, d1.algebra, d2.algebra) is None, witness)
         lv = base_map(u, d1, d2)
         natural.record(compose(xi2, lv).table == compose(v, xi1).table, witness)
-    return square, natural
+        lifted.append(list(lv.table))
+    return square, natural, lifted
 
 
-def _one_cell_mutant(data, cell):
-    """The base data with one cell of its algebra's table moved, unvalidated."""
-    alg = data.algebra
-    table = list(alg.structure.table)
-    table[cell] = (table[cell] + 1) % alg.carrier.size
-    structure = Morphism(alg.structure.dom, alg.carrier, tuple(table))
-    return replace(data, algebra=TAlgebra(alg.ctx, alg.carrier, structure, checked="none"))
+@pytest.fixture(scope="module")
+def relabeled_targets(ctx2):
+    """The sides of K(4) and K(3), the maps 4 -> 3, and the base data of
+    K(3) with its algebra relabeled along each transposition of its
+    carrier, each with its reference: algebras into which some maps fail."""
+    (d1, xi1), (d2, xi2) = _side(ctx2, 4), _side(ctx2, 3)
+    maps = _hom_rows(4, 3)
+    targets = []
+    for algebra in _relabelings(d2.algebra)[1:]:
+        target = replace(d2, algebra=algebra)
+        targets.append((target, _reference(d1, target, xi1, xi2, maps)))
+    return d1, xi1, xi2, maps, targets
 
 
 def _perturbed(f, i):
@@ -385,8 +414,8 @@ def _perturbed(f, i):
 
 class TestHomNaturality:
     """The batched naturality check of verify_monadicity against a
-    per-map reference built from morphism_witness, base_map, exp_map and
-    compose."""
+    per-map reference built from the scan of all of TX, base_map, exp_map
+    and compose."""
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_agrees_on_every_hom_set(self, s):
@@ -396,7 +425,7 @@ class TestHomNaturality:
             for y2 in range(4):
                 (d1, xi1), (d2, xi2) = sides[y1], sides[y2]
                 maps = _hom_rows(y1, y2)
-                got = _hom_naturality(d1, d2, xi1, xi2, maps)
+                got = _batch(d1, d2, xi1, xi2, maps)
                 assert got == _reference(d1, d2, xi1, xi2, maps)
                 assert got[0] == got[1] == CheckTally(len(maps), 0, None)
 
@@ -404,41 +433,55 @@ class TestHomNaturality:
         (d1, xi1), (d2, xi2) = _side(ctx2, 6), _side(ctx2, 5)
         rng = random.Random(5)
         maps = np.array([[rng.randrange(5) for _ in range(6)] for _ in range(100)])
-        got = _hom_naturality(d1, d2, xi1, xi2, maps)
+        got = _batch(d1, d2, xi1, xi2, maps)
         assert got == _reference(d1, d2, xi1, xi2, maps)
         assert got[0].checked == 100
 
     @pytest.mark.parametrize("chunk", [100, 700, _bulk._MAX_CHUNK])
-    def test_mutant_target_agrees(self, ctx2, monkeypatch, chunk):
-        # with 2 states K(3) has 18**2 = 324 TX codes: a chunk of 700 takes
-        # two maps per block, one of 100 one map in four slices of codes
+    def test_mutant_target_agrees(self, relabeled_targets, monkeypatch, chunk):
+        # the targets are relabeled algebras, where the update square is
+        # exact.  A map from K(4) reads 2 * 16 cells: a chunk of 700 takes
+        # 21 of the 81 maps per block, one of 100 takes 3
         monkeypatch.setattr(_bulk, "_MAX_CHUNK", chunk)
-        (d1, xi1), (d2, xi2) = _side(ctx2, 3), _side(ctx2, 3)
-        maps = _hom_rows(3, 3)
+        d1, xi1, xi2, maps, targets = relabeled_targets
         partial = 0
-        for cell in range(0, 324, 7):
-            mutant = _one_cell_mutant(d2, cell)
-            got = _hom_naturality(d1, mutant, xi1, xi2, maps)
-            assert got == _reference(d1, mutant, xi1, xi2, maps), cell
+        for target, expected in targets:
+            got = _batch(d1, target, xi1, xi2, maps)
+            assert got == expected
             assert got[1].failed == 0
             partial += 0 < got[0].failed < got[0].checked
         assert partial
 
-    def test_first_failure_past_the_first_block(self, ctx2, monkeypatch):
-        # two maps per block: the first failure of some mutants lies in a
-        # later block, behind blocks where every map passes
-        monkeypatch.setattr(_bulk, "_MAX_CHUNK", 700)
-        (d1, xi1), (d2, xi2) = _side(ctx2, 3), _side(ctx2, 3)
-        maps = _hom_rows(3, 3)
-        witnesses = [f"v={row}: 3->3" for row in maps.tolist()]
+    def test_first_failure_past_the_first_block(self, relabeled_targets, monkeypatch):
+        # three maps per block: into some relabeled targets the first
+        # failing map lies in a later block, behind a block where every map
+        # passes
+        monkeypatch.setattr(_bulk, "_MAX_CHUNK", 100)
+        d1, xi1, xi2, maps, targets = relabeled_targets
+        witnesses = [f"v={row}: 4->3" for row in maps.tolist()]
         late = 0
-        for cell in range(0, 324, 2):
-            mutant = _one_cell_mutant(d2, cell)
-            square, _ = _reference(d1, mutant, xi1, xi2, maps)
-            if square.failed and witnesses.index(square.witness) >= 2:
+        for target, (square, _, _) in targets:
+            if square.failed and witnesses.index(square.witness) >= 3:
                 late += 1
-                assert _hom_naturality(d1, mutant, xi1, xi2, maps)[0] == square
+                assert _batch(d1, target, xi1, xi2, maps)[0] == square
         assert late
+
+    def test_failure_at_the_last_element_alone(self, ctx2):
+        # v = (0, 1) sends the element a = 1 of K(2) to 1 and its last
+        # element, the constant at 1, to 4 in K(3), where 8 is no image of
+        # v^S.  Swap a with the last element of K(2), and relabel K(3) along
+        # 4 -> 1 -> 8 -> 4: v^S then differs from a morphism only at the
+        # last element, which no update reaches, so only its cells fail
+        (d1, xi1), (d2, xi2) = _side(ctx2, 2), _side(ctx2, 3)
+        source = replace(d1, algebra=_relabeled(d1.algebra, (0, 3, 2, 1)))
+        target = replace(d2, algebra=_relabeled(d2.algebra, (0, 8, 2, 3, 1, 5, 6, 7, 4)))
+        u = exp_map(Morphism(FinSet(2), FinSet(3), (0, 1)), ctx2.state)
+        # the update cell of (c, v) = (0, 3) is TX code 3 * (1 + 8)
+        assert morphism_witness(u, source.algebra, target.algebra) == 27
+        maps = _hom_rows(2, 3)
+        got = _batch(source, target, xi1, xi2, maps)
+        assert got == _reference(source, target, xi1, xi2, maps)
+        assert got[0].failed
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_perturbed_iso(self, s):
@@ -447,10 +490,9 @@ class TestHomNaturality:
         maps = _hom_rows(3, 3)
         for i in range(3):
             bad = _perturbed(xi2, i)
-            square, natural = _hom_naturality(d1, d2, xi1, bad, maps)
-            ref_square, ref_natural = _reference(d1, d2, xi1, bad, maps)
-            assert (square, natural) == (ref_square, ref_natural)
-            assert square.failed == 0 and natural.failed > 0
+            got = _batch(d1, d2, xi1, bad, maps)
+            assert got == _reference(d1, d2, xi1, bad, maps)
+            assert got[0].failed == 0 and got[1].failed > 0
 
     def test_fiber_collision_raises_like_base_map(self, ctx2):
         (d1, xi1), (d2, xi2) = _side(ctx2, 2), _side(ctx2, 3)
@@ -463,10 +505,10 @@ class TestHomNaturality:
             except FinSetError as exc:
                 collisions += 1
                 with pytest.raises(FinSetError) as caught:
-                    _hom_naturality(d1, broken, xi1, xi2, maps)
+                    _batch(d1, broken, xi1, xi2, maps)
                 assert str(caught.value) == str(exc)
             else:
-                assert _hom_naturality(d1, broken, xi1, xi2, maps) == expected
+                assert _batch(d1, broken, xi1, xi2, maps) == expected
         assert collisions
 
 
