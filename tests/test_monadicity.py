@@ -330,13 +330,12 @@ class TestVerify:
         assert text.endswith("PASSED")
 
     def test_guarded_carrier_reported(self):
-        # with 3 states carrier 4 needs 2,344 work and carrier 5 22,998: a
-        # ceiling wide enough for 4 but not for 5, and for the hom-sets
-        # between K(0..2) (7,329)
-        report = verify_monadicity(3, 5, ceiling=20_000)
-        assert report.carriers[5]["guarded"] is not None
-        assert report.carriers[4]["count"] == 0
-        assert report.carriers[1]["count"] == 1
+        # carriers up to 8 need at most 102,374 work, and the hom-sets
+        # between K(0..9) 3,022,984; carrier 9's orbit closure of 60,480
+        # tables needs about 157M: a ceiling wide enough for all but 9
+        report = verify_monadicity(2, 9, ceiling=5_000_000)
+        assert report.carriers[9]["guarded"] is not None
+        assert report.carriers[4]["count"] == 12
         assert report.passed
 
     def test_function_algebra_past_the_ceiling_skipped(self):
@@ -349,9 +348,9 @@ class TestVerify:
         ]
 
     def test_hom_sets_past_the_ceiling_refused(self):
-        # the 3,125 maps K(5) -> K(5) alone read 2 * 25 cells each; no
-        # ceiling that guards a carrier at 2 states admits the hom-sets
-        # between the function algebras it keeps
+        # the 3,125 maps K(5) -> K(5) alone read 2 * 25 cells each.  At
+        # (2, 4) the draws charge 100 * 3 * 2 * 16 = 9,600 and the hom-sets
+        # 13,388, 11,328 of them out of K(4)
         with pytest.raises(SearchCeilingExceeded, match="hom-sets .* on 0..5"):
             verify_monadicity(2, 6, ceiling=5_000)
         assert verify_monadicity(2, 4, ceiling=22_988).passed
