@@ -4,9 +4,9 @@ Everything here is skeletal: a finite set is identified by its size and its
 elements are the integers ``0 .. size-1``.  Products and exponentials carry
 one fixed encoding each (pair code ``s * |X| + x`` with the left factor as
 the major digit, function code little-endian mixed radix), so every
-construction in the package reduces to plain integer tables.  All values are
-immutable after construction and every operation is a pure function of its
-inputs.
+construction in the package reduces to plain integer tables.  Values are
+immutable and every operation is a pure function of its inputs.  Tables are
+checked once, where they enter: by the ``Morphism`` constructor (see there).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import product as _iproduct
+from operator import mul
 from typing import Iterator, Sequence
 
 from ._bulk import digit_codes
@@ -25,10 +26,10 @@ class FinSetError(ValueError):
 
 
 class FinSet:
-    """A finite set with elements ``0 .. size-1``.
+    """A finite set with elements ``0 .. size-1``; the empty set is legal.
 
-    Two FinSets are equal iff their sizes are equal; the empty set (size 0)
-    is a legal object.  There is one instance per size, validated once.
+    There is one instance per size, validated once, which pickling and
+    copying return too, so two FinSets are equal iff their sizes are.
     """
 
     __slots__ = ("size",)
@@ -46,11 +47,6 @@ class FinSet:
             got = _FINSETS[size] = object.__new__(cls)
             object.__setattr__(got, "size", size)
         return got
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.size == other.size
-        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.size,))
@@ -87,6 +83,14 @@ class Morphism:
     ``table[i]`` is the image of element ``i``.  A morphism out of the empty
     set exists for every codomain; a morphism from a nonempty set into the
     empty set does not, and construction rejects it.
+
+    This constructor checks every table handed in.  This module's own
+    constructions build with ``_made``, unchecked, as each result is a tuple
+    of ``dom.size`` entries below ``cod.size`` by construction: ``identity``,
+    ``compose`` and ``hom`` take entries from ``range(|cod|)`` or another
+    table into ``cod``; ``pairing``, ``product_map``, ``curry`` and
+    ``exp_map`` encode digits below their radices; ``uncurry`` (and so
+    ``evaluation``) takes ``v // p % |cod|``; ``factorize`` numbers its image.
     """
 
     __slots__ = ("dom", "cod", "table")
@@ -142,9 +146,18 @@ _set_cod = Morphism.cod.__set__
 _set_table = Morphism.table.__set__
 
 
+def _made(dom: FinSet, cod: FinSet, table: tuple[int, ...]) -> Morphism:
+    """A morphism whose table is in range by construction (see Morphism)."""
+    f = object.__new__(Morphism)
+    _set_dom(f, dom)
+    _set_cod(f, cod)
+    _set_table(f, table)
+    return f
+
+
 def identity(x: FinSet | int) -> Morphism:
     x = _as_finset(x)
-    return Morphism(x, x, tuple(range(x.size)))
+    return _made(x, x, tuple(range(x.size)))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -153,16 +166,14 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         raise FinSetError(
             f"cannot compose: codomain {f.cod.size} != domain {g.dom.size}"
         )
-    return Morphism(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
+    return _made(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
 
 def hom(dom: FinSet | int, cod: FinSet | int) -> Iterator[Morphism]:
     """All morphisms from dom to cod, in lexicographic table order."""
     dom, cod = _as_finset(dom), _as_finset(cod)
-    if dom.size > 0 and cod.size == 0:
-        return
     for table in _iproduct(range(cod.size), repeat=dom.size):
-        yield Morphism(dom, cod, table)
+        yield _made(dom, cod, table)
 
 
 def hom_size(dom: FinSet | int, cod: FinSet | int) -> int:
@@ -251,15 +262,15 @@ def pairing(f: Morphism, g: Morphism) -> Morphism:
     if f.dom != g.dom:
         raise FinSetError("pairing requires a common domain")
     n = g.cod.size
-    table = [a * n + b for a, b in zip(f.table, g.table)]
-    return Morphism(f.dom, FinSet(f.cod.size * n), table)
+    table = tuple([a * n + b for a, b in zip(f.table, g.table)])
+    return _made(f.dom, FinSet(f.cod.size * n), table)
 
 
 def product_map(f: Morphism, g: Morphism) -> Morphism:
     """The map ``f x g`` acting coordinatewise on pair codes."""
     gt, m = g.table, g.cod.size
-    table = [a * m + b for a in f.table for b in gt]
-    return Morphism(FinSet(f.dom.size * len(gt)), FinSet(f.cod.size * m), table)
+    table = tuple([a * m + b for a in f.table for b in gt])
+    return _made(FinSet(f.dom.size * len(gt)), FinSet(f.cod.size * m), table)
 
 
 def curry(f: Morphism, codec: ProductCodec) -> Morphism:
@@ -275,11 +286,10 @@ def curry(f: Morphism, codec: ProductCodec) -> Morphism:
     x_size = codec.right.size
     y = f.cod.size
     ft = f.table
-    # Horner over the rows ``f(s, -)``, from the last state, the most significant
-    table = ft[(s_size - 1) * x_size :] if s_size else (0,) * x_size
-    for s in reversed(range(s_size - 1)):
-        table = [c * y + v for c, v in zip(table, ft[s * x_size : (s + 1) * x_size])]
-    return Morphism(codec.right, FinSet(y**s_size), table)
+    # column v is ``f(s, v)`` for s = 0, 1, ...: the digits of its code
+    pows = [y**s for s in range(s_size)]
+    table = tuple([sum(map(mul, ft[v::x_size], pows)) for v in range(x_size)])
+    return _made(codec.right, FinSet(y**s_size), table)
 
 
 def uncurry(g: Morphism, codec: ExpCodec) -> Morphism:
@@ -290,21 +300,15 @@ def uncurry(g: Morphism, codec: ExpCodec) -> Morphism:
         )
     y = codec.base.size
     gt = g.table
-    table = [v // p % y for p in codec._pows for v in gt]
-    return Morphism(FinSet(len(table)), codec.base, table)
+    table = tuple([v // p % y for p in codec._pows for v in gt])
+    return _made(FinSet(len(table)), codec.base, table)
 
 
 def evaluation(x: FinSet | int, s: FinSet | int) -> Morphism:
-    """The evaluation map ``S x X^S -> X`` sending ``(s, f)`` to ``f(s)``.
-
-    Equals ``uncurry(identity(X^S))``.
-    """
-    x, s = _as_finset(x), _as_finset(s)
-    xs = x.size
-    n = xs**s.size
-    pows = [xs**si for si in range(s.size)]
-    table = [f // p % xs for p in pows for f in range(n)]
-    return Morphism(FinSet(len(table)), x, table)
+    """The evaluation map ``S x X^S -> X`` sending ``(s, f)`` to ``f(s)``,
+    the transpose ``uncurry(identity(X^S))``."""
+    codec = ExpCodec(_as_finset(x), _as_finset(s))
+    return uncurry(identity(codec.obj), codec)
 
 
 def exp_map(f: Morphism, s: FinSet | int) -> Morphism:
@@ -312,7 +316,7 @@ def exp_map(f: Morphism, s: FinSet | int) -> Morphism:
     n = _as_finset(s).size
     z = f.cod.size
     table = digit_codes([f.table] * n, [z**i for i in range(n)])
-    return Morphism(FinSet(f.dom.size**n), FinSet(z**n), table)
+    return _made(FinSet(f.dom.size**n), FinSet(z**n), table)
 
 
 @dataclass(frozen=True)
@@ -350,8 +354,8 @@ def factorize(f: Morphism) -> Factorization:
     image = FinSet(len(mono_table))
     return Factorization(
         source=f,
-        epi=Morphism(f.dom, image, tuple(epi_table)),
-        mono=Morphism(image, f.cod, tuple(mono_table)),
+        epi=_made(f.dom, image, tuple(epi_table)),
+        mono=_made(image, f.cod, tuple(mono_table)),
         image=image,
     )
 

@@ -170,15 +170,16 @@ def compare_retraction(data: BaseData) -> Morphism:
 
 def epi_section(data: BaseData, s0: int | None = None) -> Morphism:
     """A section ``Y -> S x X`` of the reachability surjection, from a chosen
-    state: include, embed as a computation, evaluate at the chosen state."""
+    state: include, embed as a computation, evaluate at the chosen state.
+    The unit sends ``m`` to ``s -> (s, m)``, whose value at ``s0`` is
+    ``(s0, m)``, so the section is ``y -> (s0, mono(y))``."""
     ctx = data.algebra.ctx
-    if s0 is None:
-        s0 = ctx.s0
-    if s0 is None:
-        raise FinSetError("a section requires a nonempty state object")
+    s0 = ctx.s0 if s0 is None else s0
+    if s0 is None or not 0 <= s0 < ctx.state.size:
+        raise FinSetError(f"no chosen state s0={s0} in a {ctx.state.size}-state object")
     x = data.algebra.carrier
-    embed = compose(ctx.unit(x), data.mono)
-    return compose(ctx.chosen_eval(ctx.pair_obj(x), s0), embed)
+    table = tuple(s0 * x.size + m for m in data.mono.table)
+    return Morphism(data.base, ctx.pair_obj(x), table)
 
 
 def compare_section(data: BaseData, s0: int | None = None) -> Morphism:
@@ -553,16 +554,11 @@ def verify_monadicity(
             continue
         report.carriers[x_size] = {"count": len(algebras), "guarded": None}
         k = _integer_root(x_size, s_size)
-        if k is not None:
-            expected = _count_conjecture(x_size, k)
-            report.tally("structure_count_conjecture").record(
-                len(algebras) == expected,
-                witness=f"x={x_size}: {len(algebras)} != {expected}",
-            )
-        else:
-            report.tally("structure_count_conjecture").record(
-                len(algebras) == 0, witness=f"x={x_size}: {len(algebras)} != 0"
-            )
+        expected = 0 if k is None else _count_conjecture(x_size, k)
+        report.tally("structure_count_conjecture").record(
+            len(algebras) == expected,
+            witness=f"x={x_size}: {len(algebras)} != {expected}",
+        )
         for alg in algebras:
             for name, ok in check_suite(alg, s0_values).items():
                 report.tally(name).record(

@@ -266,8 +266,7 @@ class StateMonadCtx:
 
     def exp_one_iso(self, a: FinSet | int) -> Morphism:
         """The canonical isomorphism ``A^1 -> A`` (numerically the identity)."""
-        a = a if isinstance(a, FinSet) else FinSet(a)
-        return Morphism(ExpCodec(a, FinSet(1)).obj, a, tuple(range(a.size)))
+        return identity(a)
 
     def restrict_to_chosen(self, z: FinSet | int, s0: int | None = None) -> Morphism:
         """``Z^S -> Z^1`` precomposing with a chosen state: ``s0`` if given,

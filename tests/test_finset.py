@@ -215,6 +215,63 @@ class TestTablesAgainstLoops:
                 assert got.cod == FinSet(f.cod.size * m)
 
 
+def _rechecked(f):
+    """``f``, after asserting that the validating constructor accepts its
+    table and rebuilds an equal morphism."""
+    assert type(f.table) is tuple
+    assert Morphism(f.dom, f.cod, f.table) == f
+    return f
+
+
+_SMALL_MAPS = [f for a, b in iproduct(range(4), repeat=2) for f in hom(a, b)]
+
+
+class TestUncheckedConstructions:
+    """The constructions that skip the constructor's check build tables it
+    accepts, on every hom-set with sizes <= 3, the empty set included in
+    every position."""
+
+    @pytest.mark.parametrize("s,x,y", list(iproduct(range(4), repeat=3)))
+    def test_adjunction(self, s, x, y):
+        state = FinSet(s)
+        codec = ProductCodec(state, FinSet(x))
+        exp = ExpCodec(FinSet(y), state)
+        ev = _rechecked(evaluation(y, s))
+        id_s = _rechecked(identity(s))
+        for f in hom(codec.obj, y):
+            curried = _rechecked(curry(_rechecked(f), codec))
+            assert _rechecked(uncurry(curried, exp)) == f
+            counit = compose(ev, _rechecked(product_map(id_s, curried)))
+            assert _rechecked(counit) == f
+        for g in hom(x, exp.obj):
+            assert _rechecked(curry(_rechecked(uncurry(g, exp)), codec)) == g
+
+    def test_compose_pairing_product_map(self):
+        for f in _SMALL_MAPS:
+            _rechecked(f)
+            for g in _SMALL_MAPS:
+                _rechecked(product_map(f, g))
+                if f.cod is g.dom:
+                    _rechecked(compose(g, f))
+                if f.dom is g.dom:
+                    _rechecked(pairing(f, g))
+
+    def test_exp_map_and_factorize(self):
+        for f in _SMALL_MAPS:
+            fact = factorize(f)
+            _rechecked(fact.epi)
+            _rechecked(fact.mono)
+            for s in range(4):
+                _rechecked(exp_map(f, s))
+
+    def test_finsets_stay_interned(self):
+        for n in range(4):
+            assert copy.deepcopy(FinSet(n)) is FinSet(n)
+        f = pickle.loads(pickle.dumps(Morphism(FinSet(3), FinSet(2), (1, 0, 1))))
+        assert f.dom is FinSet(3) and f.cod is FinSet(2)
+        assert copy.deepcopy(f).cod is FinSet(2)
+
+
 class TestCompose:
     def test_identity_both_sides(self):
         f = Morphism(FinSet(2), FinSet(3), (2, 0))

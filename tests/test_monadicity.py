@@ -168,10 +168,41 @@ class TestRetractionAndSection:
         with pytest.raises(FinSetError):
             epi_section(data0)
 
+    @pytest.mark.parametrize("s,x", [(1, 3), (2, 4), (2, 1), (3, 1)])
+    def test_section_is_the_categorical_composite(self, s, x):
+        algebras = enumerate_algebras(StateMonadCtx(s), FinSet(x))
+        assert algebras
+        for alg in algebras:
+            _assert_section_composites(extract_base(alg))
+
+    def test_section_composite_on_function_algebras(self):
+        ctx = StateMonadCtx(3)
+        for y in (2, 3):
+            _assert_section_composites(extract_base(function_algebra(ctx, y, validate=False)))
+
+    def test_section_reads_no_chosen_eval_on_the_pair_object(self):
+        # on K(4) at |S| = 3, S x X has 192 elements: chosen_eval there
+        # would be a 192**3-entry table for each chosen state
+        ctx = StateMonadCtx(3)
+        assert all(check_suite(function_algebra(ctx, 4, validate=False)).values())
+        assert not [key for key in ctx._cache if key[:2] == ("chosen_eval", 192)]
+
     def test_section_retraction_bundle(self, twelve):
         bundle = section_retraction(extract_base(twelve[3]))
         assert bundle.section is not None
         assert bundle.retraction.table == bundle.section.table
+
+
+def _assert_section_composites(data):
+    """``epi_section`` at every chosen state equals the composite that
+    evaluates the unit at that state, and other states are refused."""
+    ctx, x = data.algebra.ctx, data.algebra.carrier
+    embed = compose(ctx.unit(x), data.mono)
+    for s0 in range(ctx.state.size):
+        assert epi_section(data, s0) == compose(ctx.chosen_eval(ctx.pair_obj(x), s0), embed)
+    for bad in (-1, ctx.state.size):
+        with pytest.raises(FinSetError):
+            epi_section(data, bad)
 
 
 class TestCompareIsAlgebraMap:
