@@ -1,4 +1,4 @@
-"""The one kernel behind ``exp_map`` and every exhaustive identity scan.
+"""The one kernel behind every digit-sum code table and identity scan.
 
 The monad ``T = (S x -)^S`` acts digit by digit on the little-endian
 mixed-radix codes of :mod:`finset`.  ``exp_map``, ``T(f)`` and both
@@ -7,8 +7,14 @@ multiplications send a code with digits ``d_0, d_1, ...`` to
 side of every identity the package scans is such a digit sum read through
 zero or more lookup tables: a *side* is the triple ``(digits, weights,
 lookups)``, a plain tuple because tiny scans are dominated by per-call
-costs.  The codes of a side range over the radices ``len(digits[i])``, and
-:func:`first_mismatch` returns the least code where two sides differ.
+costs.  The codes of a side range over the radices ``len(digits[i])``.
+:func:`first_mismatch` returns the least code where two sides differ, and
+:func:`side_values` tabulates a side.  Every code table the package builds
+from columns is one: ``finset.exp_map`` (:func:`digit_codes`),
+``algebra.fold_table``, the lookups of ``algebra.read_presentation`` and of
+the constrained search's leaves, the relabelings ``T(t)`` of its orbit
+closure, ``monadicity.compare_inverse`` and the lookup of
+``equational.canonical_algebra``.
 
 The scan evaluates the first points, and all of a tiny domain, on Python
 ints, so a quick rejection pays for no arrays.  Past that it broadcasts the
@@ -47,18 +53,38 @@ def value_at(side: Side, w: int) -> int:
     return code
 
 
+def side_values(side: Side) -> list[int]:
+    """The side's value at every code, in code order, as Python ints.
+
+    The lowest digit's pass also applies the first lookup: on a tiny domain
+    each pass over the codes is a fair share of the whole scan.
+    """
+    digits, weights, lookups = side
+    codes = [0]
+    for i in reversed(range(len(digits))):
+        table, weight = digits[i], weights[i]
+        if i == 0 and lookups:
+            look, lookups = lookups[0], lookups[1:]
+            codes = [look[c + v * weight] for c in codes for v in table]
+        else:
+            codes = [c + v * weight for c in codes for v in table]
+    for look in lookups:
+        codes = [look[c] for c in codes]
+    return codes
+
+
 def digit_codes(digits: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[int, ...]:
     """``sum(digits[i][d_i] * weights[i])`` for every code, in code order."""
     side = (digits, weights, ())
     if prod(map(len, digits)) > _INT_POINTS and _fits_int64(side):
         return tuple(_Arrays(side).block(len(digits)).tolist())
-    return tuple(_int_values(side))
+    return tuple(side_values(side))
 
 
 def first_mismatch(left: Side, right: Side) -> int | None:
     """The least code where the two sides differ, or None."""
     if prod(map(len, left[0])) <= _INT_POINTS:
-        lv, rv = _int_values(left), _int_values(right)
+        lv, rv = side_values(left), side_values(right)
         return None if lv == rv else _first_difference(lv, rv)
     arrays = None
     for start, j, lo, hi, high in _chunks([len(t) for t in left[0]]):
@@ -143,26 +169,6 @@ def _high_offset(side: Side, j: int, high: tuple[int, ...]) -> int:
     for i, d in enumerate(high, j + 1):
         off += digits[i][d] * weights[i]
     return off
-
-
-def _int_values(side: Side) -> list[int]:
-    """The side's value at every code, as Python ints.
-
-    The lowest digit's pass also applies the first lookup: on a tiny domain
-    each pass over the codes is a fair share of the whole scan.
-    """
-    digits, weights, lookups = side
-    codes = [0]
-    for i in reversed(range(len(digits))):
-        table, weight = digits[i], weights[i]
-        if i == 0 and lookups:
-            look, lookups = lookups[0], lookups[1:]
-            codes = [look[c + v * weight] for c in codes for v in table]
-        else:
-            codes = [c + v * weight for c in codes for v in table]
-    for look in lookups:
-        codes = [look[c] for c in codes]
-    return codes
 
 
 def _int_chunk(side: Side, j: int, lo: int, hi: int, high: tuple[int, ...]) -> list[int]:

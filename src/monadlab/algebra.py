@@ -34,7 +34,7 @@ from itertools import combinations, permutations, product
 from operator import mul
 from typing import Callable, Sequence
 
-from ._bulk import Side, first_mismatch, value_at
+from ._bulk import Side, first_mismatch, side_values, value_at
 from .finset import FinSet, FinSetError, Morphism, evaluation, exp_map, int_entries
 from .statemonad import StateMonadCtx
 
@@ -178,10 +178,9 @@ def read_presentation(ctx: StateMonadCtx, xn: int, h) -> tuple[list[int], list[i
     ``updates[c * xn + v] = u_c(v) = h(s -> (c, v))`` and
     ``lookup[g] = l(g) = h(s -> (s, g_s))`` on the codes g of ``X^S``."""
     s = ctx.state.size
-    weights = ctx.digit_weights(s * xn)
-    ones = sum(weights)
-    graphs = _digit_sums([range(c * xn, (c + 1) * xn) for c in range(s)], weights)
-    return [h[j * ones] for j in range(s * xn)], [h[t] for t in graphs]
+    graphs = [range(c * xn, (c + 1) * xn) for c in range(s)]
+    lookup = side_values((graphs, ctx.digit_weights(s * xn), (h,)))
+    return [h[t] for t in update_codes(ctx, xn)], lookup
 
 
 def _presentation_violation(ctx: StateMonadCtx, xn: int, h) -> AlgebraViolation | None:
@@ -372,17 +371,7 @@ def fold_table(
     ``l(s -> u_{c_s}(v_s))``; its digit ``c_s * xn + v_s`` indexes
     ``updates`` directly.
     """
-    s = ctx.state.size
-    return [lookup[g] for g in _digit_sums([updates] * s, ctx.digit_weights(xn))]
-
-
-def _digit_sums(columns: list[Sequence[int]], weights: Sequence[int]) -> list[int]:
-    """``sum_i columns[i][d_i] * weights[i]`` for every digit tuple ``(d_i)``,
-    in code order (digit 0 least significant)."""
-    codes = [0]
-    for column, w in zip(columns, weights):
-        codes = [low + v * w for v in column for low in codes]
-    return codes
+    return side_values(([updates] * ctx.state.size, ctx.digit_weights(xn), (lookup,)))
 
 
 class _ConstrainedSearch:
@@ -552,7 +541,7 @@ class _ConstrainedSearch:
         vectors = {sum(map(mul, u[a::xn], weights)): a for a in range(xn)}
         self._charge(xn**s)
         columns = [u[c * xn:(c + 1) * xn] for c in range(s)]
-        lookup = [vectors.get(g) for g in _digit_sums(columns, weights)]
+        lookup = [vectors.get(g) for g in side_values((columns, weights, ()))]
         if None in lookup:
             return
         self._charge(self.m)
@@ -573,7 +562,7 @@ def _orbit_closure(ctx, xn: int, tables, charge: Callable[[int], None]) -> list:
         swap = list(range(xn))
         swap[i], swap[i + 1] = i + 1, i
         charge(m)
-        t_swap = _digit_sums([ctx.t_digits(swap, xn)] * s, ctx.digit_weights(s * xn))
+        t_swap = side_values(([ctx.t_digits(swap, xn)] * s, ctx.digit_weights(s * xn), ()))
         moves.append((swap, t_swap))
     frontier = list(found)
     while frontier:

@@ -35,6 +35,7 @@ from .algebra import (
     fold_table,
     read_presentation,
 )
+from ._bulk import side_values
 from .finset import ExpCodec, FinSet, FinSetError, Morphism
 from .statemonad import StateMonadCtx
 
@@ -366,30 +367,16 @@ def canonical_algebra(ctx: StateMonadCtx, b: FinSet | int) -> StateAlgebra:
     at ``s``.  The four equations are verified at construction.
     """
     b = b if isinstance(b, FinSet) else FinSet(b)
-    s = ctx.state.size
-    bn = b.size
     carrier = ExpCodec(b, ctx.state).obj
-    a_n = carrier.size
-    bpows = [bn**i for i in range(s)]
-    apows = [a_n**i for i in range(s)]
-    ones = sum(bpows) if s else 0
-
-    dom = ExpCodec(carrier, ctx.state).obj
-    lookup_table = []
-    for g in range(dom.size):
-        code = 0
-        for s1 in range(s):
-            a = (g // apows[s1]) % a_n
-            code += ((a // bpows[s1]) % bn) * bpows[s1]
-        lookup_table.append(code)
-    lookup = Morphism(dom, carrier, tuple(lookup_table))
-
-    updates = []
-    for s1 in range(s):
-        table = tuple(((a // bpows[s1]) % bn) * ones for a in range(a_n))
-        updates.append(Morphism(carrier, carrier, table))
-
-    sa = StateAlgebra(ctx, carrier, lookup, tuple(updates))
+    bpows = ctx.digit_weights(b.size)
+    ones = sum(bpows)
+    # columns[c][a] = a(c), digit c of the code a
+    columns = [[a // p % b.size for a in range(carrier.size)] for p in bpows]
+    # a family (a_c)_c of functions goes to its diagonal c -> a_c(c)
+    lookup_table = side_values((columns, bpows, ()))
+    lookup = Morphism(ExpCodec(carrier, ctx.state).obj, carrier, lookup_table)
+    updates = tuple(Morphism(carrier, carrier, [v * ones for v in col]) for col in columns)
+    sa = StateAlgebra(ctx, carrier, lookup, updates)
     violation = state_algebra_violation(sa)
     if violation is not None:
         raise AssertionError(f"canonical structure failed validation: {violation}")
@@ -426,9 +413,7 @@ def to_t_algebra(sa: StateAlgebra) -> TAlgebra:
     ctx = sa.ctx
     a = sa.carrier
     ups = [v for u in sa.updates for v in u.table]
-    table = fold_table(ctx, a.size, ups, sa.lookup.table)
-    tx = ctx.t_obj(a)
-    structure = Morphism(tx, a, tuple(table))
+    structure = Morphism(ctx.t_obj(a), a, fold_table(ctx, a.size, ups, sa.lookup.table))
     result = check_algebra(ctx, a, structure)
     if isinstance(result, AlgebraViolation):
         raise AssertionError(f"translated structure failed the algebra laws: {result}")
@@ -493,9 +478,8 @@ def free_classes(ctx: StateMonadCtx, nvars: int, depth: int) -> FreeClasses:
                 value = (code // pows[s1]) % base
                 offer(sum(value * p for p in pows), Update(s1, t))
         for combo in product(items, repeat=s):
-            code = 0
-            for i, (c, _) in enumerate(combo):
-                code += ((c // pows[i]) % base) * pows[i]
+            # digit i of the lookup's code is digit i of the i-th branch's
+            code = sum(c // p % base * p for (c, _), p in zip(combo, pows))
             offer(code, Lookup(tuple(t for _, t in combo)))
         fresh = set(new) - set(reps)
         improved = any(

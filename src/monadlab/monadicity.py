@@ -28,6 +28,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 
 from . import _bulk
+from ._bulk import side_values
 from .algebra import (
     DEFAULT_SEARCH_CEILING,
     AlgebraViolation,
@@ -140,25 +141,12 @@ def compare_inverse(data: BaseData) -> Morphism:
     values are included back into the carrier, paired with their state, and
     folded by the structure map.
     """
-    ctx = data.algebra.ctx
     alg = data.algebra
-    xn = alg.carrier.size
-    s = ctx.state.size
-    yn = data.base.size
-    pair_sx = s * xn
-    h = alg.structure.table
-    mono = data.mono.table
-    table = []
-    for ycode in range(yn**s):
-        code = 0
-        p = 1
-        rest = ycode
-        for si in range(s):
-            rest, d = divmod(rest, yn)
-            code += (si * xn + mono[d]) * p
-            p *= pair_sx
-        table.append(h[code])
-    return Morphism(ExpCodec(data.base, ctx.state).obj, alg.carrier, tuple(table))
+    ctx, xn = alg.ctx, alg.carrier.size
+    # digit c of y is y(c), which goes to the pair (c, mono(y(c))) in S x X
+    columns = [[c * xn + m for m in data.mono.table] for c in range(ctx.state.size)]
+    side = (columns, ctx.digit_weights(ctx.state.size * xn), (alg.structure.table,))
+    return Morphism(ExpCodec(data.base, ctx.state).obj, alg.carrier, side_values(side))
 
 
 def compare_retraction(data: BaseData) -> Morphism:
@@ -209,10 +197,25 @@ def section_retraction(data: BaseData, s0: int | None = None) -> SectionRetracti
 
 
 def compare_is_algebra_map(data: BaseData) -> bool:
-    """Whether the comparison map is a morphism into the function algebra of
-    the base."""
-    target = function_algebra(data.algebra.ctx, data.base, validate=False)
-    return morphism_witness(data.compare, data.algebra, target) is None
+    """Whether the comparison map is a morphism into the function algebra
+    K(Y) of the base, decided on the update cells without building K(Y).
+
+    By :func:`morphism_witness`, it is iff ``compare . u_c = u'_c .
+    compare`` at every update cell ``(c, v)``.  K(Y)'s structure sends
+    ``s -> (c_s, g_s)`` to ``s -> g_s(c_s)``, so ``u'_c`` sends g to the
+    constant function on ``g(c)``, whose code is ``g(c)`` times the sum of
+    the digit weights.  So the square is ``compare(u_c(v)) ==
+    compare(v)(c) * ones``, where ``compare(v)(c)`` is ``epi(c, v)``; it is
+    read off compare, so that the test is of the map passed in.
+    """
+    ctx, xn, yn = data.algebra.ctx, data.algebra.carrier.size, data.base.size
+    h, compare = data.algebra.structure.table, data.compare.table
+    weights = ctx.digit_weights(yn)
+    ones = sum(weights)
+    return all(
+        compare[h[t]] == compare[j % xn] // weights[j // xn] % yn * ones
+        for j, t in enumerate(update_codes(ctx, xn))
+    )
 
 
 def base_map(u: Morphism, source: BaseData, target: BaseData) -> Morphism:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from ._bulk import _INT64_MAX, Side, first_mismatch
@@ -120,17 +121,8 @@ class StateMonadCtx:
         x = x if isinstance(x, FinSet) else FinSet(x)
         key = ("unit", x.size)
         if key not in self._cache:
-            n = x.size
-            base = self.state.size * n
-            table = []
-            for v in range(n):
-                code = 0
-                p = 1
-                for s in range(self.state.size):
-                    code += (s * n + v) * p
-                    p *= base
-                table.append(code)
-            self._cache[key] = Morphism(x, self.t_obj(x), tuple(table))
+            table = [self.unit_at(x, v) for v in range(x.size)]
+            self._cache[key] = Morphism(x, self.t_obj(x), table)
         return self._cache[key]
 
     def unit_at(self, x: FinSet, v: int) -> int:
@@ -257,16 +249,7 @@ class StateMonadCtx:
         return self._cache[key]
 
     def const_at(self, z: FinSet, v: int) -> int:
-        code = 0
-        p = 1
-        for _ in range(self.state.size):
-            code += v * p
-            p *= z.size
-        return code
-
-    def exp_one_iso(self, a: FinSet | int) -> Morphism:
-        """The canonical isomorphism ``A^1 -> A`` (numerically the identity)."""
-        return identity(a)
+        return v * sum(self.digit_weights(z.size))
 
     def restrict_to_chosen(self, z: FinSet | int, s0: int | None = None) -> Morphism:
         """``Z^S -> Z^1`` precomposing with a chosen state: ``s0`` if given,
@@ -290,12 +273,9 @@ class StateMonadCtx:
 
     def chosen_eval(self, z: FinSet | int, s0: int | None = None) -> Morphism:
         """``Z^S -> Z`` evaluating a function at a chosen state: ``s0`` if
-        given, else the context's own."""
-        z = z if isinstance(z, FinSet) else FinSet(z)
-        key = ("chosen_eval", z.size, self.s0 if s0 is None else s0)
-        if key not in self._cache:
-            self._cache[key] = compose(self.exp_one_iso(z), self.restrict_to_chosen(z, s0))
-        return self._cache[key]
+        given, else the context's own.  It is :meth:`restrict_to_chosen`,
+        since ``Z^1`` is Z: FinSets are interned by size."""
+        return self.restrict_to_chosen(z, s0)
 
     def diagonal(self) -> Morphism:
         """``S -> S x S`` duplicating the state."""
@@ -331,12 +311,10 @@ class StateMonadCtx:
         tx = self.t_obj(x)
         const = self.const_map(self.pair_obj(x))
         n = x.size
+        weights = self.digit_weights(tx.size)
         for v in range(n):
-            transposed = 0
-            p = 1
-            for s in range(self.state.size):
-                transposed += const.table[s * n + v] * p
-                p *= tx.size
+            # digit s is const(s, v), at entry s * n + v
+            transposed = sum(map(mul, const.table[v::n], weights))
             flattened = self.mult_at(x, self.graph_at(tx, transposed))
             if flattened != self.unit_at(x, v):
                 return False

@@ -6,12 +6,14 @@ import subprocess
 import sys
 from dataclasses import FrozenInstanceError
 from itertools import product as iproduct
+from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from monadlab._bulk import side_values, value_at
 from monadlab.finset import (
     ExpCodec,
     FinSet,
@@ -47,6 +49,31 @@ def morphisms(draw, max_size=5):
         draw(st.integers(min_value=0, max_value=cod - 1)) for _ in range(dom)
     )
     return Morphism(FinSet(dom), FinSet(cod), table)
+
+
+@st.composite
+def sides(draw):
+    """A side ``(digits, weights, lookups)``: up to 3 columns of up to 3
+    entries each (an empty one among them at times) and up to 2 lookups,
+    each defined on every value the step before it can take."""
+    small = st.integers(min_value=0, max_value=4)
+    digits = draw(st.lists(st.lists(small, max_size=3), max_size=3))
+    weights = [draw(st.integers(min_value=1, max_value=9)) for _ in digits]
+    top = sum(max(col, default=0) * w for col, w in zip(digits, weights))
+    lookups = []
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lookups.append(draw(st.lists(small, min_size=top + 1, max_size=top + 1)))
+        top = max(lookups[-1])
+    return digits, weights, lookups
+
+
+class TestSideValues:
+    @given(sides())
+    @example(([[0, 1], [0, 1, 2]], [1, 2], [[5, 4, 3, 2, 1, 0]]))
+    @example(([[0, 1], [], [2]], [1, 2, 6], [[0] * 14]))
+    def test_tabulates_value_at_in_code_order(self, side):
+        codes = range(prod(map(len, side[0])))
+        assert side_values(side) == [value_at(side, w) for w in codes]
 
 
 class TestFinSet:

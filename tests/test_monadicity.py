@@ -134,6 +134,13 @@ class TestCompareInverse:
             inv = compare_inverse(data)
             assert compose(inv, data.compare).table == identity(alg.carrier).table
 
+    @pytest.mark.parametrize("y", [1, 2])
+    def test_two_sided_inverse_at_three_states(self, ctx3, y):
+        data = extract_base(function_algebra(ctx3, y))
+        inv = compare_inverse(data)
+        assert compose(inv, data.compare).table == identity(data.algebra.carrier).table
+        assert compose(data.compare, inv).table == identity(inv.dom).table
+
     def test_agreement_with_retraction_and_section(self, twelve):
         for alg in twelve:
             data = extract_base(alg)
@@ -185,7 +192,8 @@ class TestRetractionAndSection:
         # would be a 192**3-entry table for each chosen state
         ctx = StateMonadCtx(3)
         assert all(check_suite(function_algebra(ctx, 4, validate=False)).values())
-        assert not [key for key in ctx._cache if key[:2] == ("chosen_eval", 192)]
+        built = {key[:2] for key in ctx._cache}
+        assert not built & {("chosen_eval", 192), ("restrict", 192)}
 
     def test_section_retraction_bundle(self, twelve):
         bundle = section_retraction(extract_base(twelve[3]))
@@ -214,6 +222,27 @@ class TestCompareIsAlgebraMap:
         for alg in enumerate_algebras(ctx1, 3):
             assert compare_is_algebra_map(extract_base(alg))
 
+    @pytest.mark.parametrize("s,x", [(2, 4), (3, 1)] + [(1, x) for x in range(7)])
+    def test_matches_the_square_on_the_function_algebra(self, s, x):
+        # the reference builds K(Y)'s whole structure and reads the square
+        # off its update cells; compare is also changed in each entry
+        ctx = StateMonadCtx(s)
+        for alg in enumerate_algebras(ctx, x):
+            data = extract_base(alg)
+            target = function_algebra(ctx, data.base, validate=False)
+            assert compare_is_algebra_map(data)
+            assert morphism_witness(data.compare, alg, target) is None
+            for changed in _one_entry_changes(data.compare):
+                expected = morphism_witness(changed, alg, target) is None
+                assert compare_is_algebra_map(replace(data, compare=changed)) == expected
+
+    def test_changed_compare_detected(self, twelve):
+        # at two states any one entry changed breaks the square
+        for alg in twelve:
+            data = extract_base(alg)
+            for changed in _one_entry_changes(data.compare):
+                assert not compare_is_algebra_map(replace(data, compare=changed))
+
     def test_corrupted_structure_detected(self, ctx2, twelve):
         # corrupt one entry away from the unit image; the comparison square
         # must break even though the data still typechecks
@@ -236,6 +265,14 @@ class TestCompareIsAlgebraMap:
             and compose(compare_inverse(data), data.compare).table
             == identity(alg.carrier).table
         )
+
+
+def _one_entry_changes(m):
+    """The maps that differ from m in exactly one entry."""
+    for v, old in enumerate(m.table):
+        for b in range(m.cod.size):
+            if b != old:
+                yield Morphism(m.dom, m.cod, m.table[:v] + (b,) + m.table[v + 1:])
 
 
 class TestBaseMap:
