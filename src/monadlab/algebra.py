@@ -164,13 +164,14 @@ def _equation_violation(xn: int, ups, look) -> tuple[str, tuple, int, int] | Non
     return None
 
 
-def update_codes(ctx: StateMonadCtx, xn: int) -> list[int]:
+def update_codes(ctx: StateMonadCtx, xn: int) -> range:
     """The TX codes of the constant computations ``s -> (c, v)`` on xn
     elements, in c-major order: entry ``c * xn + v`` is the cell where a
-    structure map holds ``u_c(v)``."""
+    structure map holds ``u_c(v)``.  They are the multiples of ``ones``,
+    which is 0 with no states, where there is no cell."""
     s = ctx.state.size
     ones = sum(ctx.digit_weights(s * xn))
-    return [j * ones for j in range(s * xn)]
+    return range(0, ones * s * xn, ones or 1)
 
 
 def read_presentation(ctx: StateMonadCtx, xn: int, h) -> tuple[list[int], list[int]]:

@@ -13,9 +13,10 @@ generated by four equations:
 Terms are decided by evaluation: a term over ``n`` variables denotes a
 function from start states to final (state, variable) pairs, computed by
 running it once per start state.  Two terms are equal in the theory exactly
-when these runs agree, and :func:`normalize` reads the runs back as the
-least term of the class (the global-state normal form of Plotkin and Power).
-The module also carries algebras for this signature in finite sets, the
+when these runs agree.  :func:`normalize` reads the runs back as the least
+term of the class (the global-state normal form of Plotkin and Power), and
+:func:`free_classes` reads every class of the free model back alike.  The
+module also carries algebras for this signature in finite sets, the
 canonical structure on function spaces ``B^S``, and the translation to and
 from monad algebras.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .algebra import (
     AlgebraViolation,
@@ -39,8 +40,8 @@ from ._bulk import side_values
 from .finset import ExpCodec, FinSet, FinSetError, Morphism
 from .statemonad import StateMonadCtx
 
-#: Most lookup combinations one round of :func:`free_classes` may close over.
-FREE_COMBO_LIMIT = 10**6
+#: Most classes one call of :func:`free_classes` may read back.
+FREE_CLASS_LIMIT = 10**6
 
 
 class TermError(ValueError):
@@ -87,14 +88,6 @@ class Lookup(Term):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "branches", tuple(self.branches))
-
-
-def term_size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    if isinstance(t, Update):
-        return 1 + term_size(t.body)
-    return 1 + sum(term_size(b) for b in t.branches)  # type: ignore[union-attr]
 
 
 def max_var(t: Term) -> int:
@@ -243,6 +236,12 @@ def _runs(t: Term, s_size: int, nvars: int | None = None) -> list[tuple[int, int
     return runs
 
 
+def _code(runs: list[tuple[int, int]], nvars: int) -> int:
+    """The code in ``T(V)`` whose digit i is run i's pair ``(c, v)``."""
+    base = len(runs) * nvars
+    return sum((c * nvars + v) * base**i for i, (c, v) in enumerate(runs))
+
+
 def denote(t: Term, ctx: StateMonadCtx, nvars: int) -> int:
     """Interpret the term in the free model on ``nvars`` variables.
 
@@ -250,11 +249,7 @@ def denote(t: Term, ctx: StateMonadCtx, nvars: int) -> int:
     to the final (state, variable) pair.  Variables read and restore the
     state; updates overwrite it; lookup branches on it.
     """
-    base = ctx.state.size * nvars
-    code = 0
-    for i, (c, v) in enumerate(_runs(t, ctx.state.size, nvars)):
-        code += (c * nvars + v) * base**i
-    return code
+    return _code(_runs(t, ctx.state.size, nvars), nvars)
 
 
 def terms_equal(t1: Term, t2: Term, ctx: StateMonadCtx, nvars: int) -> bool:
@@ -267,7 +262,7 @@ def terms_equal(t1: Term, t2: Term, ctx: StateMonadCtx, nvars: int) -> bool:
 def normalize(t: Term, s_size: int) -> Term:
     """The least term, by size, that denotes what ``t`` denotes.
 
-    Read back from the runs of :func:`_runs`:
+    Read back from the runs of :func:`_runs` by :func:`_read_back`:
 
     - ``x_v`` when every run keeps its start state and ends at ``v``;
     - otherwise ``u_c(x_v)`` when every run ends at the same ``(c, v)``;
@@ -286,7 +281,11 @@ def normalize(t: Term, s_size: int) -> Term:
     shapes have sizes 1 < 2 < 1 + |S| (at one state every class is a
     variable's).  Equal terms have equal runs, so they get one normal form.
     """
-    runs = _runs(t, s_size)
+    return _read_back(_runs(t, s_size))
+
+
+def _read_back(runs: list[tuple[int, int]]) -> Term:
+    """The normal form of the class with these runs; see :func:`normalize`."""
     if not runs:
         return Lookup(())
     c0, v0 = runs[0]
@@ -434,61 +433,41 @@ class FreeClasses:
 
 
 def free_classes(ctx: StateMonadCtx, nvars: int, depth: int) -> FreeClasses:
-    """Bucket all terms up to the given depth by free-model denotation.
+    """The classes of terms of depth at most ``depth`` (0 for a variable,
+    one more than the deepest argument otherwise), each with its least term.
 
-    Works on denotation classes rather than raw terms: the denotation is
-    compositional, so closing the class set under the two constructors
-    reaches exactly the classes of depth-bounded terms while keeping at most
-    ``(|S| * nvars) ** |S|`` buckets alive.  Representatives are minimal by
-    term size, then lexicographically.
+    Each code of ``T(V) = (S x V)^S`` is split into its runs, one ``(c, v)``
+    digit per start state, and read back by :func:`_read_back`.  This is
+    what closing the classes under ``u_c`` and ``l`` for ``depth`` rounds
+    gives.  The closure is sound, as denotation is compositional, and it
+    reaches a class within ``d`` rounds iff the class has a term of depth at
+    most ``d``.  By :func:`normalize` a class's least term (by size, then
+    text) is its normal form, the only term of that size, and with |S| >= 1
+    no term of the class is shallower: a depth-1 term keeps every start
+    state or ends every run at one pair, so a class of neither shape has
+    depth 2.  So round ``k`` reaches exactly the normal forms of depth
+    ``k``, and the closure is saturated once ``depth`` exceeds the deepest:
+    0 when ``T(V)`` is empty or |S| = 1 (every class is a variable's), 2
+    when |S| >= 2 (``l(u_1(x_0), u_0(x_0), ...)``), and 1 with no states,
+    where the one class starts at ``x0`` and round 1 improves it to
+    ``l()``.  At depth 1 with |S| >= 2 only the runs that all keep their
+    start state or all end at one pair are read.  Past
+    :data:`FREE_CLASS_LIMIT` codes to read, none is read.
     """
     if depth < 1:
         raise FinSetError(f"depth must be at least 1, got {depth}")
+    if nvars < 0:
+        raise FinSetError(f"nvars must be non-negative, got {nvars}")
     s = ctx.state.size
-    v = FinSet(nvars)
-    base = s * nvars
-    pows = [base**i for i in range(s)]
-
-    def key(t: Term) -> tuple[int, str]:
-        return (term_size(t), format_term(t))
-
-    reps: dict[int, Term] = {}
-    for i in range(nvars):
-        code = ctx.unit_at(v, i)
-        t = Var(i)
-        if code not in reps or key(t) < key(reps[code]):
-            reps[code] = t
-
-    saturated = False
-    for _ in range(depth):
-        if len(reps) ** max(s, 1) > FREE_COMBO_LIMIT:
-            raise SearchCeilingExceeded(
-                f"lookup closure over {len(reps)} classes exceeds {FREE_COMBO_LIMIT}"
-            )
-        new: dict[int, Term] = {}
-
-        def offer(code: int, t: Term) -> None:
-            best = reps.get(code) or new.get(code)
-            if best is None or key(t) < key(best):
-                new[code] = t
-
-        items = sorted(reps.items(), key=lambda kv: key(kv[1]))
-        for code, t in items:
-            for s1 in range(s):
-                value = (code // pows[s1]) % base
-                offer(sum(value * p for p in pows), Update(s1, t))
-        for combo in product(items, repeat=s):
-            # digit i of the lookup's code is digit i of the i-th branch's
-            code = sum(c // p % base * p for (c, _), p in zip(combo, pows))
-            offer(code, Lookup(tuple(t for _, t in combo)))
-        fresh = set(new) - set(reps)
-        improved = any(
-            code in reps and key(t) < key(reps[code]) for code, t in new.items()
-        )
-        for code, t in new.items():
-            if code not in reps or key(t) < key(reps[code]):
-                reps[code] = t
-        if not fresh and not improved:
-            saturated = True
-            break
-    return FreeClasses(count=len(reps), representatives=dict(sorted(reps.items())), saturated=saturated)
+    pairs = [divmod(d, nvars) for d in range(s * nvars)]
+    if depth == 1 and s >= 2:
+        count = nvars**s + s * nvars
+        keep = (list(enumerate(vs)) for vs in product(range(nvars), repeat=s))
+        every_run = chain(keep, ([pair] * s for pair in pairs))
+    else:
+        count, every_run = len(pairs) ** s, product(pairs, repeat=s)
+    if count > FREE_CLASS_LIMIT:
+        raise SearchCeilingExceeded(f"free model with {count} classes exceeds {FREE_CLASS_LIMIT}")
+    reps = {_code(runs, nvars): _read_back(runs) for runs in every_run}
+    deepest = 2 if s >= 2 and nvars else int(s == 0)
+    return FreeClasses(len(reps), dict(sorted(reps.items())), depth > deepest)

@@ -269,7 +269,7 @@ def base_iso(ctx: StateMonadCtx, y: FinSet | int, data: BaseData | None = None) 
 # per-algebra check suite
 
 
-def check_suite(alg: TAlgebra, s0_values: list[int] | None = None) -> dict[str, bool]:
+def check_suite(alg: TAlgebra) -> dict[str, bool]:
     """Run every comparison identity on one algebra.
 
     Returns a name-to-outcome map; all values must be True for a valid
@@ -278,8 +278,6 @@ def check_suite(alg: TAlgebra, s0_values: list[int] | None = None) -> dict[str, 
     ctx = alg.ctx
     s = ctx.state.size
     x = alg.carrier
-    if s0_values is None:
-        s0_values = list(range(s))
     data = extract_base(alg)
     id_x = identity(x)
     exp_obj = ExpCodec(data.base, ctx.state).obj
@@ -303,7 +301,7 @@ def check_suite(alg: TAlgebra, s0_values: list[int] | None = None) -> dict[str, 
     epi_sections_ok = True
     sections_ok = True
     sections_match = True
-    for s0 in s0_values:
+    for s0 in range(s):
         sigma = epi_section(data, s0)
         epi_sections_ok &= compose(data.epi, sigma).table == identity(data.base).table
         big = compare_section(data, s0)
@@ -540,7 +538,6 @@ def verify_monadicity(
     rng = random.Random(seed)
     report = VerificationReport(s_size=s_size, max_x=max_x, seed=seed, method="constrained")
     ctx = StateMonadCtx(s_size)
-    s0_values = list(range(s_size))
 
     for x_size in range(max_x + 1):
         x = FinSet(x_size)
@@ -563,7 +560,7 @@ def verify_monadicity(
             witness=f"x={x_size}: {len(algebras)} != {expected}",
         )
         for alg in algebras:
-            for name, ok in check_suite(alg, s0_values).items():
+            for name, ok in check_suite(alg).items():
                 report.tally(name).record(
                     ok, witness=f"x={x_size}, h={list(alg.structure.table)}"
                 )
@@ -596,7 +593,7 @@ def verify_monadicity(
         report.tally("constant_image").record(
             set(data.mono.table) == constants, witness=f"y={y_size}"
         )
-        for name, ok in check_suite(ka, s0_values).items():
+        for name, ok in check_suite(ka).items():
             report.tally(name).record(ok, witness=f"K({y_size})")
         sides[y_size] = _FunctionSide(data, xi)
 

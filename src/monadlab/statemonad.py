@@ -40,9 +40,6 @@ from .finset import (
 #: Largest domain an exhaustive law scan will walk (chunked).
 DEFAULT_SCAN_LIMIT = 300_000_000
 
-#: Largest domain for the reduced (transpose-level) associativity scan.
-DEFAULT_REDUCED_LIMIT = 20_000_000
-
 #: Sample count for law checks whose exhaustive domain is out of reach.
 DEFAULT_SAMPLES = 20_000
 
@@ -362,11 +359,12 @@ class StateMonadCtx:
     ) -> LawCheck:
         """Check ``mult . T(mult) = mult . mult_T`` on ``TTTX``.
 
-        Covers the domain exhaustively when feasible.  When ``TTTX`` is too
-        large but ``S x TTX`` is not, checks the equivalent transposed
-        identity on ``S x TTX`` instead (exact: the exponential functor is
-        faithful for nonempty S, since it preserves constants).  Beyond
-        that, falls back to ``samples`` codes drawn with
+        One limit, :data:`DEFAULT_SCAN_LIMIT`, bounds every exact scan.
+        Covers ``TTTX`` exhaustively when it is within the limit.  Past it,
+        when ``S x TTX`` is within the limit, checks the equivalent
+        transposed identity on ``S x TTX`` instead (exact: the exponential
+        functor is faithful for nonempty S, since it preserves constants).
+        Beyond that, falls back to ``samples`` codes drawn with
         ``random.Random(seed).randrange``, evaluated ``SAMPLE_BATCH`` at a
         time by :meth:`_first_assoc_failure`; the witness is the first
         failing draw.
@@ -389,7 +387,7 @@ class StateMonadCtx:
             )
             return LawCheck("associativity", "full", tttx_size, witness is None, witness)
 
-        if s * ttx.size <= DEFAULT_REDUCED_LIMIT:
+        if s * ttx.size <= DEFAULT_SCAN_LIMIT:
             # Both flattening orders arise as ``(-)^S`` of maps
             # ``S x TTX -> S x X``; for nonempty S it suffices to compare
             # those, i.e. "evaluate twice" against "flatten, then evaluate"

@@ -299,6 +299,21 @@ class TestFree:
         assert code == 0
         assert payload["classes"] == 4 and payload["saturated"] is True
 
+    def test_four_states(self, capsys):
+        code, out, _ = run(capsys, "free", "--s", "4", "--vars", "1")
+        assert code == 0 and out.startswith("256 classes")
+
+    @pytest.mark.parametrize("s,nvars,depth", [
+        # 60**6 classes; at depth 1, 1000**2 lookups of variables and 2,000
+        # updates, just past the limit
+        ("6", "10", "2"), ("2", "1000", "1"),
+    ])
+    def test_past_the_class_limit_refused_at_once(self, s, nvars, depth):
+        proc = run_capped("free", "--s", s, "--vars", nvars, "--depth", depth)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "search ceiling exceeded" in proc.stderr
+        assert "exceeds 1000000" in proc.stderr
+
 
 class TestStdoutDigests:
     """Default stdout is byte-stable: sha256 of what each command printed

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monadlab._bulk import first_mismatch
+from monadlab.algebra import SearchCeilingExceeded
 from monadlab.equational import (
+    FreeClasses,
     Lookup,
     StateAlgebra,
+    Term,
     TermError,
     Update,
     Var,
@@ -21,12 +24,11 @@ from monadlab.equational import (
     parse_term,
     random_term,
     state_algebra_violation,
-    term_size,
     terms_equal,
     to_state_algebra,
     to_t_algebra,
 )
-from monadlab.finset import FinSet, Morphism
+from monadlab.finset import FinSet, FinSetError, Morphism
 from monadlab.monadicity import function_algebra
 from monadlab.statemonad import StateMonadCtx
 
@@ -138,13 +140,17 @@ class TestNormalForm:
         assert same == terms_equal(a, b, StateMonadCtx(s), nvars)
 
     @pytest.mark.parametrize(
-        "s,nvars,depth", [(2, 1, 3), (2, 2, 3), (2, 3, 3), (3, 1, 2)]
+        "s,nvars,depth",
+        [(2, 1, 3), (2, 2, 3), (2, 3, 3), (3, 1, 2),
+         # the closure refused these: 216, 729 and 256 classes
+         (3, 2, 3), (3, 2, 4), (3, 2, 5), (3, 3, 3), (4, 1, 4)],
     )
     def test_free_class_representatives_are_normal(self, s, nvars, depth):
-        # the closure in free_classes finds least terms without the readback
-        result = free_classes(StateMonadCtx(s), nvars, depth)
+        ctx = StateMonadCtx(s)
+        result = free_classes(ctx, nvars, depth)
         assert result.count == (s * nvars) ** s
-        for rep in result.representatives.values():
+        for code, rep in result.representatives.items():
+            assert denote(rep, ctx, nvars) == code
             assert normalize(rep, s) == rep
 
     def test_deep_term(self):
@@ -393,7 +399,99 @@ class TestTranslations:
         assert sa.updates[0].table == (0, 1, 2)
 
 
+# The reference free_classes must agree with: it closes the class set
+# under the constructors round by round, building each term from terms.
+
+#: Most lookup combinations one round of :func:`_closure_reference` may
+#: close over.
+FREE_COMBO_LIMIT = 10**6
+
+
+def term_size(t: Term) -> int:
+    if isinstance(t, Var):
+        return 1
+    if isinstance(t, Update):
+        return 1 + term_size(t.body)
+    return 1 + sum(term_size(b) for b in t.branches)  # type: ignore[union-attr]
+
+
+def _closure_reference(ctx: StateMonadCtx, nvars: int, depth: int) -> FreeClasses:
+    """Bucket all terms up to the given depth by free-model denotation.
+
+    Works on denotation classes rather than raw terms: the denotation is
+    compositional, so closing the class set under the two constructors
+    reaches exactly the classes of depth-bounded terms while keeping at most
+    ``(|S| * nvars) ** |S|`` buckets alive.  Representatives are minimal by
+    term size, then lexicographically.
+    """
+    if depth < 1:
+        raise FinSetError(f"depth must be at least 1, got {depth}")
+    s = ctx.state.size
+    v = FinSet(nvars)
+    base = s * nvars
+    pows = [base**i for i in range(s)]
+
+    def key(t: Term) -> tuple[int, str]:
+        return (term_size(t), format_term(t))
+
+    reps: dict[int, Term] = {}
+    for i in range(nvars):
+        code = ctx.unit_at(v, i)
+        t = Var(i)
+        if code not in reps or key(t) < key(reps[code]):
+            reps[code] = t
+
+    saturated = False
+    for _ in range(depth):
+        if len(reps) ** max(s, 1) > FREE_COMBO_LIMIT:
+            raise SearchCeilingExceeded(
+                f"lookup closure over {len(reps)} classes exceeds {FREE_COMBO_LIMIT}"
+            )
+        new: dict[int, Term] = {}
+
+        def offer(code: int, t: Term) -> None:
+            best = reps.get(code) or new.get(code)
+            if best is None or key(t) < key(best):
+                new[code] = t
+
+        items = sorted(reps.items(), key=lambda kv: key(kv[1]))
+        for code, t in items:
+            for s1 in range(s):
+                value = (code // pows[s1]) % base
+                offer(sum(value * p for p in pows), Update(s1, t))
+        for combo in product(items, repeat=s):
+            # digit i of the lookup's code is digit i of the i-th branch's
+            code = sum(c // p % base * p for (c, _), p in zip(combo, pows))
+            offer(code, Lookup(tuple(t for _, t in combo)))
+        fresh = set(new) - set(reps)
+        improved = any(
+            code in reps and key(t) < key(reps[code]) for code, t in new.items()
+        )
+        for code, t in new.items():
+            if code not in reps or key(t) < key(reps[code]):
+                reps[code] = t
+        if not fresh and not improved:
+            saturated = True
+            break
+    return FreeClasses(count=len(reps), representatives=dict(sorted(reps.items())), saturated=saturated)
+
+
+#: The cases of the grid below that the closure refuses: its third round
+#: would combine 216 or 729 classes in each lookup branch.
+CLOSURE_REFUSES = {(3, nvars, depth) for nvars in (2, 3) for depth in (3, 4, 5)}
+
+
 class TestFreeClasses:
+    @pytest.mark.parametrize(
+        "s,nvars,depth",
+        [c for c in product(range(4), range(4), range(1, 6)) if c not in CLOSURE_REFUSES],
+    )
+    def test_matches_the_closure(self, s, nvars, depth):
+        ctx = StateMonadCtx(s)
+        got, want = free_classes(ctx, nvars, depth), _closure_reference(ctx, nvars, depth)
+        assert (got.count, got.saturated) == (want.count, want.saturated)
+        assert list(got.representatives.items()) == list(want.representatives.items())
+
     def test_counts(self, ctx1, ctx2):
         assert free_classes(ctx2, 1, 3).count == 4
         assert free_classes(ctx2, 2, 4).count == 16
@@ -431,4 +529,5 @@ class TestHelpers:
         assert max_var(Lookup(())) == -1
 
     def test_term_size(self):
+        # the size the closure reference orders representatives by
         assert term_size(parse_term("l(u0(x0),x1)", 2)) == 4

@@ -488,6 +488,17 @@ class TestExpMap:
         reference = curry(compose(f, ev), ProductCodec(s, ExpCodec(f.dom, s).obj))
         assert exp_map(f, s).table == reference.table
 
+    def test_codes_past_int64(self):
+        # 33**3 codes, past the 32 that always run on Python ints; the
+        # codes reach 2**66, so the table is built on Python ints
+        s = FinSet(3)
+        f = Morphism(FinSet(33), FinSet(2**22), tuple(2**22 - 1 - 7 * i for i in range(33)))
+        dom, cod = ExpCodec(f.dom, s), ExpCodec(f.cod, s)
+        table = exp_map(f, s).table
+        assert max(table) > 2**63
+        for code, image in enumerate(table):
+            assert image == cod.encode([f.table[d] for d in dom.decode(code)])
+
     def test_import_does_not_load_numpy(self):
         import monadlab
 

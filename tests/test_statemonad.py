@@ -101,6 +101,12 @@ class TestMult:
         check = ctx3.associativity_check(FinSet(1))
         assert check.ok and check.mode == "reduced"
 
+    def test_associativity_reduced_within_the_scan_limit(self):
+        # |S x TTX| = 2 * 3,200**2 points, within the one scan limit that
+        # also bounds the full scan and mult_agreement
+        check = StateMonadCtx(2).associativity_check(FinSet(20))
+        assert check == LawCheck("associativity", "reduced", 20_480_000, True)
+
     @pytest.mark.parametrize("s", [1, 2])
     def test_mult_naturality(self, s):
         ctx = StateMonadCtx(s)
