@@ -437,13 +437,12 @@ class _ConstrainedSearch:
         self.m = ctx.t_obj(x).size
         self.work = 0
         self.solutions: list[tuple[int, ...]] = []
-        # U[c * xn + v] = u_c(v), None while unknown, read from TX code
-        # update_cells[c * xn + v]; assigned lists the cells set, for
-        # rollback, and owner maps each complete update vector to its element
+        # U[c * xn + v] = u_c(v), None while unknown; assigned lists the
+        # cells set, for rollback, and owner maps each complete update vector
+        # to its element
         self.u: list[int | None] = [None] * (s * xn)
         self.assigned: list[int] = []
         self.owner: dict[tuple, int] = {}
-        self.update_cells = update_codes(ctx, xn)
         # for each transposition t of the carrier, where ``(t.U)[j]`` reads
         # U: ``(t.U)[(c, v)] = t(U[(c, t(v))])``
         self._charge(xn * (xn - 1) // 2 * (s + 1) * xn)

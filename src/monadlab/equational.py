@@ -63,7 +63,7 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     index: int
 
@@ -72,7 +72,7 @@ class Var(Term):
             raise TermError(f"variable index must be non-negative, got {self.index}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Update(Term):
     state: int
     body: Term
@@ -82,7 +82,7 @@ class Update(Term):
             raise TermError(f"update subscript must be non-negative, got {self.state}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lookup(Term):
     branches: tuple[Term, ...]
 

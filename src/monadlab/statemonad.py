@@ -9,9 +9,7 @@ package needs: the graph map ``Z^S -> TZ``, evaluation at the chosen state
 Tables are built eagerly for objects of manageable size; the ``*_at``
 methods evaluate the same maps at a single point without materializing any
 table, which is what the unit law and the structural identities use on large
-objects.  The sampled associativity check evaluates its draws in batches on
-their digits, in int64 arrays where the digits fit one (numpy is imported
-only there).
+objects.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from ._bulk import _INT64_MAX, Side, first_mismatch
+from ._bulk import first_mismatch
 from .finset import (
     ExpCodec,
     FinSet,
@@ -43,19 +41,14 @@ DEFAULT_SCAN_LIMIT = 300_000_000
 #: Sample count for law checks whose exhaustive domain is out of reach.
 DEFAULT_SAMPLES = 20_000
 
-#: Draws the sampled check evaluates per batch.  A batch's Python ints and
-#: arrays then fit in memory the previous batch freed, so the check does not
-#: grow the process.
-SAMPLE_BATCH = 2048
-
 
 @dataclass(frozen=True)
 class LawCheck:
     """Outcome of one law check.
 
     ``mode`` records how the domain was covered: ``"full"`` is an exhaustive
-    scan, ``"reduced"`` is an exhaustive scan of a provably equivalent
-    smaller identity, ``"sampled"`` is a seeded random sample.  ``witness``
+    scan, ``"reduced"`` is decided exactly on a provably equivalent
+    identity, ``"sampled"`` is a seeded random sample.  ``witness``
     is a counterexample point when ``ok`` is false.
     """
 
@@ -332,23 +325,35 @@ class StateMonadCtx:
                 return t
         return None
 
-    def _mult_sides(self, x: FinSet) -> tuple[Side, Side]:
-        """Both multiplications on TTX as digit sums: the exponentiated
-        evaluation, and the run-outer-then-inner formula of :meth:`mult_at`."""
-        s = self.state.size
-        weights = self.digit_weights(s * x.size)
+    def _mult_witness(self, x: FinSet) -> int | None:
+        """The least ``TTX`` code where the two multiplications differ, or
+        None, read off their per-digit tables.
+
+        Both :meth:`mult` and :meth:`mult_at` send a ``TTX`` code with digits
+        ``d_i`` in ``S x TX`` to ``sum(table[d_i] * (|S| * |X|) ** i)``: the
+        first with ``table`` the evaluation of ``S x X``, the second with
+        :meth:`mult_digits`, ``|S| * |TX|`` entries each.  Every table value
+        is below ``|S| * |X|``, so both sums are numerals, and two numerals
+        are equal iff their digits are.  So a code fails iff one of its
+        digits is an index where the tables differ, and the least failing
+        code is the least such index d: digit 0 is d and every other digit
+        is 0.
+        """
         ev = evaluation(self.pair_obj(x), self.state).table
-        return ([ev] * s, weights, ()), ([self.mult_digits(x)] * s, weights, ())
+        digits = self.mult_digits(x)
+        return next((d for d, (a, b) in enumerate(zip(ev, digits)) if a != b), None)
 
     def mult_agreement(self, x: FinSet | int) -> LawCheck:
-        """Compare the two multiplication implementations over all of TTX."""
+        """Compare the two multiplication implementations over all of TTX,
+        decided on their per-digit tables by :meth:`_mult_witness`.  Refuses
+        when ``|TTX|`` is past :data:`DEFAULT_SCAN_LIMIT`."""
         x = x if isinstance(x, FinSet) else FinSet(x)
         ttx = self.t_obj(self.t_obj(x)).size
         if ttx > DEFAULT_SCAN_LIMIT:
             raise FinSetError(
                 f"TTX has {ttx} elements, above the scan limit {DEFAULT_SCAN_LIMIT}"
             )
-        witness = first_mismatch(*self._mult_sides(x))
+        witness = self._mult_witness(x)
         return LawCheck("mult_agreement", "full", ttx, witness is None, witness)
 
     def associativity_check(
@@ -359,16 +364,18 @@ class StateMonadCtx:
     ) -> LawCheck:
         """Check ``mult . T(mult) = mult . mult_T`` on ``TTTX``.
 
-        One limit, :data:`DEFAULT_SCAN_LIMIT`, bounds every exact scan.
-        Covers ``TTTX`` exhaustively when it is within the limit.  Past it,
-        when ``S x TTX`` is within the limit, checks the equivalent
-        transposed identity on ``S x TTX`` instead (exact: the exponential
+        Scans ``TTTX`` in full when it is within :data:`DEFAULT_SCAN_LIMIT`.
+        Past it, when ``|TTX|`` is within the limit, which is the guard of
+        :meth:`mult_agreement`, decides the equivalent transposed identity
+        on ``S x TTX`` exactly, by :meth:`_mult_witness` (the exponential
         functor is faithful for nonempty S, since it preserves constants).
-        Beyond that, falls back to ``samples`` codes drawn with
-        ``random.Random(seed).randrange``, evaluated ``SAMPLE_BATCH`` at a
-        time by :meth:`_first_assoc_failure`; the witness is the first
-        failing draw.
+        Beyond that, draws ``samples`` codes one at a time with
+        ``random.Random(seed).randrange``, evaluates each with
+        :meth:`mult_at`, and returns the first failing draw as the witness.
+        Refuses ``samples < 1``.
         """
+        if samples < 1:
+            raise FinSetError(f"samples must be at least 1, got {samples}")
         x = x if isinstance(x, FinSet) else FinSet(x)
         s = self.state.size
         tx = self.t_obj(x)
@@ -387,64 +394,33 @@ class StateMonadCtx:
             )
             return LawCheck("associativity", "full", tttx_size, witness is None, witness)
 
-        if s * ttx.size <= DEFAULT_SCAN_LIMIT:
+        if ttx.size <= DEFAULT_SCAN_LIMIT:
             # Both flattening orders arise as ``(-)^S`` of maps
             # ``S x TTX -> S x X``; for nonempty S it suffices to compare
             # those, i.e. "evaluate twice" against "flatten, then evaluate"
-            # at every digit of every TTX code, which is the digit-sum
-            # comparison of the two multiplications.
-            witness = first_mismatch(*self._mult_sides(x))
+            # at every digit of every TTX code, which is the comparison of
+            # the two multiplications.
+            witness = self._mult_witness(x)
             return LawCheck(
                 "associativity", "reduced", s * ttx.size, witness is None, witness
             )
 
+        # A draw's digit i in ``S x TTX`` is ``(c, t)``.  ``T(mult)`` sends it
+        # to the TTX code with digits ``(c, mult(t))``, ``mult_T`` to the one
+        # with digits ``d_c``, digit c of t in ``S x TX``.
+        mid = s * tx.size
+        outer = s * ttx.size
         rng = random.Random(seed)
-        for start in range(0, samples, SAMPLE_BATCH):
-            draws = [rng.randrange(tttx_size) for _ in range(min(SAMPLE_BATCH, samples - start))]
-            witness = self._first_assoc_failure(x, draws)
-            if witness is not None:
-                return LawCheck("associativity", "sampled", samples, False, witness)
+        for _ in range(samples):
+            w = rest = rng.randrange(tttx_size)
+            lhs = rhs = 0
+            p = 1
+            for _ in range(s):
+                rest, a = divmod(rest, outer)
+                c, t = divmod(a, ttx.size)
+                lhs += (c * tx.size + self.mult_at(x, t)) * p
+                rhs += (t // mid**c) % mid * p
+                p *= mid
+            if self.mult_at(x, lhs) != self.mult_at(x, rhs):
+                return LawCheck("associativity", "sampled", samples, False, w)
         return LawCheck("associativity", "sampled", samples, True)
-
-    def _first_assoc_failure(self, x: FinSet, draws: list[int]) -> int | None:
-        """The first of the ``TTTX`` codes ``draws`` where ``mult . T(mult)``
-        and ``mult . mult_T`` disagree, evaluated for all of them at once.
-
-        A code's digit i in ``S x TTX`` is ``(c_i, t_i)``; write ``d_ij`` for
-        digit j of ``t_i`` in ``S x TX``.  ``T(mult)`` sends the code to the
-        ``TTX`` code with digits ``(c_i, mult(t_i))``, ``mult_T`` to the one
-        with digits ``d_{i, c_i}``.  The draws are split into their digits in
-        ``S x TTX`` on Python ints; every later value is a digit in ``S x TX``
-        or a TX code, so it runs in int64 arrays whenever ``|S| * |TX|`` fits
-        one, and on Python ints in object arrays otherwise.
-        """
-        import numpy as np
-
-        s = self.state.size
-        tx = self.t_obj(x).size
-        mid = s * tx
-        ttx = mid**s
-        outer = s * ttx
-        rest = np.array(draws, dtype=object)
-        a = np.empty((len(draws), s), dtype=np.int64 if outer - 1 <= _INT64_MAX else object)
-        for i in range(s):
-            a[:, i] = rest % outer
-            rest //= outer
-        c = (a // ttx).astype(np.intp)
-        mid_pows = np.array([mid**j for j in range(s)], dtype=a.dtype)
-        d = (a % ttx)[:, :, None] // mid_pows % mid
-        d = d.astype(np.int64 if mid - 1 <= _INT64_MAX else object)
-        lhs = self._mult_rows(x, c.astype(d.dtype) * tx + self._mult_rows(x, d))
-        rhs = self._mult_rows(x, np.take_along_axis(d, c[:, :, None], axis=2)[:, :, 0])
-        bad = np.flatnonzero(lhs != rhs)
-        return draws[bad[0]] if bad.size else None
-
-    def _mult_rows(self, x: FinSet, rows):
-        """:meth:`mult_at` on an array: ``rows[..., i]`` is digit i in
-        ``S x TX`` of a ``TTX`` code, and the result holds the TX codes."""
-        import numpy as np
-
-        tx = self.t_obj(x).size
-        pair = self.state.size * x.size
-        pows = np.array([pair**i for i in range(self.state.size)], dtype=rows.dtype)
-        return (rows % tx // pows[(rows // tx).astype(np.intp)] % pair * pows).sum(axis=-1)

@@ -95,7 +95,7 @@ def test_criterion_02_monad_law_suite():
         x = FinSet(xn)
         ok &= ctx.unit_law_witness(x) is None
         assoc = ctx.associativity_check(x, seed=SEED)
-        ok &= assoc.ok
+        ok &= assoc.ok and assoc.mode in ("full", "reduced")
         agree = ctx.mult_agreement(x)
         ok &= agree.ok and agree.mode == "full"
         modes.append(f"({s},{xn}):{assoc.mode}")
@@ -105,7 +105,7 @@ def test_criterion_02_monad_law_suite():
         ok,
         "unit laws and both multiplications exhaustive on every pair; "
         f"associativity modes {', '.join(modes)} "
-        f"({len(sampled)} sampled, domain astronomically large)",
+        f"({len(sampled)} sampled; every mode must be full or reduced)",
     )
 
 

@@ -428,7 +428,7 @@ class TestEnumerate:
         assert len(search.run()) == 12
         leader = min(
             (a.structure.table for a in twelve),
-            key=lambda h: [h[t] for t in search.update_cells],
+            key=lambda h: [h[t] for t in update_codes(ctx2, 4)],
         )
         assert search.solutions == [leader]
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -82,6 +84,15 @@ class TestParse:
     def test_print_parse_identity_up_to_whitespace(self):
         text = "l(u0(l(x0,x1)),x1)"
         assert format_term(parse_term(text, 2)) == text
+
+    def test_terms_are_slotted_values(self):
+        t = parse_term("l(u0(l(x0,x1)),u1(x2))", 2)
+        nodes = [t, t.branches[0], t.branches[0].body, t.branches[1].body]
+        assert {type(n) for n in nodes} == {Lookup, Update, Var}
+        assert not any(hasattr(n, "__dict__") for n in nodes)
+        for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert copied == t and hash(copied) == hash(t)
+            assert format_term(copied) == format_term(t)
 
 
 class TestRewrite:

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from monadlab.finset import (
@@ -9,12 +8,14 @@ from monadlab.finset import (
     FinSetError,
     Morphism,
     compose,
+    evaluation,
     exp_map,
     hom,
     identity,
 )
 from monadlab import statemonad
-from monadlab.statemonad import DEFAULT_SAMPLES, SAMPLE_BATCH, LawCheck, StateMonadCtx
+from monadlab._bulk import first_mismatch
+from monadlab.statemonad import DEFAULT_SAMPLES, LawCheck, StateMonadCtx
 
 #: The seed criterion 02 in test_acceptance.py passes to the law checks.
 ACCEPTANCE_SEED = 20260810
@@ -106,6 +107,25 @@ class TestMult:
         # also bounds the full scan and mult_agreement
         check = StateMonadCtx(2).associativity_check(FinSet(20))
         assert check == LawCheck("associativity", "reduced", 20_480_000, True)
+
+    def test_associativity_reduced_at_three_states(self):
+        # |TTX| = 272,097,792 is within the scan limit, so the check is
+        # exact though |S x TTX| is past it
+        check = StateMonadCtx(3).associativity_check(FinSet(2))
+        assert check == LawCheck("associativity", "reduced", 816_293_376, True)
+
+    def test_largest_reduced_two_state_carrier(self):
+        # |TTX| = 286,557,184 at (2,46) and 312,299,584 at (2,47)
+        ctx = StateMonadCtx(2)
+        check = ctx.associativity_check(FinSet(46))
+        assert check == LawCheck("associativity", "reduced", 573_114_368, True)
+        check = ctx.associativity_check(FinSet(47), samples=200)
+        assert check == LawCheck("associativity", "sampled", 200, True)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_refused(self, samples):
+        with pytest.raises(FinSetError, match=f"samples must be at least 1, got {samples}"):
+            StateMonadCtx(3).associativity_check(FinSet(4), samples=samples)
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_mult_naturality(self, s):
@@ -247,7 +267,7 @@ def _flattened_codes(ctx, x, w):
 
 def _assoc_point(ctx, x, w):
     """Return ``w`` when the two flattening orders disagree there, evaluated
-    with ``mult_at`` on Python ints: the reference for the batched check."""
+    with ``mult_at`` on Python ints: the reference for the sampled check."""
     lhs_code, rhs_code = _flattened_codes(ctx, x, w)
     return None if ctx.mult_at(x, lhs_code) == ctx.mult_at(x, rhs_code) else w
 
@@ -267,32 +287,25 @@ def _reference(ctx, x, samples, seed):
 
 def _break_mult(monkeypatch, broken):
     """Make the multiplication flip the low bit of its value at the TTX codes
-    in ``broken``, both per point and in the batch."""
+    in ``broken``."""
     mult_at = StateMonadCtx.mult_at
-    mult_rows = StateMonadCtx._mult_rows
 
     def bad_at(self, x, w):
         v = mult_at(self, x, w)
         return v ^ 1 if w in broken else v
 
-    def bad_rows(self, x, rows):
-        out = mult_rows(self, x, rows)
-        mid = self.state.size * self.t_obj(x).size
-        codes = sum(rows[..., i].astype(object) * mid**i for i in range(rows.shape[-1]))
-        hit = np.vectorize(broken.__contains__, otypes=[bool])(codes)
-        return np.where(hit, out ^ 1, out)
-
     monkeypatch.setattr(StateMonadCtx, "mult_at", bad_at)
-    monkeypatch.setattr(StateMonadCtx, "_mult_rows", bad_rows)
 
 
 class TestSampledAssociativity:
-    """The batch returns the LawCheck of the per-draw reference loop."""
+    """The sampled check returns the LawCheck of the per-draw reference loop."""
 
+    # |TX| = 1,728 and |TTX| = 5,184**3, about 1.4 * 10**11: past the scan
+    # limit, so the check samples
     @pytest.mark.parametrize("seed", [0, ACCEPTANCE_SEED])
     def test_matches_reference_at_three_states(self, ctx3, seed):
-        got = ctx3.associativity_check(FinSet(2), seed=seed)
-        assert got == _reference(ctx3, FinSet(2), DEFAULT_SAMPLES, seed)
+        got = ctx3.associativity_check(FinSet(4), seed=seed)
+        assert got == _reference(ctx3, FinSet(4), DEFAULT_SAMPLES, seed)
         assert got.mode == "sampled" and got.checked == DEFAULT_SAMPLES and got.ok
 
     # (3,40): TTX codes pass 2^63, the S x TX digits do not.  (2,20000): the
@@ -306,16 +319,14 @@ class TestSampledAssociativity:
         assert got == _reference(ctx, FinSet(xn), samples, ACCEPTANCE_SEED)
         assert got.mode == "sampled" and got.ok
 
-    @pytest.mark.parametrize("batch", [SAMPLE_BATCH, 7])
     @pytest.mark.parametrize("xn,samples,picks", [
-        (2, 2000, (3, 7, 11)),
-        (2, 2000, (0,)),
-        (2, 2000, (1999,)),
+        (4, 2000, (3, 7, 11)),
+        (4, 2000, (0,)),
+        (4, 2000, (1999,)),
         (40, 300, (5, 250)),
         (10**6, 100, (2, 60)),
     ])
-    def test_witness_is_the_first_failing_draw(self, monkeypatch, batch, xn, samples, picks):
-        monkeypatch.setattr(statemonad, "SAMPLE_BATCH", batch)
+    def test_witness_is_the_first_failing_draw(self, monkeypatch, xn, samples, picks):
         ctx = StateMonadCtx(3)
         x = FinSet(xn)
         assert ctx.t_obj(x).size % 2 == 0  # a flipped low bit stays in TX
@@ -326,6 +337,43 @@ class TestSampledAssociativity:
         got = ctx.associativity_check(x, samples=samples, seed=1)
         assert got == LawCheck("associativity", "sampled", samples, False, failing[0])
         assert got == _reference(ctx, x, samples, seed=1)
+
+
+def _scan_reference(ctx, x):
+    """The least TTX code where the two multiplications differ, by a scan of
+    all of TTX: each side is a digit sum read through its per-digit table."""
+    s = ctx.state.size
+    weights = ctx.digit_weights(s * x.size)
+    ev = evaluation(ctx.pair_obj(x), ctx.state).table
+    return first_mismatch(([ev] * s, weights, ()), ([ctx.mult_digits(x)] * s, weights, ()))
+
+
+class TestMultWitness:
+    """The table comparison answers as the scan of TTX does."""
+
+    @pytest.mark.parametrize("s,xn", [(1, 3), (2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("changed", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_scan_on_perturbed_tables(self, monkeypatch, s, xn, changed, seed):
+        ctx = StateMonadCtx(s)
+        x = FinSet(xn)
+        digits = list(ctx.mult_digits(x))
+        rng = random.Random(seed)
+        for i in rng.sample(range(len(digits)), changed):
+            # another value below |S| * |X|, so the sums stay numerals
+            digits[i] = (digits[i] + rng.randrange(1, s * xn)) % (s * xn)
+        monkeypatch.setattr(StateMonadCtx, "mult_digits", lambda self, x: tuple(digits))
+        # the scan limit at |TTX|: mult_agreement still runs, and past one
+        # state associativity is decided by the reduced branch
+        ttx = ctx.t_obj(ctx.t_obj(x)).size
+        monkeypatch.setattr(statemonad, "DEFAULT_SCAN_LIMIT", ttx)
+        witness = _scan_reference(ctx, x)
+        assert witness is not None
+        agree = ctx.mult_agreement(x)
+        assert agree == LawCheck("mult_agreement", "full", ttx, False, witness)
+        if s > 1:
+            assoc = ctx.associativity_check(x)
+            assert assoc == LawCheck("associativity", "reduced", s * ttx, False, witness)
 
 
 class TestStructuralIdentities:
