@@ -36,9 +36,7 @@ from typing import Callable, Sequence
 
 from ._bulk import Side, first_mismatch, side_values, value_at
 from .finset import FinSet, FinSetError, Morphism, evaluation, exp_map, int_entries
-from .statemonad import StateMonadCtx
-
-DEFAULT_SEARCH_CEILING = 10**7
+from .statemonad import DEFAULT_SEARCH_CEILING, StateMonadCtx
 
 
 class SearchCeilingExceeded(RuntimeError):

@@ -155,6 +155,8 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return USAGE
+    if args.diagnose_empty:
+        raise FinSetError(f"--diagnose-empty applies only with --s 0, got --s {s}")
     report = verify_monadicity(s, args.max_x, seed=args.seed, ceiling=ceiling)
     print(report.to_json() if args.format == "json" else report.to_text())
     if args.out:

@@ -14,7 +14,6 @@ objects.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
@@ -38,18 +37,19 @@ from .finset import (
 #: Largest domain an exhaustive law scan will walk (chunked).
 DEFAULT_SCAN_LIMIT = 300_000_000
 
-#: Sample count for law checks whose exhaustive domain is out of reach.
-DEFAULT_SAMPLES = 20_000
+#: Default bound on search work (``algebra``, ``monadicity``), and the bound
+#: on the ``|S| * |TX|``-entry tables of the monad law checks.
+DEFAULT_SEARCH_CEILING = 10**7
 
 
 @dataclass(frozen=True)
 class LawCheck:
     """Outcome of one law check.
 
-    ``mode`` records how the domain was covered: ``"full"`` is an exhaustive
-    scan, ``"reduced"`` is decided exactly on a provably equivalent
-    identity, ``"sampled"`` is a seeded random sample.  ``witness``
-    is a counterexample point when ``ok`` is false.
+    ``mode`` records how the domain was covered, always exactly:
+    ``"full"`` is an exhaustive scan, ``"reduced"`` is decided on a provably
+    equivalent identity.  ``checked`` is the size of the domain covered.
+    ``witness`` is a counterexample point when ``ok`` is false.
     """
 
     law: str
@@ -312,10 +312,22 @@ class StateMonadCtx:
 
     # -- law checks --------------------------------------------------------------
 
-    def unit_law_witness(self, x: FinSet | int) -> int | None:
-        """First element violating ``mult . unit(TX) = id = mult . T(unit)``."""
-        x = x if isinstance(x, FinSet) else FinSet(x)
+    def _law_tx(self, x: FinSet) -> FinSet:
+        """TX, once the law checks' tables of ``|S| * |TX|`` entries are
+        known to be within :data:`DEFAULT_SEARCH_CEILING`; refuses past it."""
         tx = self.t_obj(x)
+        entries = self.state.size * tx.size
+        if entries > DEFAULT_SEARCH_CEILING:
+            raise FinSetError(
+                f"S x TX has {entries} elements, above the table bound {DEFAULT_SEARCH_CEILING}"
+            )
+        return tx
+
+    def unit_law_witness(self, x: FinSet | int) -> int | None:
+        """First element violating ``mult . unit(TX) = id = mult . T(unit)``.
+        Refuses past the table bound of :meth:`_law_tx`."""
+        x = x if isinstance(x, FinSet) else FinSet(x)
+        tx = self._law_tx(x)
         for t in range(tx.size):
             if self.mult_at(x, self.unit_at(tx, t)) != t:
                 return t
@@ -346,39 +358,25 @@ class StateMonadCtx:
     def mult_agreement(self, x: FinSet | int) -> LawCheck:
         """Compare the two multiplication implementations over all of TTX,
         decided on their per-digit tables by :meth:`_mult_witness`.  Refuses
-        when ``|TTX|`` is past :data:`DEFAULT_SCAN_LIMIT`."""
+        past the table bound of :meth:`_law_tx`."""
         x = x if isinstance(x, FinSet) else FinSet(x)
-        ttx = self.t_obj(self.t_obj(x)).size
-        if ttx > DEFAULT_SCAN_LIMIT:
-            raise FinSetError(
-                f"TTX has {ttx} elements, above the scan limit {DEFAULT_SCAN_LIMIT}"
-            )
+        ttx = self.t_obj(self._law_tx(x)).size
         witness = self._mult_witness(x)
         return LawCheck("mult_agreement", "full", ttx, witness is None, witness)
 
-    def associativity_check(
-        self,
-        x: FinSet | int,
-        samples: int = DEFAULT_SAMPLES,
-        seed: int = 0,
-    ) -> LawCheck:
-        """Check ``mult . T(mult) = mult . mult_T`` on ``TTTX``.
+    def associativity_check(self, x: FinSet | int, seed: int = 0) -> LawCheck:
+        """Check ``mult . T(mult) = mult . mult_T`` on ``TTTX``, exactly.
 
-        Scans ``TTTX`` in full when it is within :data:`DEFAULT_SCAN_LIMIT`.
-        Past it, when ``|TTX|`` is within the limit, which is the guard of
-        :meth:`mult_agreement`, decides the equivalent transposed identity
-        on ``S x TTX`` exactly, by :meth:`_mult_witness` (the exponential
-        functor is faithful for nonempty S, since it preserves constants).
-        Beyond that, draws ``samples`` codes one at a time with
-        ``random.Random(seed).randrange``, evaluates each with
-        :meth:`mult_at`, and returns the first failing draw as the witness.
-        Refuses ``samples < 1``.
+        Refuses past the table bound of :meth:`_law_tx`.  Scans ``TTTX`` in
+        full when it is within :data:`DEFAULT_SCAN_LIMIT`.  Past it, decides
+        the equivalent transposed identity on ``S x TTX`` by
+        :meth:`_mult_witness` (the exponential functor is faithful for
+        nonempty S, since it preserves constants).  Nothing is sampled:
+        ``seed`` is accepted for existing callers and has no effect.
         """
-        if samples < 1:
-            raise FinSetError(f"samples must be at least 1, got {samples}")
         x = x if isinstance(x, FinSet) else FinSet(x)
         s = self.state.size
-        tx = self.t_obj(x)
+        tx = self._law_tx(x)
         ttx = self.t_obj(tx)
         tttx_size = (s * ttx.size) ** s if s else 1
 
@@ -394,33 +392,10 @@ class StateMonadCtx:
             )
             return LawCheck("associativity", "full", tttx_size, witness is None, witness)
 
-        if ttx.size <= DEFAULT_SCAN_LIMIT:
-            # Both flattening orders arise as ``(-)^S`` of maps
-            # ``S x TTX -> S x X``; for nonempty S it suffices to compare
-            # those, i.e. "evaluate twice" against "flatten, then evaluate"
-            # at every digit of every TTX code, which is the comparison of
-            # the two multiplications.
-            witness = self._mult_witness(x)
-            return LawCheck(
-                "associativity", "reduced", s * ttx.size, witness is None, witness
-            )
-
-        # A draw's digit i in ``S x TTX`` is ``(c, t)``.  ``T(mult)`` sends it
-        # to the TTX code with digits ``(c, mult(t))``, ``mult_T`` to the one
-        # with digits ``d_c``, digit c of t in ``S x TX``.
-        mid = s * tx.size
-        outer = s * ttx.size
-        rng = random.Random(seed)
-        for _ in range(samples):
-            w = rest = rng.randrange(tttx_size)
-            lhs = rhs = 0
-            p = 1
-            for _ in range(s):
-                rest, a = divmod(rest, outer)
-                c, t = divmod(a, ttx.size)
-                lhs += (c * tx.size + self.mult_at(x, t)) * p
-                rhs += (t // mid**c) % mid * p
-                p *= mid
-            if self.mult_at(x, lhs) != self.mult_at(x, rhs):
-                return LawCheck("associativity", "sampled", samples, False, w)
-        return LawCheck("associativity", "sampled", samples, True)
+        # Both flattening orders arise as ``(-)^S`` of maps
+        # ``S x TTX -> S x X``; for nonempty S it suffices to compare
+        # those, i.e. "evaluate twice" against "flatten, then evaluate"
+        # at every digit of every TTX code, which is the comparison of
+        # the two multiplications.
+        witness = self._mult_witness(x)
+        return LawCheck("associativity", "reduced", s * ttx.size, witness is None, witness)

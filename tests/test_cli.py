@@ -212,6 +212,13 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "non-negative" in err
 
+    def test_diagnose_empty_refused_with_states(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--s", "2", "--max-x", "1", "--diagnose-empty"
+        )
+        assert code == 2 and out == ""
+        assert "--diagnose-empty applies only with --s 0, got --s 2" in err
+
     def test_report_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, _, _ = run(

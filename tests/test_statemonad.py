@@ -14,11 +14,8 @@ from monadlab.finset import (
     identity,
 )
 from monadlab import statemonad
-from monadlab._bulk import first_mismatch
-from monadlab.statemonad import DEFAULT_SAMPLES, LawCheck, StateMonadCtx
-
-#: The seed criterion 02 in test_acceptance.py passes to the law checks.
-ACCEPTANCE_SEED = 20260810
+from monadlab._bulk import value_at
+from monadlab.statemonad import LawCheck, StateMonadCtx
 
 
 class TestContext:
@@ -115,17 +112,22 @@ class TestMult:
         assert check == LawCheck("associativity", "reduced", 816_293_376, True)
 
     def test_largest_reduced_two_state_carrier(self):
-        # |TTX| = 286,557,184 at (2,46) and 312,299,584 at (2,47)
+        # |TTX| = 286,557,184 at (2,46) and 312,299,584 at (2,47): past the
+        # scan limit, (2,47) is still decided on tables of |S x TX| = 17,672
         ctx = StateMonadCtx(2)
         check = ctx.associativity_check(FinSet(46))
         assert check == LawCheck("associativity", "reduced", 573_114_368, True)
-        check = ctx.associativity_check(FinSet(47), samples=200)
-        assert check == LawCheck("associativity", "sampled", 200, True)
+        check = ctx.associativity_check(FinSet(47))
+        assert check == LawCheck("associativity", "reduced", 624_599_168, True)
 
-    @pytest.mark.parametrize("samples", [0, -5])
-    def test_no_samples_refused(self, samples):
-        with pytest.raises(FinSetError, match=f"samples must be at least 1, got {samples}"):
-            StateMonadCtx(3).associativity_check(FinSet(4), samples=samples)
+    @pytest.mark.parametrize("s,xn", [(4, 1), (3, 3), (3, 4)])
+    def test_associativity_reduced_past_the_scan_limit(self, s, xn):
+        ctx = StateMonadCtx(s)
+        ttx = ctx.t_obj(ctx.t_obj(FinSet(xn))).size
+        assert ttx > statemonad.DEFAULT_SCAN_LIMIT
+        check = ctx.associativity_check(FinSet(xn))
+        assert check == LawCheck("associativity", "reduced", s * ttx, True)
+        assert ctx.mult_agreement(FinSet(xn)) == LawCheck("mult_agreement", "full", ttx, True)
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_mult_naturality(self, s):
@@ -243,115 +245,24 @@ class TestChosenState:
                 ctx2.chosen_eval(FinSet(2), bad)
 
 
-def _flattened_codes(ctx, x, w):
-    """The TTX codes that ``T(mult)`` and ``mult_T`` send the TTTX code ``w``
-    to, one digit at a time on Python ints."""
-    tx = ctx.t_obj(x)
-    ttx = ctx.t_obj(tx)
-    s = ctx.state.size
-    outer = s * ttx.size
-    mid = s * tx.size
-    lhs_code = 0
-    rhs_code = 0
-    p = 1
-    rest = w
-    for _ in range(s):
-        a = rest % outer
-        rest //= outer
-        c, t = divmod(a, ttx.size)
-        lhs_code += (c * tx.size + ctx.mult_at(x, t)) * p
-        rhs_code += ((t // mid**c) % mid) * p
-        p *= mid
-    return lhs_code, rhs_code
-
-
-def _assoc_point(ctx, x, w):
-    """Return ``w`` when the two flattening orders disagree there, evaluated
-    with ``mult_at`` on Python ints: the reference for the sampled check."""
-    lhs_code, rhs_code = _flattened_codes(ctx, x, w)
-    return None if ctx.mult_at(x, lhs_code) == ctx.mult_at(x, rhs_code) else w
-
-
-def _draws(ctx, x, samples, seed):
-    tttx = (ctx.state.size * ctx.t_obj(ctx.t_obj(x)).size) ** ctx.state.size
-    rng = random.Random(seed)
-    return [rng.randrange(tttx) for _ in range(samples)]
-
-
-def _reference(ctx, x, samples, seed):
-    for w in _draws(ctx, x, samples, seed):
-        if _assoc_point(ctx, x, w) is not None:
-            return LawCheck("associativity", "sampled", samples, False, w)
-    return LawCheck("associativity", "sampled", samples, True)
-
-
-def _break_mult(monkeypatch, broken):
-    """Make the multiplication flip the low bit of its value at the TTX codes
-    in ``broken``."""
-    mult_at = StateMonadCtx.mult_at
-
-    def bad_at(self, x, w):
-        v = mult_at(self, x, w)
-        return v ^ 1 if w in broken else v
-
-    monkeypatch.setattr(StateMonadCtx, "mult_at", bad_at)
-
-
-class TestSampledAssociativity:
-    """The sampled check returns the LawCheck of the per-draw reference loop."""
-
-    # |TX| = 1,728 and |TTX| = 5,184**3, about 1.4 * 10**11: past the scan
-    # limit, so the check samples
-    @pytest.mark.parametrize("seed", [0, ACCEPTANCE_SEED])
-    def test_matches_reference_at_three_states(self, ctx3, seed):
-        got = ctx3.associativity_check(FinSet(4), seed=seed)
-        assert got == _reference(ctx3, FinSet(4), DEFAULT_SAMPLES, seed)
-        assert got.mode == "sampled" and got.checked == DEFAULT_SAMPLES and got.ok
-
-    # (3,40): TTX codes pass 2^63, the S x TX digits do not.  (2,20000): the
-    # S x TTX digits pass 2^63.  (3,10**6): the S x TX digits pass it too.
-    @pytest.mark.parametrize("s,xn,samples", [
-        (1, 10**9, 2000), (3, 40, 2000), (2, 20_000, 500), (3, 10**6, 200),
-    ])
-    def test_matches_reference_past_int64(self, s, xn, samples):
-        ctx = StateMonadCtx(s)
-        got = ctx.associativity_check(FinSet(xn), samples=samples, seed=ACCEPTANCE_SEED)
-        assert got == _reference(ctx, FinSet(xn), samples, ACCEPTANCE_SEED)
-        assert got.mode == "sampled" and got.ok
-
-    @pytest.mark.parametrize("xn,samples,picks", [
-        (4, 2000, (3, 7, 11)),
-        (4, 2000, (0,)),
-        (4, 2000, (1999,)),
-        (40, 300, (5, 250)),
-        (10**6, 100, (2, 60)),
-    ])
-    def test_witness_is_the_first_failing_draw(self, monkeypatch, xn, samples, picks):
-        ctx = StateMonadCtx(3)
-        x = FinSet(xn)
-        assert ctx.t_obj(x).size % 2 == 0  # a flipped low bit stays in TX
-        draws = _draws(ctx, x, samples, seed=1)
-        _break_mult(monkeypatch, {_flattened_codes(ctx, x, draws[k])[1] for k in picks})
-        failing = [w for w in draws if _assoc_point(ctx, x, w) is not None]
-        assert failing[0] == draws[picks[0]] and len(failing) >= len(picks)
-        got = ctx.associativity_check(x, samples=samples, seed=1)
-        assert got == LawCheck("associativity", "sampled", samples, False, failing[0])
-        assert got == _reference(ctx, x, samples, seed=1)
-
-
 def _scan_reference(ctx, x):
-    """The least TTX code where the two multiplications differ, by a scan of
-    all of TTX: each side is a digit sum read through its per-digit table."""
+    """The least TTX code where the two multiplications differ, by a lazy
+    in-order scan of TTX that evaluates each side at one code at a time: a
+    digit sum read through its per-digit table.  When the tables differ it
+    stops within the first ``|S| * |TX|`` codes."""
     s = ctx.state.size
     weights = ctx.digit_weights(s * x.size)
     ev = evaluation(ctx.pair_obj(x), ctx.state).table
-    return first_mismatch(([ev] * s, weights, ()), ([ctx.mult_digits(x)] * s, weights, ()))
+    lhs = ([ev] * s, weights, ())
+    rhs = ([ctx.mult_digits(x)] * s, weights, ())
+    ttx = ctx.t_obj(ctx.t_obj(x)).size
+    return next((w for w in range(ttx) if value_at(lhs, w) != value_at(rhs, w)), None)
 
 
 class TestMultWitness:
     """The table comparison answers as the scan of TTX does."""
 
-    @pytest.mark.parametrize("s,xn", [(1, 3), (2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("s,xn", [(1, 3), (2, 1), (2, 2), (3, 1), (4, 1), (3, 3)])
     @pytest.mark.parametrize("changed", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_scan_on_perturbed_tables(self, monkeypatch, s, xn, changed, seed):
@@ -363,17 +274,59 @@ class TestMultWitness:
             # another value below |S| * |X|, so the sums stay numerals
             digits[i] = (digits[i] + rng.randrange(1, s * xn)) % (s * xn)
         monkeypatch.setattr(StateMonadCtx, "mult_digits", lambda self, x: tuple(digits))
-        # the scan limit at |TTX|: mult_agreement still runs, and past one
-        # state associativity is decided by the reduced branch
         ttx = ctx.t_obj(ctx.t_obj(x)).size
-        monkeypatch.setattr(statemonad, "DEFAULT_SCAN_LIMIT", ttx)
+        if (s * ttx) ** s <= statemonad.DEFAULT_SCAN_LIMIT:
+            # the full scan of TTTX reads mult_digits(TX), which the patch
+            # replaces; a zero scan limit sends these small pairs to the
+            # reduced branch, which (4,1) and (3,3) reach unpatched
+            monkeypatch.setattr(statemonad, "DEFAULT_SCAN_LIMIT", 0)
         witness = _scan_reference(ctx, x)
-        assert witness is not None
+        assert witness is not None and witness < s * ctx.t_obj(x).size
         agree = ctx.mult_agreement(x)
         assert agree == LawCheck("mult_agreement", "full", ttx, False, witness)
-        if s > 1:
-            assoc = ctx.associativity_check(x)
-            assert assoc == LawCheck("associativity", "reduced", s * ttx, False, witness)
+        assoc = ctx.associativity_check(x)
+        assert assoc == LawCheck("associativity", "reduced", s * ttx, False, witness)
+
+
+#: Every pair with at most four states and a carrier of at most four, and
+#: the two-state carriers 20..60: |TTX| passes the scan limit from (2,47).
+_SWEEP = [(s, xn) for s in range(5) for xn in range(5)] + [(2, xn) for xn in range(20, 61)]
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("built or evaluated before the table bound refused")
+
+
+class TestExactLawChecks:
+    """Every law check answers exactly, or refuses before building a table."""
+
+    @pytest.mark.parametrize("s", range(5))
+    def test_every_mode_is_exact(self, s):
+        for xn in (xn for t, xn in _SWEEP if t == s):
+            ctx = StateMonadCtx(s)
+            for check in (ctx.mult_agreement(xn), ctx.associativity_check(xn)):
+                assert check.ok and check.mode in ("full", "reduced"), (s, xn, check)
+
+    @pytest.mark.parametrize("s,xn", [(3, 10**6), (1, 10**7 + 1)])
+    def test_refused_past_the_table_bound(self, monkeypatch, s, xn):
+        for name in ("mult_at", "mult_digits", "mult", "unit", "t_map"):
+            monkeypatch.setattr(StateMonadCtx, name, _unreachable)
+        monkeypatch.setattr(statemonad, "evaluation", _unreachable)
+        ctx = StateMonadCtx(s)
+        for check in (ctx.unit_law_witness, ctx.mult_agreement, ctx.associativity_check):
+            with pytest.raises(FinSetError, match="above the table bound 10000000"):
+                check(FinSet(xn))
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        # |S x TX| = 2 * 16 = 32 at (2,2)
+        ctx = StateMonadCtx(2)
+        monkeypatch.setattr(statemonad, "DEFAULT_SEARCH_CEILING", 32)
+        assert ctx.unit_law_witness(2) is None
+        assert ctx.mult_agreement(2).ok and ctx.associativity_check(2).ok
+        monkeypatch.setattr(statemonad, "DEFAULT_SEARCH_CEILING", 31)
+        for check in (ctx.unit_law_witness, ctx.mult_agreement, ctx.associativity_check):
+            with pytest.raises(FinSetError, match="S x TX has 32 elements"):
+                check(2)
 
 
 class TestStructuralIdentities:
