@@ -91,12 +91,19 @@ class Lookup(Term):
 
 
 def max_var(t: Term) -> int:
-    """Largest variable index in the term, or -1 when there is none."""
-    if isinstance(t, Var):
-        return t.index
-    if isinstance(t, Update):
-        return max_var(t.body)
-    return max((max_var(b) for b in t.branches), default=-1)  # type: ignore[union-attr]
+    """Largest variable index in the term, or -1 when there is none.  Not
+    recursive: an explicit stack holds the subterms still to visit."""
+    top = -1
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            top = max(top, u.index)
+        elif isinstance(u, Update):
+            stack.append(u.body)
+        else:
+            stack.extend(u.branches)  # type: ignore[attr-defined]
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +111,30 @@ def max_var(t: Term) -> int:
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return f"x{t.index}"
-    if isinstance(t, Update):
-        return f"u{t.state}({format_term(t.body)})"
-    if isinstance(t, Lookup):
-        return f"l({','.join(format_term(b) for b in t.branches)})"
-    raise TermError(f"not a term: {t!r}")
+    """The concrete syntax that :func:`parse_term` reads.  Not recursive: an
+    explicit stack holds, in print order reversed, the subterms still to
+    print (``True, term``) and the text that closes them (``False, text``)."""
+    out = []
+    stack: list[tuple[bool, object]] = [(True, t)]
+    while stack:
+        is_term, u = stack.pop()
+        if not is_term:
+            out.append(u)
+        elif isinstance(u, Var):
+            out.append(f"x{u.index}")
+        elif isinstance(u, Update):
+            out.append(f"u{u.state}(")
+            stack += ((False, ")"), (True, u.body))
+        elif isinstance(u, Lookup):
+            out.append("l(")
+            stack.append((False, ")"))
+            for i in range(len(u.branches) - 1, -1, -1):
+                stack.append((True, u.branches[i]))
+                if i:
+                    stack.append((False, ","))
+        else:
+            raise TermError(f"not a term: {u!r}")
+    return "".join(out)  # type: ignore[arg-type]
 
 
 def parse_term(text: str, s_size: int) -> Term:
@@ -134,9 +158,11 @@ def parse_term(text: str, s_size: int) -> Term:
         pos += 1
 
     def number() -> int:
+        # ASCII digits only, as format_term prints: str.isdigit() also
+        # accepts superscripts, which int() refuses
         nonlocal pos
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and "0" <= text[pos] <= "9":
             pos += 1
         if pos == start:
             raise TermError("expected a number", start)

@@ -15,7 +15,6 @@ import json
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import product as _iproduct
-from operator import mul
 from typing import Iterator, Sequence
 
 from ._bulk import digit_codes
@@ -77,6 +76,12 @@ def _as_finset(x: FinSet | int) -> FinSet:
     return x if isinstance(x, FinSet) else FinSet(x)
 
 
+def _finset(n: int) -> FinSet:
+    """``FinSet(n)`` for a size computed here: the interned one if it exists."""
+    got = _FINSETS.get(n)
+    return FinSet(n) if got is None else got
+
+
 class Morphism:
     """A total map between finite sets, stored as a dense lookup table.
 
@@ -91,6 +96,13 @@ class Morphism:
     table into ``cod``; ``pairing``, ``product_map``, ``curry`` and
     ``exp_map`` encode digits below their radices; ``uncurry`` (and so
     ``evaluation``) takes ``v // p % |cod|``; ``factorize`` numbers its image.
+
+    Instances are frozen, so filling a slot means calling the slot's own
+    setter, which costs a method-wrapper call per slot.  ``_made`` instead
+    assigns the slots of ``_Unfrozen``, a twin with the same slots and no
+    ``__setattr__``, and then sets its ``__class__`` to ``Morphism``: the
+    result is a frozen ``Morphism`` like any other, built in about half the
+    time.  The adjunction sweeps build hundreds of thousands of them.
     """
 
     __slots__ = ("dom", "cod", "table")
@@ -146,12 +158,19 @@ _set_cod = Morphism.cod.__set__
 _set_table = Morphism.table.__set__
 
 
+class _Unfrozen:
+    """``Morphism``'s slots without its frozen ``__setattr__`` (see Morphism)."""
+
+    __slots__ = Morphism.__slots__
+
+
 def _made(dom: FinSet, cod: FinSet, table: tuple[int, ...]) -> Morphism:
     """A morphism whose table is in range by construction (see Morphism)."""
-    f = object.__new__(Morphism)
-    _set_dom(f, dom)
-    _set_cod(f, cod)
-    _set_table(f, table)
+    f = _Unfrozen()
+    f.dom = dom
+    f.cod = cod
+    f.table = table
+    f.__class__ = Morphism
     return f
 
 
@@ -162,7 +181,7 @@ def identity(x: FinSet | int) -> Morphism:
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
     """Classical composition ``g after f``."""
-    if f.cod != g.dom:
+    if f.cod is not g.dom:
         raise FinSetError(
             f"cannot compose: codomain {f.cod.size} != domain {g.dom.size}"
         )
@@ -259,18 +278,18 @@ class ExpCodec:
 
 def pairing(f: Morphism, g: Morphism) -> Morphism:
     """The map ``z -> (f(z), g(z))`` into the product of the codomains."""
-    if f.dom != g.dom:
+    if f.dom is not g.dom:
         raise FinSetError("pairing requires a common domain")
     n = g.cod.size
     table = tuple([a * n + b for a, b in zip(f.table, g.table)])
-    return _made(f.dom, FinSet(f.cod.size * n), table)
+    return _made(f.dom, _finset(f.cod.size * n), table)
 
 
 def product_map(f: Morphism, g: Morphism) -> Morphism:
     """The map ``f x g`` acting coordinatewise on pair codes."""
     gt, m = g.table, g.cod.size
     table = tuple([a * m + b for a in f.table for b in gt])
-    return _made(FinSet(f.dom.size * len(gt)), FinSet(f.cod.size * m), table)
+    return _made(_finset(f.dom.size * len(gt)), _finset(f.cod.size * m), table)
 
 
 def curry(f: Morphism, codec: ProductCodec) -> Morphism:
@@ -278,7 +297,7 @@ def curry(f: Morphism, codec: ProductCodec) -> Morphism:
 
     ``curry(f)(x)`` encodes the function ``s -> f(encode(s, x))``.
     """
-    if codec.obj != f.dom:
+    if codec.obj is not f.dom:
         raise FinSetError(
             f"codec object size {codec.obj.size} != morphism domain {f.dom.size}"
         )
@@ -286,22 +305,25 @@ def curry(f: Morphism, codec: ProductCodec) -> Morphism:
     x_size = codec.right.size
     y = f.cod.size
     ft = f.table
-    # column v is ``f(s, v)`` for s = 0, 1, ...: the digits of its code
-    pows = [y**s for s in range(s_size)]
-    table = tuple([sum(map(mul, ft[v::x_size], pows)) for v in range(x_size)])
-    return _made(codec.right, FinSet(y**s_size), table)
+    # Horner's rule over the rows: row s is ``f(s, v)`` for every v, digit s
+    # of every code, so start from the top row and fold the lower ones in
+    codes = ft[len(ft) - x_size:] if s_size else (0,) * x_size
+    for s in range(s_size - 2, -1, -1):
+        row = s * x_size
+        codes = [c * y + d for c, d in zip(codes, ft[row:row + x_size])]
+    return _made(codec.right, _finset(y**s_size), tuple(codes))
 
 
 def uncurry(g: Morphism, codec: ExpCodec) -> Morphism:
     """Transpose ``g: X -> Y^S`` back to ``S x X -> Y``; inverse of curry."""
-    if codec.obj != g.cod:
+    if codec.obj is not g.cod:
         raise FinSetError(
             f"codec object size {codec.obj.size} != morphism codomain {g.cod.size}"
         )
     y = codec.base.size
     gt = g.table
     table = tuple([v // p % y for p in codec._pows for v in gt])
-    return _made(FinSet(len(table)), codec.base, table)
+    return _made(_finset(len(table)), codec.base, table)
 
 
 def evaluation(x: FinSet | int, s: FinSet | int) -> Morphism:
@@ -316,7 +338,7 @@ def exp_map(f: Morphism, s: FinSet | int) -> Morphism:
     n = _as_finset(s).size
     z = f.cod.size
     table = digit_codes([f.table] * n, [z**i for i in range(n)])
-    return _made(FinSet(f.dom.size**n), FinSet(z**n), table)
+    return _made(_finset(f.dom.size**n), _finset(z**n), table)
 
 
 @dataclass(frozen=True)
@@ -351,7 +373,7 @@ def factorize(f: Morphism) -> Factorization:
             seen[v] = j
             mono_table.append(v)
         epi_table.append(j)
-    image = FinSet(len(mono_table))
+    image = _finset(len(mono_table))
     return Factorization(
         source=f,
         epi=_made(f.dom, image, tuple(epi_table)),

@@ -252,6 +252,14 @@ class TestEqual:
         code, _, _ = run(capsys, "equal", "--s", "2", "--vars", "3", "x0", "x0")
         assert code == 0
 
+    @pytest.mark.parametrize("term", ["u\u00b2(x0)", "x\uff10"])
+    def test_non_ascii_digit_is_a_usage_error(self, capsys, term):
+        # a superscript two used to escape as a ValueError traceback with
+        # exit 1, which reads as "different"
+        code, out, err = run(capsys, "equal", "--s", "2", term, "x0")
+        assert code == 2 and out == ""
+        assert "expected a number (at position 1)" in err
+
 
 class TestRewrite:
     def test_normal_form(self, capsys):
@@ -264,6 +272,11 @@ class TestRewrite:
         )
         payload = json.loads(out)
         assert code == 0 and payload["normal"] == "u1(x0)"
+
+    def test_non_ascii_digit_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "rewrite", "--s", "2", "x\u00b2")
+        assert code == 2 and out == ""
+        assert "expected a number (at position 1)" in err
 
     def test_step_ceiling(self):
         # normal forms are read back, not rewritten: there is no step

@@ -77,6 +77,23 @@ class TestParse:
         with pytest.raises(TermError):
             parse_term("y0", 2)
 
+    @pytest.mark.parametrize("text,position", [
+        ("x\u00b2", 1),            # superscript two: isdigit() but not int()
+        ("u\u00b2(x0)", 1),
+        ("l(x0,x\u00b9)", 6),      # superscript one
+        ("x\uff10", 1),            # fullwidth zero: int() reads it as 0
+        ("u\u0661(x0)", 1),        # Arabic-Indic one
+    ])
+    def test_only_ascii_digits(self, text, position):
+        with pytest.raises(TermError, match="expected a number") as exc:
+            parse_term(text, 2)
+        assert exc.value.position == position
+
+    def test_non_ascii_digit_after_a_number_is_trailing(self):
+        with pytest.raises(TermError, match="trailing input") as exc:
+            parse_term("x0\u00b2", 2)
+        assert exc.value.position == 2
+
     @given(terms())
     def test_roundtrip(self, t):
         assert parse_term(format_term(t), 2) == t
@@ -538,6 +555,27 @@ class TestHelpers:
     def test_max_var(self):
         assert max_var(parse_term("l(u0(x3),x1)", 2)) == 3
         assert max_var(Lookup(())) == -1
+
+    def test_deep_term_printed_and_scanned(self):
+        # 100,000 nested nodes, built without recursion: layer k is
+        # l(u1(<layer k-1>),x<k>) around x0
+        layers = 50_000
+        t = Var(0)
+        for k in range(1, layers + 1):
+            t = Lookup((Update(1, t), Var(k)))
+        expected = (
+            "l(u1(" * layers
+            + "x0"
+            + "".join(f"),x{k})" for k in range(1, layers + 1))
+        )
+        assert format_term(t) == expected
+        assert max_var(t) == layers
+        assert max_var(Update(0, t)) == layers
+
+    def test_format_term_rejects_a_non_term(self):
+        for bad in (Update(0, ")"), Lookup((Var(0), "x1")), 3):
+            with pytest.raises(TermError, match="not a term"):
+                format_term(bad)
 
     def test_term_size(self):
         # the size the closure reference orders representatives by

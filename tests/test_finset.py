@@ -242,11 +242,37 @@ class TestTablesAgainstLoops:
                 assert got.cod == FinSet(f.cod.size * m)
 
 
+#: morphisms whose pickle and deepcopy round trips ``_rechecked`` has made
+_ROUND_TRIPPED: set[Morphism] = set()
+
+
 def _rechecked(f):
     """``f``, after asserting that the validating constructor accepts its
-    table and rebuilds an equal morphism."""
+    table and rebuilds an equal morphism, and that ``f`` cannot be told
+    apart from that rebuilt one: a frozen, slotted ``Morphism`` that hashes
+    alike and survives pickle and deepcopy with interned FinSets."""
     assert type(f.table) is tuple
-    assert Morphism(f.dom, f.cod, f.table) == f
+    checked = Morphism(f.dom, f.cod, f.table)
+    assert checked == f and hash(checked) == hash(f)
+    assert type(f) is Morphism and not hasattr(f, "__dict__")
+    # try/except, not pytest.raises: this runs over 150,000 times a session
+    try:
+        f.table = checked.table
+        raise AssertionError("a field was assigned")
+    except FrozenInstanceError:
+        pass
+    try:
+        del f.dom
+        raise AssertionError("a field was deleted")
+    except FrozenInstanceError:
+        pass
+    # a slotted Morphism copies as a function of its three slots, so one
+    # round trip per value covers every equal result
+    if f not in _ROUND_TRIPPED:
+        for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert type(copied) is Morphism and copied == f
+            assert copied.dom is f.dom and copied.cod is f.cod
+        _ROUND_TRIPPED.add(f)
     return f
 
 
