@@ -13,8 +13,7 @@ costs.  The codes of a side range over the radices ``len(digits[i])``.
 from columns is one: ``finset.exp_map`` (:func:`digit_codes`),
 ``algebra.fold_table``, the lookups of ``algebra.read_presentation`` and of
 the constrained search's leaves, the relabelings ``T(t)`` of its orbit
-closure, ``monadicity.compare_inverse`` and the lookup of
-``equational.canonical_algebra``.
+closure and the lookup of ``equational.canonical_algebra``.
 
 The scan evaluates the first points, and all of a tiny domain, on Python
 ints, so a quick rejection pays for no arrays.  Past that it broadcasts the
@@ -76,34 +75,36 @@ def side_values(side: Side) -> list[int]:
 def digit_codes(digits: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[int, ...]:
     """``sum(digits[i][d_i] * weights[i])`` for every code, in code order."""
     side = (digits, weights, ())
-    if prod(map(len, digits)) > _INT_POINTS and _fits_int64(side):
+    if prod(map(len, digits)) > _INT_POINTS and _fits_int64(digits, weights):
         return tuple(_Arrays(side).block(len(digits)).tolist())
     return tuple(side_values(side))
 
 
 def first_mismatch(left: Side, right: Side) -> int | None:
-    """The least code where the two sides differ, or None."""
+    """The least code where the two sides differ, or None.
+
+    Each side must read its digit sums through at least one lookup, so
+    that every sum indexes a list and fits the array scan's int64; so must
+    the lookups' entries.
+    """
+    if not (left[2] and right[2]):
+        raise ValueError("first_mismatch needs a lookup on each side")
     if prod(map(len, left[0])) <= _INT_POINTS:
         lv, rv = side_values(left), side_values(right)
         return None if lv == rv else _first_difference(lv, rv)
     arrays = None
     for start, j, lo, hi, high in _chunks([len(t) for t in left[0]]):
-        if start >= _INT_POINTS and arrays is None:
-            arrays = (
-                _fits_int64(left)
-                and _fits_int64(right)
-                and (_Arrays(left), _Arrays(right))
-            )
-        if arrays:
-            lv = arrays[0].chunk(j, lo, hi, high)
-            bad = (lv != arrays[1].chunk(j, lo, hi, high)).nonzero()[0]
-            if bad.size:
-                return start + int(bad[0])
+        if start < _INT_POINTS:
+            lv = _int_chunk(left, j, lo, hi, high)
+            rv = _int_chunk(right, j, lo, hi, high)
+            if lv != rv:
+                return start + _first_difference(lv, rv)
             continue
-        lv = _int_chunk(left, j, lo, hi, high)
-        rv = _int_chunk(right, j, lo, hi, high)
-        if lv != rv:
-            return start + _first_difference(lv, rv)
+        arrays = arrays or (_Arrays(left), _Arrays(right))
+        lv = arrays[0].chunk(j, lo, hi, high)
+        bad = (lv != arrays[1].chunk(j, lo, hi, high)).nonzero()[0]
+        if bad.size:
+            return start + int(bad[0])
     return None
 
 
@@ -185,13 +186,9 @@ def _int_chunk(side: Side, j: int, lo: int, hi: int, high: tuple[int, ...]) -> l
     return codes
 
 
-def _fits_int64(side: Side) -> bool:
-    """Whether every digit sum and looked-up value fits an int64."""
-    digits, weights, lookups = side
-    bound = sum(max(t) * w for t, w in zip(digits, weights) if len(t))
-    return bound <= _INT64_MAX and all(
-        max(look, default=0) <= _INT64_MAX for look in lookups
-    )
+def _fits_int64(digits: Sequence[Sequence[int]], weights: Sequence[int]) -> bool:
+    """Whether every digit sum fits an int64."""
+    return sum(max(t) * w for t, w in zip(digits, weights) if len(t)) <= _INT64_MAX
 
 
 class _Arrays:

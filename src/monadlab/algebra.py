@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product
 from operator import mul
 from typing import Callable, Sequence
@@ -56,7 +57,11 @@ class TAlgebra:
 
     ``checked`` records how the laws were verified: ``"presentation"`` when
     :func:`check_algebra` decided them, ``"none"`` for a structure built
-    without validation.
+    without validation.  ``updates[c * |X| + v] = u_c(v)`` and ``lookup``,
+    on the codes of ``X^S``, are the presentation the structure interprets
+    (:func:`read_presentation`): ``check_algebra`` keeps the pair it read,
+    and any other algebra reads it on first use.  It is cached, not a
+    field, so ``dataclasses.replace`` never carries it to another structure.
     """
 
     ctx: StateMonadCtx
@@ -64,8 +69,12 @@ class TAlgebra:
     structure: Morphism
     checked: str = "none"
 
-    def key(self) -> tuple:
-        return (self.ctx.state.size, self.carrier.size, self.structure.table)
+    @cached_property
+    def _presentation(self) -> tuple[list[int], list[int]]:
+        return read_presentation(self.ctx, self.carrier.size, self.structure.table)
+
+    updates = property(lambda self: self._presentation[0])
+    lookup = property(lambda self: self._presentation[1])
 
     def __repr__(self) -> str:
         return (
@@ -121,8 +130,13 @@ def check_algebra(
         if image != v:
             return AlgebraViolation("unit", v, image, v)
 
-    violation = _presentation_violation(ctx, carrier.size, h)
-    return violation or TAlgebra(ctx, carrier, structure, checked="presentation")
+    presentation = read_presentation(ctx, carrier.size, h)
+    violation = _presentation_violation(ctx, carrier.size, h, *presentation)
+    if violation is not None:
+        return violation
+    alg = TAlgebra(ctx, carrier, structure, checked="presentation")
+    alg._presentation = presentation  # seeds the cached property
+    return alg
 
 
 def _assoc_sides(ctx: StateMonadCtx, x: FinSet, h) -> tuple[Side, Side]:
@@ -182,9 +196,10 @@ def read_presentation(ctx: StateMonadCtx, xn: int, h) -> tuple[list[int], list[i
     return [h[t] for t in update_codes(ctx, xn)], lookup
 
 
-def _presentation_violation(ctx: StateMonadCtx, xn: int, h) -> AlgebraViolation | None:
+def _presentation_violation(ctx, xn: int, h, updates, look) -> AlgebraViolation | None:
     """Decide the algebra laws for h exactly, without scanning TTX: an
-    associativity violation, or None when h is an algebra.
+    associativity violation, or None when h is an algebra.  ``updates`` and
+    ``look`` are what :func:`read_presentation` reads off h.
 
     Plotkin and Power (FoSSaCS 2002) present ``T = (S x -)^S`` by lookup
     and updates subject to equations 1 to 3 of :func:`_equation_violation`
@@ -204,7 +219,6 @@ def _presentation_violation(ctx: StateMonadCtx, xn: int, h) -> AlgebraViolation 
     s = ctx.state.size
     weights = ctx.digit_weights(s * xn)
     ones = sum(weights)
-    updates, look = read_presentation(ctx, xn, h)
     found = _equation_violation(xn, [updates[c * xn:(c + 1) * xn] for c in range(s)], look)
     if found is None:
         fold = ([updates] * s, ctx.digit_weights(xn), (look,))
@@ -259,13 +273,11 @@ def morphism_witness(u: Morphism, source: TAlgebra, target: TAlgebra) -> int | N
         raise FinSetError("algebra morphism requires a common state object")
     if u.dom.size != xn or u.cod.size != x2n:
         raise FinSetError(f"map must be {xn} -> {x2n}, got {u.dom.size} -> {u.cod.size}")
-    h, ut = source.structure.table, u.table
-    h2 = target.structure.table
-    cells2 = update_codes(ctx, x2n)
-    for j, t in enumerate(update_codes(ctx, xn)):
+    ut, ups2 = u.table, target.updates
+    for j, a in enumerate(source.updates):
         c, v = divmod(j, xn)
-        if ut[h[t]] != h2[cells2[c * x2n + ut[v]]]:
-            return t
+        if ut[a] != ups2[c * x2n + ut[v]]:
+            return update_codes(ctx, xn)[j]
     return None
 
 

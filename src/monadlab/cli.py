@@ -3,9 +3,9 @@
 Exit codes follow a CI-friendly contract: 0 for success (verification
 passed, terms equal), 1 for a semantic failure (verification failed, terms
 differ), 2 for usage or resource errors (bad arguments, parse errors,
-search ceilings, terms nested too deeply).  The MONADLAB_CEILING
-environment variable overrides the default ceiling of ``algebras`` and
-``verify``; all output is deterministic given the flags.
+search ceilings, terms nested too deeply, an unwritable ``--out``).  The
+MONADLAB_CEILING environment variable overrides the default ceiling of
+``algebras`` and ``verify``; all output is deterministic given the flags.
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ def _ceiling(args: argparse.Namespace) -> int:
     if ceiling <= 0:
         raise FinSetError(f"ceiling must be positive, got {ceiling}")
     return ceiling
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``--out``; an unwritable path is a resource error (exit 2)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FinSetError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,9 +122,9 @@ def _cmd_algebras(args) -> int:
     ctx = StateMonadCtx(s)
     algebras = enumerate_algebras(ctx, args.x, method=args.method, ceiling=ceiling)
     records = [algebra_to_dict(a) for a in algebras]
+    lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in records]
     if args.format == "json":
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+        print("".join(lines), end="")
     else:
         plural = "" if len(algebras) == 1 else "s"
         print(
@@ -125,9 +134,7 @@ def _cmd_algebras(args) -> int:
         for rec in records:
             print(f"  h = {rec['h']}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        _write(args.out, "".join(lines))
     return PASS
 
 
@@ -145,8 +152,7 @@ def _cmd_verify(args) -> int:
                     print(f"  carrier {x}: {c} algebra(s)")
                 print(f"  {diag['message']}")
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(diag, sort_keys=True, indent=2) + "\n")
+                _write(args.out, json.dumps(diag, sort_keys=True, indent=2) + "\n")
             return PASS
         print(
             "refusing to verify with 0 states: the comparison with function "
@@ -160,8 +166,7 @@ def _cmd_verify(args) -> int:
     report = verify_monadicity(s, args.max_x, seed=args.seed, ceiling=ceiling)
     print(report.to_json() if args.format == "json" else report.to_text())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        _write(args.out, report.to_json() + "\n")
     return PASS if report.passed else FAIL
 
 

@@ -34,7 +34,6 @@ from .algebra import (
     _equation_violation,
     check_algebra,
     fold_table,
-    read_presentation,
 )
 from ._bulk import side_values
 from .finset import ExpCodec, FinSet, FinSetError, Morphism
@@ -414,14 +413,9 @@ def to_state_algebra(alg: TAlgebra) -> StateAlgebra:
     Lookup folds the graph of a function; update at ``s`` folds the
     computation that jumps to state ``s`` and returns the argument.
     """
-    ctx = alg.ctx
-    x = alg.carrier
-    xn = x.size
-    ups, look = read_presentation(ctx, xn, alg.structure.table)
-    lookup = Morphism(ExpCodec(x, ctx.state).obj, x, tuple(look))
-    updates = tuple(
-        Morphism(x, x, tuple(ups[c * xn:(c + 1) * xn])) for c in range(ctx.state.size)
-    )
+    ctx, x, xn, ups = alg.ctx, alg.carrier, alg.carrier.size, alg.updates
+    lookup = Morphism(ExpCodec(x, ctx.state).obj, x, alg.lookup)
+    updates = tuple(Morphism(x, x, ups[c * xn:(c + 1) * xn]) for c in range(ctx.state.size))
     sa = StateAlgebra(ctx, x, lookup, updates)
     violation = state_algebra_violation(sa)
     if violation is not None:

@@ -10,7 +10,7 @@ obtained by transposing ``epi``.
 The constructions that witness the equivalence are all explicit:
 
 * ``compare_inverse`` builds the two-sided inverse of ``compare`` directly
-  from the structure map;
+  from the algebra's lookup;
 * ``compare_retraction`` builds a left inverse by flattening graphs;
 * ``compare_section`` builds a right inverse from any chosen state;
 * ``base_iso`` exhibits the base of a function algebra as the original
@@ -28,7 +28,6 @@ from bisect import bisect
 from dataclasses import dataclass, field
 
 from . import _bulk
-from ._bulk import side_values
 from .algebra import (
     DEFAULT_SEARCH_CEILING,
     AlgebraViolation,
@@ -40,7 +39,6 @@ from .algebra import (
     enumerate_algebras,
     morphism_witness,
     past_ceiling,
-    update_codes,
 )
 from .finset import (
     ExpCodec,
@@ -99,9 +97,9 @@ def function_algebra_map(
 class BaseData:
     """An algebra with its extracted base object and comparison data.
 
-    ``reach`` is the structure map restricted along the constant embedding;
-    its image is the base.  ``mono . epi == reach`` and ``compare`` is the
-    transpose of ``epi``.
+    ``reach`` is the structure map restricted along the constant embedding,
+    the algebra's updates ``(c, v) -> u_c(v)``; its image is the base.
+    ``mono . epi == reach`` and ``compare`` is the transpose of ``epi``.
     """
 
     algebra: TAlgebra
@@ -118,35 +116,22 @@ def extract_base(alg: TAlgebra) -> BaseData:
     The base collects the values ``h(const(s, x))`` in order of least
     preimage, which makes every downstream construction deterministic.
     """
-    ctx = alg.ctx
-    x = alg.carrier
-    pair = ctx.pair_obj(x)
-    reach = compose(alg.structure, ctx.const_map(pair))
+    ctx, x = alg.ctx, alg.carrier
+    reach = Morphism(ctx.pair_obj(x), x, alg.updates)
     fact = factorize(reach)
     compare = curry(fact.epi, ctx.pair_codec(x))
-    return BaseData(
-        algebra=alg,
-        base=fact.image,
-        epi=fact.epi,
-        mono=fact.mono,
-        reach=reach,
-        compare=compare,
-    )
+    return BaseData(alg, fact.image, fact.epi, fact.mono, reach, compare)
 
 
 def compare_inverse(data: BaseData) -> Morphism:
     """The explicit two-sided inverse ``Y^S -> X`` of the comparison map.
 
-    A function ``y: S -> Y`` is sent to ``h(s -> (s, mono(y(s))))``: its
-    values are included back into the carrier, paired with their state, and
-    folded by the structure map.
+    A function ``y: S -> Y`` is sent to ``h(s -> (s, mono(y(s))))``, the
+    lookup of ``mono . y``: it is ``l . mono^S``.
     """
     alg = data.algebra
-    ctx, xn = alg.ctx, alg.carrier.size
-    # digit c of y is y(c), which goes to the pair (c, mono(y(c))) in S x X
-    columns = [[c * xn + m for m in data.mono.table] for c in range(ctx.state.size)]
-    side = (columns, ctx.digit_weights(ctx.state.size * xn), (alg.structure.table,))
-    return Morphism(ExpCodec(data.base, ctx.state).obj, alg.carrier, side_values(side))
+    mono_s = exp_map(data.mono, alg.ctx.state)
+    return Morphism(mono_s.dom, alg.carrier, [alg.lookup[g] for g in mono_s.table])
 
 
 def compare_retraction(data: BaseData) -> Morphism:
@@ -208,13 +193,12 @@ def compare_is_algebra_map(data: BaseData) -> bool:
     compare(v)(c) * ones``, where ``compare(v)(c)`` is ``epi(c, v)``; it is
     read off compare, so that the test is of the map passed in.
     """
-    ctx, xn, yn = data.algebra.ctx, data.algebra.carrier.size, data.base.size
-    h, compare = data.algebra.structure.table, data.compare.table
-    weights = ctx.digit_weights(yn)
+    xn, yn, compare = data.algebra.carrier.size, data.base.size, data.compare.table
+    weights = data.algebra.ctx.digit_weights(yn)
     ones = sum(weights)
     return all(
-        compare[h[t]] == compare[j % xn] // weights[j // xn] % yn * ones
-        for j, t in enumerate(update_codes(ctx, xn))
+        compare[a] == compare[j % xn] // weights[j // xn] % yn * ones
+        for j, a in enumerate(data.algebra.updates)
     )
 
 
@@ -414,10 +398,9 @@ class _FunctionSide:
     def __init__(self, data: BaseData, xi: Morphism):
         import numpy as np
 
-        ctx, h = data.algebra.ctx, data.algebra.structure.table
-        s, x = ctx.state.size, data.algebra.carrier.size
+        s, x = data.algebra.ctx.state.size, data.algebra.carrier.size
         self.data, self.y = data, xi.cod.size
-        self.ups = np.array([h[t] for t in update_codes(ctx, x)], dtype=np.int64).reshape(s, x)
+        self.ups = np.array(data.algebra.updates, dtype=np.int64).reshape(s, x)
         self.epi = np.array(data.epi.table, dtype=np.int64).reshape(s, x)
         self.xi = np.array(xi.table, dtype=np.int64)
         self.first = np.unique(self.epi, return_index=True)[1]

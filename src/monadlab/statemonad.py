@@ -324,18 +324,25 @@ class StateMonadCtx:
         return tx
 
     def unit_law_witness(self, x: FinSet | int) -> int | None:
-        """First element violating ``mult . unit(TX) = id = mult . T(unit)``.
-        Refuses past the table bound of :meth:`_law_tx`."""
+        """First element violating ``mult . unit(TX) = id = mult . T(unit)``
+        for :meth:`mult`, which :meth:`mult_agreement` ties to :meth:`mult_at`.
+        Refuses past the table bound of :meth:`_law_tx`.
+
+        ``mult`` sends TTX digits ``d_i`` to ``sum(ev[d_i] * (|S| * |X|) ** i)``
+        and ``unit(TX)`` sends t to the digits ``i * |TX| + t``, where
+        :meth:`mult_digits` holds digit i of t: the first law fails at t iff
+        ev differs from that table at some d with ``d % |TX| = t``.
+        ``T(unit)`` sends t's digits ``(c, v)`` to ``c * |TX| + unit(v)``,
+        where the table holds digit c of ``unit(v)``, ``(c, v)``: the second
+        law holds once the first does.
+        """
         x = x if isinstance(x, FinSet) else FinSet(x)
-        tx = self._law_tx(x)
-        for t in range(tx.size):
-            if self.mult_at(x, self.unit_at(tx, t)) != t:
-                return t
-        t_unit = self.t_map(self.unit(x))
-        for t in range(tx.size):
-            if self.mult_at(x, t_unit.table[t]) != t:
-                return t
-        return None
+        m = self._law_tx(x).size
+        ev = evaluation(self.pair_obj(x), self.state).table
+        digits = self.mult_digits(x)
+        if ev == digits:
+            return None
+        return min(d % m for d, (a, b) in enumerate(zip(ev, digits)) if a != b)
 
     def _mult_witness(self, x: FinSet) -> int | None:
         """The least ``TTX`` code where the two multiplications differ, or

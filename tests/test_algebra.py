@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import time
@@ -25,6 +26,7 @@ from monadlab.algebra import (
     free_algebra,
     iso_classes,
     morphism_witness,
+    read_presentation,
     update_codes,
 )
 from monadlab.finset import FinSet, FinSetError, Morphism, compose, exp_map, hom, identity
@@ -252,6 +254,41 @@ def _full_scan_accepts(ctx, x, h):
     if any(h[ctx.unit_at(x, v)] != v for v in range(x.size)):
         return False
     return first_mismatch(*_assoc_sides(ctx, x, h)) is None
+
+
+PRESENTATION_CASES = (
+    [("enumerated", s, xn) for s, top in ((1, 4), (2, 4), (3, 1)) for xn in range(top + 1)]
+    + [("function", s, y) for s in (1, 2, 3) for y in range(4)]
+    + [("unvalidated", 2, 4), ("replaced", 2, 4)]
+)
+
+
+@pytest.mark.parametrize("kind,s,n", PRESENTATION_CASES)
+def test_carried_presentation(kind, s, n):
+    """An algebra's ``updates`` and ``lookup`` are what read_presentation
+    reads off its structure table, however the algebra was made."""
+    ctx = StateMonadCtx(s)
+    if kind == "enumerated":
+        algebras = enumerate_algebras(ctx, n)
+    elif kind == "function":
+        algebras = [function_algebra(ctx, n)]
+    else:
+        good = enumerate_algebras(ctx, n, method="transport")[0]
+        before = good.updates[:]
+        # an update cell, which is no unit cell with two states
+        table = list(good.structure.table)
+        cell = update_codes(ctx, n)[1]
+        table[cell] = (table[cell] + 1) % n
+        other = Morphism(good.structure.dom, good.carrier, table)
+        if kind == "unvalidated":
+            alg = TAlgebra(ctx, good.carrier, other, checked="none")
+        else:
+            alg = dataclasses.replace(good, structure=other)
+        algebras = [alg]
+        assert alg.updates != before and good.updates == before
+    for alg in algebras:
+        xn = alg.carrier.size
+        assert (alg.updates, alg.lookup) == read_presentation(ctx, xn, alg.structure.table)
 
 
 class TestIntegerRoot:

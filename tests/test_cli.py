@@ -228,6 +228,24 @@ class TestVerify:
         assert json.loads(target.read_text())["passed"] is True
 
 
+class TestUnwritableOut:
+    """An ``--out`` path that cannot be written is a resource error: exit 2
+    with a message after the result is printed, never a traceback, and for
+    ``verify`` never the exit 1 of a failed verification."""
+
+    @pytest.mark.parametrize("argv", [
+        ["algebras", "--s", "2", "--x", "2"],
+        ["verify", "--s", "2", "--max-x", "2"],
+        ["verify", "--s", "0", "--max-x", "1", "--diagnose-empty"],
+    ])
+    def test_exit_two(self, tmp_path, argv):
+        target = tmp_path / "missing" / "out"
+        proc = run_capped(*argv, "--out", str(target))
+        assert proc.returncode == 2 and proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert f"error: cannot write {target}: " in proc.stderr
+
+
 class TestEqual:
     def test_equal_terms(self, capsys):
         code, out, _ = run(capsys, "equal", "--s", "2", "u0(u1(x0))", "u1(x0)")

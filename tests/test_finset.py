@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from monadlab._bulk import side_values, value_at
+from monadlab._bulk import first_mismatch, side_values, value_at
 from monadlab.finset import (
     ExpCodec,
     FinSet,
@@ -74,6 +74,12 @@ class TestSideValues:
     def test_tabulates_value_at_in_code_order(self, side):
         codes = range(prod(map(len, side[0])))
         assert side_values(side) == [value_at(side, w) for w in codes]
+
+    def test_first_mismatch_needs_a_lookup_on_each_side(self):
+        side = ([range(40)], [1], [list(range(40))])
+        assert first_mismatch(side, side) is None
+        with pytest.raises(ValueError, match="lookup on each side"):
+            first_mismatch(side, (side[0], side[1], []))
 
 
 class TestFinSet:

@@ -329,6 +329,38 @@ class TestExactLawChecks:
                 check(2)
 
 
+class TestUnitLawWitness:
+    """``unit_law_witness`` against both unit laws evaluated pointwise for the
+    multiplication ``exp_map(ev)``, with ev perturbed at random cells."""
+
+    @staticmethod
+    def reference(ctx, x, ev):
+        tx = ctx.t_obj(x)
+        mult = exp_map(ev, ctx.state).table
+        for t in range(tx.size):
+            if mult[ctx.unit_at(tx, t)] != t:
+                return t
+        t_unit = ctx.t_map(ctx.unit(x)).table
+        return next((t for t in range(tx.size) if mult[t_unit[t]] != t), None)
+
+    @pytest.mark.parametrize("s,xn", [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+    def test_perturbed_evaluation(self, monkeypatch, s, xn):
+        rng = random.Random(100 * s + xn)
+        x = FinSet(xn)
+        ev = evaluation(StateMonadCtx(s).pair_obj(x), s)
+        n = ev.cod.size
+        for _ in range(40):
+            table = list(ev.table)
+            for d in rng.sample(range(len(table)), rng.randint(1, min(3, len(table)))):
+                table[d] = (table[d] + rng.randrange(1, n)) % n
+            perturbed = Morphism(ev.dom, ev.cod, table)
+            monkeypatch.setattr(statemonad, "evaluation", lambda z, state: perturbed)
+            ctx = StateMonadCtx(s)
+            witness = ctx.unit_law_witness(x)
+            assert witness is not None
+            assert witness == self.reference(ctx, x, perturbed)
+
+
 class TestStructuralIdentities:
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_graph_flatten_identity(self, s):
