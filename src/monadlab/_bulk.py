@@ -81,12 +81,9 @@ def digit_codes(digits: Sequence[Sequence[int]], weights: Sequence[int]) -> tupl
 
 
 def first_mismatch(left: Side, right: Side) -> int | None:
-    """The least code where the two sides differ, or None.
-
-    Each side must read its digit sums through at least one lookup, so
-    that every sum indexes a list and fits the array scan's int64; so must
-    the lookups' entries.
-    """
+    """The least code where the two sides differ, or None.  Each side must
+    read its digit sums through a lookup, so that they index lists and, like
+    the lookups' entries, fit the array scan's int64."""
     if not (left[2] and right[2]):
         raise ValueError("first_mismatch needs a lookup on each side")
     if prod(map(len, left[0])) <= _INT_POINTS:

@@ -57,11 +57,8 @@ class TAlgebra:
 
     ``checked`` records how the laws were verified: ``"presentation"`` when
     :func:`check_algebra` decided them, ``"none"`` for a structure built
-    without validation.  ``updates[c * |X| + v] = u_c(v)`` and ``lookup``,
-    on the codes of ``X^S``, are the presentation the structure interprets
-    (:func:`read_presentation`): ``check_algebra`` keeps the pair it read,
-    and any other algebra reads it on first use.  It is cached, not a
-    field, so ``dataclasses.replace`` never carries it to another structure.
+    without validation.  ``updates`` and ``lookup`` (:func:`read_presentation`)
+    are cached, not fields, so ``dataclasses.replace`` never carries them over.
     """
 
     ctx: StateMonadCtx
@@ -70,7 +67,7 @@ class TAlgebra:
     checked: str = "none"
 
     @cached_property
-    def _presentation(self) -> tuple[list[int], list[int]]:
+    def _presentation(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return read_presentation(self.ctx, self.carrier.size, self.structure.table)
 
     updates = property(lambda self: self._presentation[0])
@@ -131,12 +128,11 @@ def check_algebra(
             return AlgebraViolation("unit", v, image, v)
 
     presentation = read_presentation(ctx, carrier.size, h)
-    violation = _presentation_violation(ctx, carrier.size, h, *presentation)
-    if violation is not None:
-        return violation
-    alg = TAlgebra(ctx, carrier, structure, checked="presentation")
-    alg._presentation = presentation  # seeds the cached property
-    return alg
+    found = _presentation_violation(ctx, carrier.size, h, *presentation)
+    if found is None:
+        found = TAlgebra(ctx, carrier, structure, checked="presentation")
+        found._presentation = presentation  # seeds the cached property
+    return found
 
 
 def _assoc_sides(ctx: StateMonadCtx, x: FinSet, h) -> tuple[Side, Side]:
@@ -186,20 +182,19 @@ def update_codes(ctx: StateMonadCtx, xn: int) -> range:
     return range(0, ones * s * xn, ones or 1)
 
 
-def read_presentation(ctx: StateMonadCtx, xn: int, h) -> tuple[list[int], list[int]]:
+def read_presentation(ctx: StateMonadCtx, xn: int, h) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The updates and lookup a structure table h on xn elements interprets:
     ``updates[c * xn + v] = u_c(v) = h(s -> (c, v))`` and
     ``lookup[g] = l(g) = h(s -> (s, g_s))`` on the codes g of ``X^S``."""
     s = ctx.state.size
     graphs = [range(c * xn, (c + 1) * xn) for c in range(s)]
     lookup = side_values((graphs, ctx.digit_weights(s * xn), (h,)))
-    return [h[t] for t in update_codes(ctx, xn)], lookup
+    return tuple([h[t] for t in update_codes(ctx, xn)]), tuple(lookup)
 
 
 def _presentation_violation(ctx, xn: int, h, updates, look) -> AlgebraViolation | None:
     """Decide the algebra laws for h exactly, without scanning TTX: an
-    associativity violation, or None when h is an algebra.  ``updates`` and
-    ``look`` are what :func:`read_presentation` reads off h.
+    associativity violation, or None when h is an algebra (U and l: updates, look).
 
     Plotkin and Power (FoSSaCS 2002) present ``T = (S x -)^S`` by lookup
     and updates subject to equations 1 to 3 of :func:`_equation_violation`
@@ -275,8 +270,7 @@ def morphism_witness(u: Morphism, source: TAlgebra, target: TAlgebra) -> int | N
         raise FinSetError(f"map must be {xn} -> {x2n}, got {u.dom.size} -> {u.cod.size}")
     ut, ups2 = u.table, target.updates
     for j, a in enumerate(source.updates):
-        c, v = divmod(j, xn)
-        if ut[a] != ups2[c * x2n + ut[v]]:
+        if ut[a] != ups2[j // xn * x2n + ut[j % xn]]:
             return update_codes(ctx, xn)[j]
     return None
 

@@ -174,9 +174,7 @@ class SectionRetraction:
 
 def section_retraction(data: BaseData, s0: int | None = None) -> SectionRetraction:
     retraction = compare_retraction(data)
-    ctx = data.algebra.ctx
-    if s0 is None:
-        s0 = ctx.s0
+    s0 = data.algebra.ctx.s0 if s0 is None else s0
     section = compare_section(data, s0) if s0 is not None else None
     return SectionRetraction(retraction=retraction, section=section)
 

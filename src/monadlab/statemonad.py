@@ -15,10 +15,12 @@ objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from functools import partial
+from itertools import compress, count
+from operator import eq, mul, ne
 from typing import Sequence
 
-from ._bulk import first_mismatch
+from ._bulk import first_mismatch, value_at
 from .finset import (
     ExpCodec,
     FinSet,
@@ -40,6 +42,11 @@ DEFAULT_SCAN_LIMIT = 300_000_000
 #: Default bound on search work (``algebra``, ``monadicity``), and the bound
 #: on the ``|S| * |TX|``-entry tables of the monad law checks.
 DEFAULT_SEARCH_CEILING = 10**7
+
+
+def _differing(a: Sequence[int], b: Sequence[int]):
+    """The indices where two equally long tables differ, in order."""
+    return compress(count(), map(ne, a, b))
 
 
 @dataclass(frozen=True)
@@ -328,21 +335,27 @@ class StateMonadCtx:
         for :meth:`mult`, which :meth:`mult_agreement` ties to :meth:`mult_at`.
         Refuses past the table bound of :meth:`_law_tx`.
 
-        ``mult`` sends TTX digits ``d_i`` to ``sum(ev[d_i] * (|S| * |X|) ** i)``
-        and ``unit(TX)`` sends t to the digits ``i * |TX| + t``, where
-        :meth:`mult_digits` holds digit i of t: the first law fails at t iff
-        ev differs from that table at some d with ``d % |TX| = t``.
-        ``T(unit)`` sends t's digits ``(c, v)`` to ``c * |TX| + unit(v)``,
-        where the table holds digit c of ``unit(v)``, ``(c, v)``: the second
-        law holds once the first does.
+        ``mult`` sends TTX digits ``w_i`` to ``sum(ev[w_i] * (|S| * |X|) ** i)``
+        and t's digit i is ``mult_digits[i * |TX| + t]``.  Where :meth:`unit_at`
+        gives t the digits ``i * |TX| + t``, the first law fails at t iff the
+        tables differ at such an index; elsewhere ``mult`` is evaluated.  The
+        second fails at t iff a digit ``p = (c, v)`` of t has
+        ``ev[c * |TX| + unit(v)] != p`` (``T(unit)`` sends it to
+        ``c * |TX| + unit(v)``), and its least t is the least such p.
         """
         x = x if isinstance(x, FinSet) else FinSet(x)
-        m = self._law_tx(x).size
-        ev = evaluation(self.pair_obj(x), self.state).table
-        digits = self.mult_digits(x)
-        if ev == digits:
-            return None
-        return min(d % m for d, (a, b) in enumerate(zip(ev, digits)) if a != b)
+        tx = self._law_tx(x)
+        s, m, xn = self.state.size, tx.size, x.size
+        ev, digits = evaluation(self.pair_obj(x), self.state).table, self.mult_digits(x)
+        unit, weights = partial(self.unit_at, tx), self.digit_weights(s * m)
+        first, step = sum(i * m * w for i, w in enumerate(weights)), sum(weights)
+        if all(map(eq, map(unit, range(m)), count(first, step))):
+            bad = min((d % m for d in _differing(ev, digits)), default=None)
+        else:
+            mult = ([ev] * s, self.digit_weights(s * xn), ())
+            bad = next((t for t in range(m) if value_at(mult, unit(t)) != t), None)
+        pairs = (p for p in range(s * xn) if ev[p // xn * m + self.unit_at(x, p % xn)] != p)
+        return bad if bad is not None else next(pairs, None)
 
     def _mult_witness(self, x: FinSet) -> int | None:
         """The least ``TTX`` code where the two multiplications differ, or
@@ -359,8 +372,7 @@ class StateMonadCtx:
         is 0.
         """
         ev = evaluation(self.pair_obj(x), self.state).table
-        digits = self.mult_digits(x)
-        return next((d for d, (a, b) in enumerate(zip(ev, digits)) if a != b), None)
+        return next(_differing(ev, self.mult_digits(x)), None)
 
     def mult_agreement(self, x: FinSet | int) -> LawCheck:
         """Compare the two multiplication implementations over all of TTX,

@@ -289,6 +289,7 @@ def test_carried_presentation(kind, s, n):
     for alg in algebras:
         xn = alg.carrier.size
         assert (alg.updates, alg.lookup) == read_presentation(ctx, xn, alg.structure.table)
+        assert type(alg.updates) is tuple and type(alg.lookup) is tuple
 
 
 class TestIntegerRoot:

@@ -360,6 +360,32 @@ class TestUnitLawWitness:
             assert witness is not None
             assert witness == self.reference(ctx, x, perturbed)
 
+    @pytest.mark.parametrize("s,xn", [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+    def test_broken_unit(self, monkeypatch, s, xn):
+        """A unit wrong at one element of X (read by the second law) or of TX
+        (read by the first) gives the witness the reference finds."""
+        rng = random.Random(1000 * s + xn)
+        x = FinSet(xn)
+        right = StateMonadCtx.unit_at
+        for _ in range(20):
+            ctx = StateMonadCtx(s)
+            z = rng.choice([x, ctx.t_obj(x)])
+            bad_v = rng.randrange(z.size)
+            tz = ctx.t_obj(z).size
+            wrong = (right(ctx, z, bad_v) + rng.randrange(1, tz)) % tz
+
+            def broken(self, w, v, z=z, bad_v=bad_v, wrong=wrong):
+                return wrong if (w, v) == (z, bad_v) else right(self, w, v)
+
+            monkeypatch.setattr(StateMonadCtx, "unit_at", broken)
+            witness = ctx.unit_law_witness(x)
+            ev = evaluation(ctx.pair_obj(x), ctx.state)
+            assert witness == self.reference(ctx, x, ev)
+            # a wrong unit of X always breaks the second law; one of TX
+            # breaks the first unless mult happens to send it to bad_v too
+            if z is x or exp_map(ev, ctx.state).table[wrong] != bad_v:
+                assert witness is not None
+
 
 class TestStructuralIdentities:
     @pytest.mark.parametrize("s", [1, 2, 3])
