@@ -55,16 +55,19 @@ def past_ceiling(base: int, exponent: int, ceiling: int) -> bool:
 class TAlgebra:
     """A validated algebra: carrier X plus structure map ``TX -> X``.
 
-    ``checked`` records how the laws were verified: ``"presentation"`` when
-    :func:`check_algebra` decided them, ``"none"`` for a structure built
-    without validation.  ``updates`` and ``lookup`` (:func:`read_presentation`)
-    are cached, not fields, so ``dataclasses.replace`` never carries them over.
+    ``checked`` is ``"presentation"`` once :func:`check_algebra` has decided
+    the laws (it alone grants it, after construction), else ``"none"``; so
+    ``dataclasses.replace`` carries over neither it nor the cached ``updates``
+    and ``lookup`` (:func:`read_presentation`).
     """
 
     ctx: StateMonadCtx
     carrier: FinSet
     structure: Morphism
     checked: str = "none"
+
+    def __post_init__(self) -> None:
+        self.checked = "none"
 
     @cached_property
     def _presentation(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -109,10 +112,13 @@ def check_algebra(
 ) -> TAlgebra | AlgebraViolation:
     """Validate a structure map, returning the algebra or the first broken law.
 
-    The unit law is checked at every carrier element, then associativity is
-    decided exactly by :func:`_presentation_violation` in ``O(|TX|)`` steps
-    at every size.  Its witness is the TTX code of the first failing
-    presentation instance, which need not be the least failing code.
+    Each stage runs, and builds its table, only once the cheaper ones before
+    it pass: the unit law, ``|X|`` steps (the unit codes ``first + v·ones``,
+    every digit of ``ones`` 1, are one strided slice of h; its witness is
+    the least failing v); equation 1 on the updates U, ``|S|^2·|X|``; the
+    lookup l and equations 2 and 3, ``(|S|+1)·|X|^|S|``; the fold, ``|TX|``.
+    The last three decide associativity (:func:`_presentation_violation`),
+    at the first failing instance, which need not be the least TTX code.
     """
     carrier = carrier if isinstance(carrier, FinSet) else FinSet(carrier)
     tx = ctx.t_obj(carrier)
@@ -121,18 +127,21 @@ def check_algebra(
             f"structure map must be {tx.size} -> {carrier.size}, "
             f"got {structure.dom.size} -> {structure.cod.size}"
         )
-    h = structure.table
-    for v in range(carrier.size):
-        image = h[ctx.unit_at(carrier, v)]
-        if image != v:
-            return AlgebraViolation("unit", v, image, v)
-
-    presentation = read_presentation(ctx, carrier.size, h)
-    found = _presentation_violation(ctx, carrier.size, h, *presentation)
-    if found is None:
-        found = TAlgebra(ctx, carrier, structure, checked="presentation")
-        found._presentation = presentation  # seeds the cached property
-    return found
+    h, xn = structure.table, carrier.size
+    weights = ctx.digit_weights(ctx.state.size * xn)
+    ones = sum(weights)
+    first = xn * sum(map(mul, range(len(weights)), weights))  # the unit code of 0
+    units = h[first:first + ones * xn:ones] if ones else h[:1] * xn  # no states: one code
+    if units != tuple(range(xn)):
+        v = next(v for v, image in enumerate(units) if image != v)
+        return AlgebraViolation("unit", v, units[v], v)
+    found = _presentation_violation(ctx, xn, h)
+    if isinstance(found, AlgebraViolation):
+        return found
+    alg = TAlgebra(ctx, carrier, structure)
+    alg._presentation = found  # seeds the cached property
+    alg.checked = "presentation"
+    return alg
 
 
 def _assoc_sides(ctx: StateMonadCtx, x: FinSet, h) -> tuple[Side, Side]:
@@ -146,12 +155,10 @@ def _assoc_sides(ctx: StateMonadCtx, x: FinSet, h) -> tuple[Side, Side]:
     )
 
 
-def _equation_violation(xn: int, ups, look) -> tuple[str, tuple, int, int] | None:
-    """The first failing instance of equations 1 to 3 of :mod:`equational`
-    for updates ``ups[c][a] = u_c(a)`` on xn elements and a lookup on the
-    codes of ``X^S``, as ``(equation, instance, lhs, rhs)``: in this order,
-    ``update_after_update`` at ``(c, d, a)``, ``update_after_lookup`` at
-    ``(c, g)`` and ``lookup_of_updates`` at ``(a,)``."""
+def _update_violation(xn: int, ups) -> tuple[str, tuple, int, int] | None:
+    """The first failing instance of equation 1 of :mod:`equational` for
+    updates ``ups[c][a] = u_c(a)`` on xn elements, as ``(equation, instance,
+    lhs, rhs)``: ``update_after_update`` at ``(c, d, a)``."""
     s = len(ups)
     for c in range(s):
         for d in range(s):
@@ -159,6 +166,14 @@ def _equation_violation(xn: int, ups, look) -> tuple[str, tuple, int, int] | Non
                 inner = ups[d][a]
                 if ups[c][inner] != inner:
                     return ("update_after_update", (c, d, a), ups[c][inner], inner)
+    return None
+
+
+def _lookup_violation(xn: int, ups, look) -> tuple[str, tuple, int, int] | None:
+    """As :func:`_update_violation`, for equations 2 and 3 and a lookup on the
+    codes of ``X^S``: ``update_after_lookup`` at ``(c, g)``, then
+    ``lookup_of_updates`` at ``(a,)``."""
+    s = len(ups)
     pows = [xn**i for i in range(s)]
     for c in range(s):
         for g in range(len(look)):
@@ -186,40 +201,53 @@ def read_presentation(ctx: StateMonadCtx, xn: int, h) -> tuple[tuple[int, ...], 
     """The updates and lookup a structure table h on xn elements interprets:
     ``updates[c * xn + v] = u_c(v) = h(s -> (c, v))`` and
     ``lookup[g] = l(g) = h(s -> (s, g_s))`` on the codes g of ``X^S``."""
-    s = ctx.state.size
-    graphs = [range(c * xn, (c + 1) * xn) for c in range(s)]
-    lookup = side_values((graphs, ctx.digit_weights(s * xn), (h,)))
-    return tuple([h[t] for t in update_codes(ctx, xn)]), tuple(lookup)
+    return _read_updates(ctx, xn, h), _read_lookup(ctx, xn, h)
 
 
-def _presentation_violation(ctx, xn: int, h, updates, look) -> AlgebraViolation | None:
+def _read_updates(ctx: StateMonadCtx, xn: int, h) -> tuple[int, ...]:
+    """The update cells (:func:`update_codes`) of h, one strided slice."""
+    ones = sum(ctx.digit_weights(ctx.state.size * xn))
+    return h[:ones * ctx.state.size * xn:ones or 1]
+
+
+def _read_lookup(ctx: StateMonadCtx, xn: int, h) -> tuple[int, ...]:
+    graphs = [range(c * xn, (c + 1) * xn) for c in range(ctx.state.size)]
+    return tuple(side_values((graphs, ctx.digit_weights(ctx.state.size * xn), (h,))))
+
+
+def _presentation_violation(ctx, xn: int, h) -> AlgebraViolation | tuple[tuple, tuple]:
     """Decide the algebra laws for h exactly, without scanning TTX: an
-    associativity violation, or None when h is an algebra (U and l: updates, look).
+    associativity violation, or h's updates and lookup when h is an algebra.
 
     Plotkin and Power (FoSSaCS 2002) present ``T = (S x -)^S`` by lookup
-    and updates subject to equations 1 to 3 of :func:`_equation_violation`
-    (a fourth follows, see :func:`equational.state_algebra_violation`).  So
-    the T-algebras are exactly the models ``(X, l, U)``, each with its fold
-    (:func:`fold_table`) as structure map.  Hence h is an algebra iff the
-    U and l read off it (:func:`read_presentation`) satisfy
-    equations 1 to 3 and h is their fold: if h is an algebra, each equation
-    instance and each point of the fold is its associativity law at one TTX
-    code, codes 1 to 4 of :class:`_ConstrainedSearch`; conversely, a
-    model's fold is an algebra, unit law included (equation 3 is the fold
-    at the unit).  A failure is reported at that TTX code, where
-    ``h . T(h)`` gives the left-hand side and ``h . mult`` the right-hand
-    side, given the unit law that :func:`check_algebra` checks first.  The
-    cost is ``|S|^2·|X| + |S|·|X|^|S| + |X| + |TX|`` steps.
+    and updates subject to equations 1 to 3 (:func:`_update_violation`,
+    :func:`_lookup_violation`; a fourth follows, see
+    :func:`equational.state_algebra_violation`).  So the T-algebras are
+    exactly the models ``(X, l, U)``, each with its fold (:func:`fold_table`)
+    as structure map.  Hence h is an algebra iff the U and l read off it
+    (:func:`read_presentation`) satisfy equations 1 to 3 and h is their fold:
+    if h is an algebra, each equation instance and each point of the fold is
+    its associativity law at one TTX code, codes 1 to 4 of
+    :class:`_ConstrainedSearch`; conversely, a model's fold is an algebra,
+    unit law included (equation 3 is the fold at the unit).  A failure is
+    reported at that TTX code, where ``h . T(h)`` gives the left-hand side
+    and ``h . mult`` the right-hand side, given the unit law that
+    :func:`check_algebra` checks first.
     """
     s = ctx.state.size
     weights = ctx.digit_weights(s * xn)
     ones = sum(weights)
-    found = _equation_violation(xn, [updates[c * xn:(c + 1) * xn] for c in range(s)], look)
+    updates = _read_updates(ctx, xn, h)
+    ups = [updates[c * xn:(c + 1) * xn] for c in range(s)]
+    found = _update_violation(xn, ups)
+    if found is None:  # l is built only once equation 1 holds
+        look = _read_lookup(ctx, xn, h)
+        found = _lookup_violation(xn, ups, look)
     if found is None:
         fold = ([updates] * s, ctx.digit_weights(xn), (look,))
         w = first_mismatch(([range(s * xn)] * s, weights, (h,)), fold)
         if w is None:
-            return None
+            return updates, look
         lhs, rhs = value_at(fold, w), h[w]
         inner = [(c, w // weight % (s * xn) * ones) for c, weight in enumerate(weights)]
     else:

@@ -31,7 +31,8 @@ from .algebra import (
     AlgebraViolation,
     SearchCeilingExceeded,
     TAlgebra,
-    _equation_violation,
+    _lookup_violation,
+    _update_violation,
     check_algebra,
     fold_table,
 )
@@ -361,10 +362,10 @@ def state_algebra_violation(sa: StateAlgebra) -> tuple[str, tuple] | None:
     """First violated equation with a witness assignment, or None.
 
     Equations 1 to 3 are checked by direct enumeration of their variable
-    assignments (:func:`algebra._equation_violation`, which the algebra
-    certificate shares).  Equation 4 needs no scan, because it follows from
-    equations 2 and 3.  By equation 3 an element is determined by its
-    updates: if ``u_s(x) = u_s(y)`` for every state ``s``, then
+    assignments (:func:`algebra._update_violation` and ``_lookup_violation``,
+    which the algebra certificate shares).  Equation 4 needs no scan, because
+    it follows from equations 2 and 3.  By equation 3 an element is
+    determined by its updates: if ``u_s(x) = u_s(y)`` for every state ``s``, then
     ``x = l(u_0(x),...,u_n(x)) = l(u_0(y),...,u_n(y)) = y``.  By equation 2,
     applied twice on the left and once on the right, both sides of
     equation 4 go to ``u_s(a_ss)`` under every update ``u_s``.  So the two
@@ -378,8 +379,8 @@ def state_algebra_violation(sa: StateAlgebra) -> tuple[str, tuple] | None:
     for s1 in range(s):
         if sa.updates[s1].dom != sa.carrier or sa.updates[s1].cod != sa.carrier:
             raise FinSetError("update map has the wrong type")
-    ups = [u.table for u in sa.updates]
-    found = _equation_violation(sa.carrier.size, ups, sa.lookup.table)
+    n, ups = sa.carrier.size, [u.table for u in sa.updates]
+    found = _update_violation(n, ups) or _lookup_violation(n, ups, sa.lookup.table)
     return None if found is None else found[:2]
 
 

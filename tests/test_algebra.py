@@ -8,11 +8,14 @@ from math import factorial
 import pytest
 
 from monadlab._bulk import first_mismatch, value_at
+import monadlab.algebra
 from monadlab.algebra import (
     AlgebraViolation,
     _ConstrainedSearch,
     _assoc_sides,
     _integer_root,
+    _lookup_violation,
+    _update_violation,
     SearchCeilingExceeded,
     TAlgebra,
     algebra_dumps,
@@ -23,6 +26,7 @@ from monadlab.algebra import (
     check_algebra,
     check_morphism,
     enumerate_algebras,
+    fold_table,
     free_algebra,
     iso_classes,
     morphism_witness,
@@ -256,6 +260,85 @@ def _full_scan_accepts(ctx, x, h):
     return first_mismatch(*_assoc_sides(ctx, x, h)) is None
 
 
+@pytest.mark.parametrize("s", range(4))
+@pytest.mark.parametrize("broken", [0, 1, 2, 3])
+def test_unit_law_read_as_one_slice(s, broken):
+    """check_algebra reads the unit law as one strided slice of h, with the
+    witness and left-hand side of a loop over ``unit_at``: the least element
+    where it fails.  With no states every unit code is 0, where a slice
+    would have step 0, so only a one-element carrier keeps the law."""
+    ctx = StateMonadCtx(s)
+    rng = random.Random(10 * s + broken)
+    failed = 0
+    for xn in range(1, 4):
+        x = FinSet(xn)
+        tx = ctx.t_obj(x)
+        for _ in range(10):
+            h = [rng.randrange(xn) for _ in range(tx.size)]
+            for v in range(xn):
+                h[ctx.unit_at(x, v)] = v
+            if xn > 1:
+                for v in rng.sample(range(xn), min(broken, xn)):
+                    h[ctx.unit_at(x, v)] = (v + rng.randrange(1, xn)) % xn
+            images = [h[ctx.unit_at(x, v)] for v in range(xn)]
+            least = next((v for v in range(xn) if images[v] != v), None)
+            result = check_algebra(ctx, x, Morphism(tx, x, h))
+            if least is None:
+                assert not isinstance(result, AlgebraViolation) or result.law != "unit"
+            else:
+                failed += 1
+                assert isinstance(result, AlgebraViolation) and result.law == "unit"
+                assert (result.witness, result.lhs, result.rhs) == (least, images[least], least)
+    assert (failed > 0) == (broken > 0 or s == 0)
+
+
+def _first_failing_stage(ctx, xn, h):
+    """The first stage of the presentation read off h that fails, without
+    check_algebra: an equation's name, ``"fold"``, or None for an algebra."""
+    updates, look = read_presentation(ctx, xn, h)
+    ups = [updates[c * xn:(c + 1) * xn] for c in range(ctx.state.size)]
+    found = _update_violation(xn, ups) or _lookup_violation(xn, ups, look)
+    if found is not None:
+        return found[0]
+    return "fold" if fold_table(ctx, xn, updates, look) != list(h) else None
+
+
+def test_lookup_built_only_after_equation_1(ctx2, monkeypatch):
+    """check_algebra builds the lookup, its one ``side_values`` call, only
+    for a table whose updates pass equation 1, and then once."""
+    k = function_algebra(ctx2, 2)
+    x = k.carrier
+    units = {ctx2.unit_at(x, v) for v in range(4)}
+    cases = {}
+    for t in range(k.structure.dom.size):
+        for shift in (1, 2, 3):
+            h = list(k.structure.table)
+            h[t] = (h[t] + shift) % 4
+            if t not in units:
+                cases.setdefault(_first_failing_stage(ctx2, 4, h), h)
+    # with every update 0, equations 1 and 2 hold and equation 3 fails:
+    # l(s -> u_s(a)) = l(s -> 0) = h(unit(0)) = 0 for every a
+    h = list(k.structure.table)
+    for t in update_codes(ctx2, 4):
+        h[t] = 0
+    assert _first_failing_stage(ctx2, 4, h) == "lookup_of_updates"
+    cases["lookup_of_updates"] = h
+    cases.pop(None, None)
+    assert set(cases) == {"update_after_update", "update_after_lookup", "lookup_of_updates", "fold"}
+
+    built = []
+    side_values = monadlab.algebra.side_values
+    monkeypatch.setattr(
+        monadlab.algebra, "side_values", lambda side: built.append(side) or side_values(side)
+    )
+    for stage, h in cases.items():
+        built.clear()
+        result = check_algebra(ctx2, x, Morphism(k.structure.dom, x, h))
+        assert isinstance(result, AlgebraViolation) and result.law == "associativity"
+        assert _breaks_law(ctx2, x, h, result), stage
+        assert len(built) == (stage != "update_after_update"), stage
+
+
 PRESENTATION_CASES = (
     [("enumerated", s, xn) for s, top in ((1, 4), (2, 4), (3, 1)) for xn in range(top + 1)]
     + [("function", s, y) for s in (1, 2, 3) for y in range(4)]
@@ -286,6 +369,7 @@ def test_carried_presentation(kind, s, n):
             alg = dataclasses.replace(good, structure=other)
         algebras = [alg]
         assert alg.updates != before and good.updates == before
+        assert alg.checked == "none" and good.checked == "presentation"
     for alg in algebras:
         xn = alg.carrier.size
         assert (alg.updates, alg.lookup) == read_presentation(ctx, xn, alg.structure.table)
