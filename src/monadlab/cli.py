@@ -3,9 +3,9 @@
 Exit codes follow a CI-friendly contract: 0 for success (verification
 passed, terms equal), 1 for a semantic failure (verification failed, terms
 differ), 2 for usage or resource errors (bad arguments, parse errors,
-search ceilings, terms nested too deeply, an unwritable ``--out``).  The
-MONADLAB_CEILING environment variable overrides the default ceiling of
-``algebras`` and ``verify``; all output is deterministic given the flags.
+search ceilings, an unwritable ``--out``).  The MONADLAB_CEILING environment
+variable overrides the default ceiling of ``algebras`` and ``verify``; all
+output is deterministic given the flags.
 """
 
 from __future__ import annotations
@@ -243,9 +243,6 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE
     except SearchCeilingExceeded as exc:
         print(f"search ceiling exceeded: {exc}", file=sys.stderr)
-        return USAGE
-    except RecursionError:
-        print("term error: term nested too deeply", file=sys.stderr)
         return USAGE
     except FinSetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,12 +19,16 @@ term of the class (the global-state normal form of Plotkin and Power), and
 module also carries algebras for this signature in finite sets, the
 canonical structure on function spaces ``B^S``, and the translation to and
 from monad algebras.
+
+Nodes built here (``_var``, ``_update``, ``_lookup``) skip the constructors'
+checks, as valid by construction: the parser has checked its digits and
+subscripts, runs carry non-negative pairs, and every lookup gets a tuple.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, product
 
 from .algebra import (
@@ -90,6 +94,30 @@ class Lookup(Term):
         object.__setattr__(self, "branches", tuple(self.branches))
 
 
+_new = object.__new__
+_set_index, _set_state = Var.index.__set__, Update.state.__set__
+_set_body, _set_branches = Update.body.__set__, Lookup.branches.__set__
+
+
+def _var(index: int) -> Var:
+    t = _new(Var)
+    _set_index(t, index)
+    return t
+
+
+def _update(state: int, body: Term) -> Update:
+    t = _new(Update)
+    _set_state(t, state)
+    _set_body(t, body)
+    return t
+
+
+def _lookup(branches: tuple[Term, ...]) -> Lookup:
+    t = _new(Lookup)
+    _set_branches(t, branches)
+    return t
+
+
 def max_var(t: Term) -> int:
     """Largest variable index in the term, or -1 when there is none.  Not
     recursive: an explicit stack holds the subterms still to visit."""
@@ -137,86 +165,81 @@ def format_term(t: Term) -> str:
     return "".join(out)  # type: ignore[arg-type]
 
 
+def _expect(text: str, pos: int, ch: str) -> int:
+    """The position just past ``ch``, which must come next after whitespace."""
+    n = len(text)
+    while pos < n and text[pos].isspace():
+        pos += 1
+    if pos >= n or text[pos] != ch:
+        raise TermError(f"expected {ch!r}, found {text[pos:pos + 1] or 'end of input'!r}", pos)
+    return pos + 1
+
+
 def parse_term(text: str, s_size: int) -> Term:
     """Parse ``x<k>``, ``u<s>(t)``, and ``l(t0,...,tn)`` with insignificant
     whitespace.  Lookup arity must equal ``s_size`` and update subscripts
-    must name existing states; errors carry the offending position."""
-    pos = 0
-    n = len(text)
-
-    def skip() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        skip()
-        if pos >= n or text[pos] != ch:
-            found = text[pos] if pos < n else "end of input"
-            raise TermError(f"expected {ch!r}, found {found!r}", pos)
-        pos += 1
-
-    def number() -> int:
-        # ASCII digits only, as format_term prints: str.isdigit() also
-        # accepts superscripts, which int() refuses
-        nonlocal pos
-        start = pos
-        while pos < n and "0" <= text[pos] <= "9":
-            pos += 1
-        if pos == start:
-            raise TermError("expected a number", start)
-        return int(text[start:pos])
-
-    def term() -> Term:
-        nonlocal pos
-        skip()
-        if pos >= n:
-            raise TermError("unexpected end of input", pos)
-        c = text[pos]
-        if c == "x":
-            pos += 1
-            return Var(number())
-        if c == "u":
-            pos += 1
-            at = pos
-            s = number()
-            if s >= s_size:
-                raise TermError(f"unknown update subscript {s} with {s_size} states", at)
-            expect("(")
-            body = term()
-            expect(")")
-            return Update(s, body)
-        if c == "l":
-            at = pos
-            pos += 1
-            expect("(")
-            branches = []
-            skip()
-            if pos < n and text[pos] == ")" and s_size == 0:
+    must name existing states; errors carry the offending position.  Not
+    recursive: one left-to-right scan keeps the open ``u<s>(`` and ``l(`` on
+    an explicit stack, and each finished term closes those it completes."""
+    pos, n, frames = 0, len(text), []
+    while True:
+        c = text[pos] if pos < n else ""
+        if c == "x" or c == "u":
+            # ASCII digits only, as format_term prints: str.isdigit() also
+            # accepts superscripts, which int() refuses
+            pos = start = pos + 1
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
-                return Lookup(())
-            branches.append(term())
-            while True:
-                skip()
+            if pos == start:
+                raise TermError("expected a number", start)
+            k = int(text[start:pos])
+            if c == "u":
+                if k >= s_size:
+                    raise TermError(f"unknown update subscript {k} with {s_size} states", start)
+                pos = _expect(text, pos, "(")
+                frames.append(k)
+                continue
+            t = _var(k)
+        elif c == "l":
+            frames.append((pos, []))
+            pos = _expect(text, pos + 1, "(")
+            continue
+        elif c == ")" and s_size == 0 and frames and not frames[-1][1]:
+            # l(): with no states every frame is a lookup's, a fresh one empty
+            pos += 1
+            frames.pop()
+            t = _lookup(())
+        elif c.isspace():
+            pos += 1
+            continue
+        else:
+            message = f"expected a term, found {c!r}" if c else "unexpected end of input"
+            raise TermError(message, pos)
+        while frames:
+            frame = frames[-1]
+            if type(frame) is int:
+                pos = _expect(text, pos, ")")
+                t = _update(frame, t)
+            else:
+                at, branches = frame
+                branches.append(t)
+                while pos < n and text[pos].isspace():
+                    pos += 1
                 if pos < n and text[pos] == ",":
                     pos += 1
-                    branches.append(term())
-                else:
                     break
-            expect(")")
-            if len(branches) != s_size:
-                raise TermError(
-                    f"lookup takes {s_size} branches, got {len(branches)}", at
-                )
-            return Lookup(tuple(branches))
-        raise TermError(f"expected a term, found {c!r}", pos)
-
-    result = term()
-    skip()
+                pos = _expect(text, pos, ")")
+                if len(branches) != s_size:
+                    raise TermError(f"lookup takes {s_size} branches, got {len(branches)}", at)
+                t = _lookup(tuple(branches))
+            frames.pop()
+        else:
+            break
+    while pos < n and text[pos].isspace():
+        pos += 1
     if pos != n:
         raise TermError(f"trailing input {text[pos:]!r}", pos)
-    return result
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -237,29 +260,39 @@ def _runs(t: Term, s_size: int, nvars: int | None = None) -> list[tuple[int, int
     stack = [t]
     while stack:
         u = stack.pop()
-        if isinstance(u, Var):
+        if (k := type(u)) is Var:
             if nvars is not None and u.index >= nvars:
                 raise TermError(f"unbound variable x{u.index} with nvars={nvars}")
-        elif isinstance(u, Update):
+        elif k is Update:
             if u.state >= s_size:
                 raise TermError(f"unknown update subscript {u.state} with {s_size} states")
             stack.append(u.body)
-        elif isinstance(u, Lookup):
+        elif k is Lookup:
             if len(u.branches) != s_size:
                 raise TermError(f"lookup takes {s_size} branches, got {len(u.branches)}")
             stack.extend(u.branches)
         else:
-            raise TermError(f"not a term: {u!r}")
+            stack.append(_exact(u))
     runs = []
     for start in range(s_size):
         state, u = start, t
-        while not isinstance(u, Var):
-            if isinstance(u, Update):
+        while (k := type(u)) is not Var:
+            if k is Update:
                 state, u = u.state, u.body
+            elif k is Lookup:
+                u = u.branches[state]
             else:
-                u = u.branches[state]  # type: ignore[union-attr]
+                u = _exact(u)
         runs.append((state, u.index))
     return runs
+
+
+def _exact(u: object) -> Term:
+    """A subclass instance for :func:`_runs`, rebuilt as its term class."""
+    for k in (Var, Update, Lookup):
+        if isinstance(u, k):
+            return k(*(getattr(u, f.name) for f in fields(k)))
+    raise TermError(f"not a term: {u!r}")
 
 
 def _code(runs: list[tuple[int, int]], nvars: int) -> int:
@@ -313,14 +346,14 @@ def normalize(t: Term, s_size: int) -> Term:
 def _read_back(runs: list[tuple[int, int]]) -> Term:
     """The normal form of the class with these runs; see :func:`normalize`."""
     if not runs:
-        return Lookup(())
+        return _lookup(())
     c0, v0 = runs[0]
     if all(run == (i, v0) for i, run in enumerate(runs)):
-        return Var(v0)
+        return _var(v0)
     if all(run == (c0, v0) for run in runs):
-        return Update(c0, Var(v0))
-    return Lookup(
-        tuple(Var(v) if c == i else Update(c, Var(v)) for i, (c, v) in enumerate(runs))
+        return _update(c0, _var(v0))
+    return _lookup(
+        tuple(_var(v) if c == i else _update(c, _var(v)) for i, (c, v) in enumerate(runs))
     )
 
 

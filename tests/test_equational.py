@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from dataclasses import FrozenInstanceError, fields
 from itertools import product
 
 import pytest
@@ -93,6 +94,73 @@ class TestParse:
         with pytest.raises(TermError, match="trailing input") as exc:
             parse_term("x0\u00b2", 2)
         assert exc.value.position == 2
+
+    # every error the parser raises, with its message and position
+    @pytest.mark.parametrize("text,s_size,message,position", [
+        ("", 2, "unexpected end of input", 0),
+        ("   ", 2, "unexpected end of input", 3),
+        ("u0(", 2, "unexpected end of input", 3),
+        ("l(x0,", 2, "unexpected end of input", 5),
+        ("u0", 2, "expected '(', found 'end of input'", 2),
+        ("u0 x0", 2, "expected '(', found 'x'", 3),
+        ("l[x0,x1]", 2, "expected '(', found '['", 1),
+        ("u0(x0", 2, "expected ')', found 'end of input'", 5),
+        ("u0(x0 x1)", 2, "expected ')', found 'x'", 6),
+        ("l(x0 x1)", 2, "expected ')', found 'x'", 5),  # a missing comma
+        ("l(x0;x1)", 2, "expected ')', found ';'", 4),
+        ("l(x0,x1,x2", 2, "expected ')', found 'end of input'", 10),
+        ("x", 2, "expected a number", 1),
+        ("u(x0)", 2, "expected a number", 1),
+        ("u 0(x0)", 2, "expected a number", 1),
+        ("x\u00b2", 2, "expected a number", 1),
+        ("l(x0,u\u0661(x0))", 2, "expected a number", 6),
+        ("u2(x0)", 2, "unknown update subscript 2 with 2 states", 1),
+        ("l(x0,u10(x1))", 2, "unknown update subscript 10 with 2 states", 6),
+        ("u0(x0)", 0, "unknown update subscript 0 with 0 states", 1),
+        ("l(x0)", 2, "lookup takes 2 branches, got 1", 0),
+        ("l(x0,x1,x2)", 2, "lookup takes 2 branches, got 3", 0),
+        ("u1( l(x0) )", 2, "lookup takes 2 branches, got 1", 4),
+        ("l(l(x0),x1)", 2, "lookup takes 2 branches, got 1", 2),
+        ("l(x0)", 0, "lookup takes 0 branches, got 1", 0),
+        ("l()", 2, "expected a term, found ')'", 2),
+        ("l(x0,)", 2, "expected a term, found ')'", 5),
+        ("l(x0,x1,y)", 2, "expected a term, found 'y'", 8),
+        ("y0", 2, "expected a term, found 'y'", 0),
+        ("x0 x1", 2, "trailing input 'x1'", 3),
+        ("x0)", 2, "trailing input ')'", 2),
+        ("l(x0,x1))", 2, "trailing input ')'", 8),
+        ("l()x0", 0, "trailing input 'x0'", 3),
+        ("x0\u00b2", 2, "trailing input '\u00b2'", 2),
+    ])
+    def test_error_contract(self, text, s_size, message, position):
+        with pytest.raises(TermError) as exc:
+            parse_term(text, s_size)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("u0(" * 5000, "unexpected end of input (at position 15000)",
+                     id="updates"),
+        pytest.param("l(x0," * 5000, "unexpected end of input (at position 25000)",
+                     id="lookups"),
+        pytest.param("u0(" * 5000 + "x0" + ")" * 4999,
+                     "expected ')', found 'end of input' (at position 20001)", id="one-short"),
+    ])
+    def test_unclosed_deep_chain(self, text, message):
+        # nested past the recursion limit: a TermError, not a RecursionError
+        with pytest.raises(TermError) as exc:
+            parse_term(text, 2)
+        assert str(exc.value) == message
+
+    def test_deep_term_parsed(self):
+        # 100,000 nodes nested 66,666 deep: layer k is l(u1(<layer k-1>),x<k>)
+        # around x0.  Checked through text and normal forms, as dataclass
+        # == recurses.  From state 0 the run ends in layer L-1's branch 1.
+        layers = 33_333
+        text = "l(u1(" * layers + "x0" + "".join(f"),x{k})" for k in range(1, layers + 1))
+        t = parse_term(text, 2)
+        assert format_term(t) == text
+        assert format_term(normalize(t, 2)) == f"l(u1(x{layers - 1}),x{layers})"
 
     @given(terms())
     def test_roundtrip(self, t):
@@ -200,9 +268,84 @@ class TestNormalForm:
         assert normalize(Lookup(()), 0) == Lookup(())
 
     def test_malformed_terms_rejected(self):
-        for bad in (Update(2, Var(0)), Lookup((Var(0),)), Lookup((Var(0), "x1"))):
+        for bad in (Update(2, Var(0)), Lookup((Var(0),)), Lookup((Var(0), "x1")),
+                    Lookup((Var(0), Term()))):
             with pytest.raises(TermError):
                 normalize(bad, 2)
+
+    def test_subclass_instances_run_as_their_class(self, ctx2):
+        class V(Var):
+            pass
+
+        class U(Update):
+            pass
+
+        class L(Lookup):
+            pass
+
+        t = L((U(1, V(0)), U(0, L((V(1), V(0))))))
+        plain = parse_term("l(u1(x0),u0(l(x1,x0)))", 2)
+        assert denote(t, ctx2, 2) == denote(plain, ctx2, 2)
+        assert terms_equal(t, plain, ctx2, 2)
+        assert normalize(t, 2) == normalize(plain, 2) == parse_term("l(u1(x0),u0(x1))", 2)
+        with pytest.raises(TermError, match="unbound variable x1"):
+            denote(U(0, V(1)), ctx2, 1)
+
+
+def _checked_copy(t: Term) -> Term:
+    """``t`` rebuilt through the public, checking constructors."""
+    if type(t) is Var:
+        return Var(t.index)
+    if type(t) is Update:
+        return Update(t.state, _checked_copy(t.body))
+    return Lookup(tuple(_checked_copy(b) for b in t.branches))
+
+
+class TestBuiltTerms:
+    """Terms that parse_term, normalize and free_classes build without the
+    constructors' checks behave exactly like checked ones."""
+
+    @staticmethod
+    def assert_like_checked(t: Term) -> None:
+        checked = _checked_copy(t)
+        assert t == checked and checked == t and not t != checked
+        assert hash(t) == hash(checked) and repr(t) == repr(checked)
+        for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert copied == checked and repr(copied) == repr(checked)
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            assert type(node) in (Var, Update, Lookup) and not hasattr(node, "__dict__")
+            for f in fields(node):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(node, f.name, getattr(node, f.name))
+                with pytest.raises(FrozenInstanceError):
+                    delattr(node, f.name)
+            if type(node) is Update:
+                stack.append(node.body)
+            elif type(node) is Lookup:
+                assert type(node.branches) is tuple
+                stack.extend(node.branches)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_parsed_and_normal_forms(self, s):
+        rng = random.Random(20 + s)
+        for _ in range(150):
+            t = random_term(rng, s, 3, 4)
+            parsed = parse_term(format_term(t), s)
+            assert parsed == t
+            self.assert_like_checked(parsed)
+            self.assert_like_checked(normalize(parsed, s))
+
+    @pytest.mark.parametrize("s,nvars", [(1, 3), (2, 2), (3, 1)])
+    def test_free_class_representatives(self, s, nvars):
+        for rep in free_classes(StateMonadCtx(s), nvars, 3).representatives.values():
+            self.assert_like_checked(rep)
+
+    def test_no_states(self):
+        for t in (parse_term("l( )", 0), normalize(Var(0), 0)):
+            self.assert_like_checked(t)
+            assert t == Lookup(())
 
 
 class TestDenote:
