@@ -122,8 +122,10 @@ class TestParse:
         ("u1( l(x0) )", 2, "lookup takes 2 branches, got 1", 4),
         ("l(l(x0),x1)", 2, "lookup takes 2 branches, got 1", 2),
         ("l(x0)", 0, "lookup takes 0 branches, got 1", 0),
+        ("l(l())", 0, "lookup takes 0 branches, got 1", 0),
         ("l()", 2, "expected a term, found ')'", 2),
         ("l(x0,)", 2, "expected a term, found ')'", 5),
+        ("l(x0, )", 0, "expected a term, found ')'", 6),
         ("l(x0,x1,y)", 2, "expected a term, found 'y'", 8),
         ("y0", 2, "expected a term, found 'y'", 0),
         ("x0 x1", 2, "trailing input 'x1'", 3),
