@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 from ._bulk import Side, first_mismatch, side_values, value_at
 from .finset import FinSet, FinSetError, Morphism, evaluation, exp_map, int_entries
-from .statemonad import DEFAULT_SEARCH_CEILING, StateMonadCtx
+from .statemonad import DEFAULT_SEARCH_CEILING, CellLayout, StateMonadCtx
 
 
 class SearchCeilingExceeded(RuntimeError):
@@ -119,23 +119,29 @@ def check_algebra(
     lookup l and equations 2 and 3, ``(|S|+1)·|X|^|S|``; the fold, ``|TX|``.
     The last three decide associativity (:func:`_presentation_violation`),
     at the first failing instance, which need not be the least TTX code.
+
+    Where the cells lie depends only on ``(|S|, |X|)``.  Every stage reads
+    it from one :class:`CellLayout` (X and TX, ``ones``, ``first``, the
+    update-cell slice, the digit weights, the unit images ``0..|X|-1``),
+    which the context builds on its first call for the carrier size and
+    keeps, so a search or suite that checks many tables on one carrier
+    derives it once.  Only the unit images have |X| entries, and they are
+    made once h has passed the size check, so a carrier that no table fits
+    allocates nothing of its size.
     """
     carrier = carrier if isinstance(carrier, FinSet) else FinSet(carrier)
-    tx = ctx.t_obj(carrier)
-    if structure.dom != tx or structure.cod != carrier:
+    cells = ctx.cell_layout(carrier.size)
+    if structure.dom is not cells.tx or structure.cod is not carrier:
         raise FinSetError(
-            f"structure map must be {tx.size} -> {carrier.size}, "
+            f"structure map must be {cells.tx.size} -> {carrier.size}, "
             f"got {structure.dom.size} -> {structure.cod.size}"
         )
-    h, xn = structure.table, carrier.size
-    weights = ctx.digit_weights(ctx.state.size * xn)
-    ones = sum(weights)
-    first = xn * sum(map(mul, range(len(weights)), weights))  # the unit code of 0
+    h, xn, ones, first = structure.table, carrier.size, cells.ones, cells.first
     units = h[first:first + ones * xn:ones] if ones else h[:1] * xn  # no states: one code
-    if units != tuple(range(xn)):
+    if units != cells.ids:
         v = next(v for v, image in enumerate(units) if image != v)
         return AlgebraViolation("unit", v, units[v], v)
-    found = _presentation_violation(ctx, xn, h)
+    found = _presentation_violation(ctx, cells, h)
     if isinstance(found, AlgebraViolation):
         return found
     alg = TAlgebra(ctx, carrier, structure)
@@ -190,32 +196,26 @@ def _lookup_violation(xn: int, ups, look) -> tuple[str, tuple, int, int] | None:
 def update_codes(ctx: StateMonadCtx, xn: int) -> range:
     """The TX codes of the constant computations ``s -> (c, v)`` on xn
     elements, in c-major order: entry ``c * xn + v`` is the cell where a
-    structure map holds ``u_c(v)``.  They are the multiples of ``ones``,
-    which is 0 with no states, where there is no cell."""
-    s = ctx.state.size
-    ones = sum(ctx.digit_weights(s * xn))
-    return range(0, ones * s * xn, ones or 1)
+    structure map holds ``u_c(v)`` (:class:`CellLayout`)."""
+    cut = ctx.cell_layout(xn).update_cells
+    return range(cut.start, cut.stop, cut.step)
 
 
 def read_presentation(ctx: StateMonadCtx, xn: int, h) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The updates and lookup a structure table h on xn elements interprets:
     ``updates[c * xn + v] = u_c(v) = h(s -> (c, v))`` and
     ``lookup[g] = l(g) = h(s -> (s, g_s))`` on the codes g of ``X^S``."""
-    return _read_updates(ctx, xn, h), _read_lookup(ctx, xn, h)
+    cells = ctx.cell_layout(xn)
+    return h[cells.update_cells], _read_lookup(ctx, cells, h)
 
 
-def _read_updates(ctx: StateMonadCtx, xn: int, h) -> tuple[int, ...]:
-    """The update cells (:func:`update_codes`) of h, one strided slice."""
-    ones = sum(ctx.digit_weights(ctx.state.size * xn))
-    return h[:ones * ctx.state.size * xn:ones or 1]
-
-
-def _read_lookup(ctx: StateMonadCtx, xn: int, h) -> tuple[int, ...]:
+def _read_lookup(ctx: StateMonadCtx, cells: CellLayout, h) -> tuple[int, ...]:
+    xn = cells.carrier.size
     graphs = [range(c * xn, (c + 1) * xn) for c in range(ctx.state.size)]
-    return tuple(side_values((graphs, ctx.digit_weights(ctx.state.size * xn), (h,))))
+    return tuple(side_values((graphs, cells.weights, (h,))))
 
 
-def _presentation_violation(ctx, xn: int, h) -> AlgebraViolation | tuple[tuple, tuple]:
+def _presentation_violation(ctx, cells: CellLayout, h) -> AlgebraViolation | tuple[tuple, tuple]:
     """Decide the algebra laws for h exactly, without scanning TTX: an
     associativity violation, or h's updates and lookup when h is an algebra.
 
@@ -234,17 +234,15 @@ def _presentation_violation(ctx, xn: int, h) -> AlgebraViolation | tuple[tuple, 
     and ``h . mult`` the right-hand side, given the unit law that
     :func:`check_algebra` checks first.
     """
-    s = ctx.state.size
-    weights = ctx.digit_weights(s * xn)
-    ones = sum(weights)
-    updates = _read_updates(ctx, xn, h)
+    s, xn, ones, weights = ctx.state.size, cells.carrier.size, cells.ones, cells.weights
+    updates = h[cells.update_cells]
     ups = [updates[c * xn:(c + 1) * xn] for c in range(s)]
     found = _update_violation(xn, ups)
     if found is None:  # l is built only once equation 1 holds
-        look = _read_lookup(ctx, xn, h)
+        look = _read_lookup(ctx, cells, h)
         found = _lookup_violation(xn, ups, look)
     if found is None:
-        fold = ([updates] * s, ctx.digit_weights(xn), (look,))
+        fold = ([updates] * s, cells.x_weights, (look,))
         w = first_mismatch(([range(s * xn)] * s, weights, (h,)), fold)
         if w is None:
             return updates, look
@@ -255,11 +253,11 @@ def _presentation_violation(ctx, xn: int, h) -> AlgebraViolation | tuple[tuple, 
         if equation == "update_after_update":
             inner = [(instance[0], (instance[1] * xn + instance[2]) * ones)] * s
         elif equation == "update_after_lookup":
-            inner = [(instance[0], ctx.graph_at(FinSet(xn), instance[1]))] * s
+            inner = [(instance[0], ctx.graph_at(cells.carrier, instance[1]))] * s
         else:
             inner = [(c, (c * xn + instance[0]) * ones) for c in range(s)]
     m = len(h)
-    witness = sum((c * m + t) * wt for (c, t), wt in zip(inner, ctx.digit_weights(s * m)))
+    witness = sum((c * m + t) * wt for (c, t), wt in zip(inner, cells.ttx_weights))
     return AlgebraViolation("associativity", witness, lhs, rhs)
 
 
@@ -299,7 +297,7 @@ def morphism_witness(u: Morphism, source: TAlgebra, target: TAlgebra) -> int | N
     ut, ups2 = u.table, target.updates
     for j, a in enumerate(source.updates):
         if ut[a] != ups2[j // xn * x2n + ut[j % xn]]:
-            return update_codes(ctx, xn)[j]
+            return j * ctx.cell_layout(xn).ones
     return None
 
 

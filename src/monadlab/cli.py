@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .algebra import (
     DEFAULT_SEARCH_CEILING,
@@ -61,7 +62,10 @@ def _write(path: str, text: str) -> None:
         raise FinSetError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: nothing it reads varies between
+    calls (``prog`` is fixed), and ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="monadlab",
         description="classify state-monad algebras on finite sets, verify the "

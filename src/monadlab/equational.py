@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from itertools import chain, product
+from itertools import chain, product, starmap, zip_longest
+from operator import eq
 
 from .algebra import (
     AlgebraViolation,
@@ -67,8 +68,69 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Var(Term):
+class _Node(Term):
+    """The ``==``, ``hash`` and ``repr`` of :class:`Var`, :class:`Update` and
+    :class:`Lookup`, with a frozen dataclass's meaning (nodes are equal when
+    their classes and fields are; the repr names the fields) but computed
+    over an explicit stack, so they take a term of any depth.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(starmap(eq, zip_longest(_preorder(self), _preorder(other))))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self) -> str:
+        out = []
+        stack: list[tuple[bool, object]] = [(True, self)]
+        while stack:
+            is_term, u = stack.pop()
+            if not is_term:
+                out.append(u)
+            elif not isinstance(u, _Node):
+                out.append(repr(u))
+            elif isinstance(u, Var):
+                out.append(f"{type(u).__qualname__}(index={u.index!r})")
+            elif isinstance(u, Update):
+                out.append(f"{type(u).__qualname__}(state={u.state!r}, body=")
+                stack += ((False, ")"), (True, u.body))
+            else:
+                out.append(f"{type(u).__qualname__}(branches=(")
+                stack.append((False, ",))" if len(u.branches) == 1 else "))"))
+                for i in range(len(u.branches) - 1, -1, -1):
+                    stack.append((True, u.branches[i]))
+                    if i:
+                        stack.append((False, ", "))
+        return "".join(out)  # type: ignore[arg-type]
+
+
+def _preorder(t: object):
+    """The nodes of t in preorder, each as its class and its one field that
+    is no subterm (a lookup's branch count); a field holding no node is
+    ``(None, value)``.  Equal terms give equal sequences, and the sequence
+    determines the term, so comparing sequences is comparing terms."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            yield type(u), u.index
+        elif isinstance(u, Update):
+            yield type(u), u.state
+            stack.append(u.body)
+        elif isinstance(u, Lookup):
+            yield type(u), len(u.branches)
+            stack.extend(reversed(u.branches))
+        else:
+            yield None, u
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Var(_Node):
     index: int
 
     def __post_init__(self) -> None:
@@ -76,8 +138,8 @@ class Var(Term):
             raise TermError(f"variable index must be non-negative, got {self.index}")
 
 
-@dataclass(frozen=True, slots=True)
-class Update(Term):
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Update(_Node):
     state: int
     body: Term
 
@@ -86,8 +148,8 @@ class Update(Term):
             raise TermError(f"update subscript must be non-negative, got {self.state}")
 
 
-@dataclass(frozen=True, slots=True)
-class Lookup(Term):
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Lookup(_Node):
     branches: tuple[Term, ...]
 
     def __post_init__(self) -> None:

@@ -15,7 +15,7 @@ objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import compress, count
 from operator import eq, mul, ne
 from typing import Sequence
@@ -64,6 +64,33 @@ class LawCheck:
     checked: int
     ok: bool
     witness: int | None = None
+
+
+@dataclass(frozen=True)
+class CellLayout:
+    """What the structure tables ``TX -> X`` on one carrier size share:
+    the interned X and TX; the digit weights of codes in ``(S x X)^S``,
+    ``X^S`` and ``(S x TX)^S`` (the last encode TTX witnesses); ``ones``,
+    the TX code with every digit 1, whose multiples are the update cells
+    ``s -> (c, v)`` in c-major order (0 with no states, where there is
+    none), and ``update_cells``, the slice of a table that reads them; and
+    ``first``, the unit code of 0, so the unit at v is ``first + v·ones``."""
+
+    carrier: FinSet
+    tx: FinSet
+    ones: int
+    update_cells: slice
+    first: int
+    weights: tuple[int, ...]
+    x_weights: tuple[int, ...]
+    ttx_weights: tuple[int, ...]
+
+    @cached_property
+    def ids(self) -> tuple[int, ...]:
+        """``(0, ..., |X| - 1)``, what an algebra holds at its unit codes.
+        Made on first use, which in ``check_algebra`` follows the size
+        check, so never for a carrier that no table fits."""
+        return tuple(range(self.carrier.size))
 
 
 class StateMonadCtx:
@@ -194,6 +221,19 @@ class StateMonadCtx:
         if key not in self._cache:
             self._cache[key] = tuple(base**i for i in range(self.state.size))
         return self._cache[key]
+
+    def cell_layout(self, xn: int) -> CellLayout:
+        """The :class:`CellLayout` of xn-element carriers, built once."""
+        cells = self._cache.get(key := ("cells", xn))
+        if cells is None:
+            s, tx = self.state.size, self.t_obj(xn)
+            weights, ttx_weights = self.digit_weights(s * xn), self.digit_weights(s * tx.size)
+            ones, first = sum(weights), xn * sum(map(mul, range(s), weights))  # s -> (s, 0)
+            cells = self._cache[key] = CellLayout(
+                FinSet(xn), tx, ones, slice(0, ones * s * xn, ones or 1), first,
+                weights, self.digit_weights(xn), ttx_weights,
+            )
+        return cells
 
     def t_digits(self, table: Sequence[int], cod: int) -> list[int]:
         """Per-digit code table of ``T(f)`` for ``f`` with the given table
@@ -347,9 +387,8 @@ class StateMonadCtx:
         tx = self._law_tx(x)
         s, m, xn = self.state.size, tx.size, x.size
         ev, digits = evaluation(self.pair_obj(x), self.state).table, self.mult_digits(x)
-        unit, weights = partial(self.unit_at, tx), self.digit_weights(s * m)
-        first, step = sum(i * m * w for i, w in enumerate(weights)), sum(weights)
-        if all(map(eq, map(unit, range(m)), count(first, step))):
+        unit, cells = partial(self.unit_at, tx), self.cell_layout(m)
+        if all(map(eq, map(unit, range(m)), count(cells.first, cells.ones))):
             bad = min((d % m for d in _differing(ev, digits)), default=None)
         else:
             mult = ([ev] * s, self.digit_weights(s * xn), ())

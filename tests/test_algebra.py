@@ -1,8 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -33,7 +34,9 @@ from monadlab.algebra import (
     read_presentation,
     update_codes,
 )
-from monadlab.finset import FinSet, FinSetError, Morphism, compose, exp_map, hom, identity
+from monadlab.finset import (
+    ExpCodec, FinSet, FinSetError, Morphism, compose, exp_map, hom, identity,
+)
 from monadlab.monadicity import function_algebra
 from monadlab.statemonad import StateMonadCtx
 
@@ -374,6 +377,148 @@ def test_carried_presentation(kind, s, n):
         xn = alg.carrier.size
         assert (alg.updates, alg.lookup) == read_presentation(ctx, xn, alg.structure.table)
         assert type(alg.updates) is tuple and type(alg.lookup) is tuple
+
+
+def _unit_law_table(rng, ctx, xn):
+    x = FinSet(xn)
+    h = [rng.randrange(xn) for _ in range(ctx.t_obj(x).size)]
+    for v in range(xn):
+        h[ctx.unit_at(x, v)] = v
+    return h
+
+
+def _layout_cases():
+    """``(s, xn, h)``: seeded unit-law tables at (2,4) and (2,9), every
+    one-cell mutant of the twelve (2,4) algebras, the algebras plus random
+    and unit-law tables at (1,3), (3,1) and (3,2), and every table with no
+    states on carriers 0..3.  Every stage of check_algebra fails on some."""
+    rng = random.Random(2021)
+    cases = []
+    for s, xn, count in ((2, 4, 300), (2, 9, 60)):
+        ctx = StateMonadCtx(s)
+        cases += [(s, xn, _unit_law_table(rng, ctx, xn)) for _ in range(count)]
+    for alg in enumerate_algebras(StateMonadCtx(2), 4, method="transport"):
+        for cell, shift in product(range(alg.structure.dom.size), (1, 2, 3)):
+            h = list(alg.structure.table)
+            h[cell] = (h[cell] + shift) % 4
+            cases.append((2, 4, h))
+    for s, xn in ((1, 3), (3, 1), (3, 2)):
+        ctx = StateMonadCtx(s)
+        m = ctx.t_obj(xn).size
+        cases += [(s, xn, list(a.structure.table)) for a in enumerate_algebras(ctx, xn)]
+        cases += [(s, xn, [rng.randrange(xn) for _ in range(m)]) for _ in range(50)]
+        cases += [(s, xn, _unit_law_table(rng, ctx, xn)) for _ in range(50)]
+    for xn in range(4):
+        cases += [(0, xn, [v]) for v in range(xn)]
+    return cases
+
+
+def _verdict(ctx, xn, h):
+    result = check_algebra(ctx, xn, Morphism(ctx.t_obj(xn), FinSet(xn), h))
+    if isinstance(result, AlgebraViolation):
+        return (result.law, result.witness, result.lhs, result.rhs)
+    return ("algebra", result.updates, result.lookup)
+
+
+def _square_cases():
+    """``(u, source, target)``: every map between four of the twelve (2,4)
+    algebras, both ways between (2,1) and (2,4), between the one-state
+    algebras on 3 elements, and 300 seeded maps of K(2) at three states."""
+    ctx1, ctx2 = StateMonadCtx(1), StateMonadCtx(2)
+    twelve = enumerate_algebras(ctx2, 4, method="transport")
+    one = enumerate_algebras(ctx2, 1)[0]
+    ones3 = enumerate_algebras(ctx1, 3)
+    k2 = function_algebra(StateMonadCtx(3), 2)
+    pairs = [(a, b) for a in twelve[:4] for b in twelve[:4]]
+    pairs += [(one, twelve[5]), (twelve[5], one)] + [(a, b) for a in ones3 for b in ones3]
+    pairs.append((k2, k2))
+    rng = random.Random(7)
+    for source, target in pairs:
+        xn, x2n = source.carrier.size, target.carrier.size
+        maps = product(range(x2n), repeat=xn)
+        if x2n**xn > 300:
+            maps = [tuple(rng.randrange(x2n) for _ in range(xn)) for _ in range(300)]
+        for table in maps:
+            yield Morphism(source.carrier, target.carrier, table), source, target
+
+
+def _digest(lines):
+    return len(lines), hashlib.sha256("\n".join(map(repr, lines)).encode()).hexdigest()
+
+
+class TestCellLayout:
+    """check_algebra and its readers take the cells' places from one
+    :class:`CellLayout` per context and carrier size; every verdict and
+    witness stays what it was when each stage derived them inline.  The
+    digests were recorded with that code."""
+
+    def test_verdicts_unchanged(self):
+        ctxs = {}
+        verdicts = [_verdict(ctxs.setdefault(s, StateMonadCtx(s)), xn, h)
+                    for s, xn, h in _layout_cases()]
+        assert {v[0] for v in verdicts} == {"unit", "associativity", "algebra"}
+        assert _digest(verdicts) == (
+            2972, "d1907ae00cb5ac4adc49625d02ccfd15cdfaba0f3359c9b69b02966d20ac1518"
+        )
+
+    def test_morphism_witnesses_unchanged(self):
+        witnesses = [morphism_witness(u, a, b) for u, a, b in _square_cases()]
+        assert None in witnesses and len(set(witnesses)) > 2
+        assert _digest(witnesses) == (
+            4428, "40e2f543c599e886f082999e341dabdc38872c8eaab51731bd44a961ca5c8604"
+        )
+
+    def test_one_context_across_carriers(self):
+        """One context checking carriers 2, 4, 9, 4 in turn, so its layouts
+        are made and then reused, gives what fresh contexts give."""
+        rng = random.Random(44)
+        shared = StateMonadCtx(2)
+        k3 = function_algebra(StateMonadCtx(2), 3).structure.table
+        for xn in (2, 4, 9, 4):
+            tables = [_unit_law_table(rng, shared, xn) for _ in range(30)]
+            if xn == 9:
+                tables += [k3]
+                for cell in rng.sample(range(len(k3)), 30):
+                    tables.append(list(k3))
+                    tables[-1][cell] = (k3[cell] + 1) % 9
+            elif xn == 4:
+                tables += [a.structure.table for a in enumerate_algebras(StateMonadCtx(2), 4)]
+            for h in tables:
+                assert _verdict(shared, xn, h) == _verdict(StateMonadCtx(2), xn, h)
+        assert shared.cell_layout(4) is shared.cell_layout(4)
+
+    @pytest.mark.parametrize("s", range(4))
+    def test_fields(self, s):
+        ctx = StateMonadCtx(s)
+        for xn in range(4):
+            cells, x = ctx.cell_layout(xn), FinSet(xn)
+            assert cells.carrier is x and cells.tx is ctx.t_obj(x)
+            assert cells.ones == sum((s * xn) ** i for i in range(s))
+            assert [cells.first + v * cells.ones for v in range(xn)] == list(ctx.unit(x).table)
+            codes = [t for t in range(cells.tx.size) if len(set(ExpCodec(
+                ctx.pair_obj(x), ctx.state).decode(t))) == 1] if s else []
+            assert list(range(cells.tx.size))[cells.update_cells] == codes
+            assert cells.ttx_weights == tuple((s * cells.tx.size) ** i for i in range(s))
+            assert cells.ids == tuple(range(xn)) and cells.ids is cells.ids
+
+    def test_bad_inputs_still_raise(self):
+        ctx2 = StateMonadCtx(2)
+        h = Morphism(ctx2.t_obj(2), FinSet(2), [0] * 16)
+        for carrier, message in ((True, "size must be an int, got True"),
+                                 (-1, "size must be non-negative, got -1")):
+            with pytest.raises(FinSetError, match=message):
+                check_algebra(ctx2, carrier, h)
+        # refused before any layout was looked up
+        assert not [key for key in ctx2._cache if key[0] == "cells"]
+        with pytest.raises(FinSetError, match=r"^structure map must be 16 -> 2, got 2 -> 2$"):
+            check_algebra(ctx2, 2, identity(2))
+        with pytest.raises(FinSetError, match=r"^structure map must be 64 -> 4, got 16 -> 2$"):
+            check_algebra(ctx2, FinSet(4), h)
+        # a carrier no table could fit: its layout holds nothing of its size
+        huge = 10**15
+        with pytest.raises(FinSetError, match=f"must be {(2 * huge) ** 2} -> {huge}, got 16 -> 2"):
+            check_algebra(ctx2, huge, h)
+        assert "ids" not in vars(ctx2.cell_layout(huge))
 
 
 class TestIntegerRoot:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from monadlab.cli import main
+from monadlab.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -349,6 +349,23 @@ class TestFree:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "search ceiling exceeded" in proc.stderr
         assert "exceeds 1000000" in proc.stderr
+
+
+class TestParserReuse:
+    def test_same_output_after_an_error_and_help(self, capsys):
+        """main builds its parser once per process, and neither a usage
+        error nor --help leaves anything behind for the next call."""
+        good = ("algebras", "--s", "2", "--x", "4", "--format", "json")
+        first = run(capsys, *good)
+        assert first[0] == 0 and first[1]
+        for argv, code in ((["algebras", "--s", "2"], 2), (["--help"], 0), (["free", "--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            out = capsys.readouterr().out
+            assert out.startswith("usage: monadlab") if code == 0 else out == ""
+        assert run(capsys, *good) == first
+        assert _build_parser() is _build_parser()
 
 
 class TestStdoutDigests:

@@ -349,6 +349,42 @@ class TestBuiltTerms:
             self.assert_like_checked(t)
             assert t == Lookup(())
 
+    @pytest.mark.parametrize("depth", [5_000, 20_000])
+    def test_deep_terms_compare_hash_and_print(self, depth):
+        """``==``, ``hash`` and ``repr`` take any depth: dataclass-generated,
+        each raised RecursionError on a 5,000-deep term."""
+        chain = "u0(" * depth + "x0" + ")" * depth
+        nested = "l(" * depth + "x0" + ",x1)" * depth
+        for text, printed in (
+            (chain, "Update(state=0, body=" * depth + "Var(index=0)" + ")" * depth),
+            (nested, "Lookup(branches=(" * depth + "Var(index=0)" + ", Var(index=1)))" * depth),
+        ):
+            a, b = parse_term(text, 2), parse_term(text, 2)
+            assert a is not b and a == b and not a != b
+            assert hash(a) == hash(b)
+            assert repr(a) == printed
+            other = parse_term(text.replace("x0", "x2"), 2)
+            assert a != other and not a == other
+
+    def test_equality_is_by_class_and_fields(self):
+        class L(Lookup):
+            pass
+
+        pairs = [
+            (Update(0, Var(0)), Update(0, Var(1))),
+            (Update(0, Var(0)), Update(1, Var(0))),
+            (Lookup((Var(0), Var(1))), Lookup((Var(0),))),
+            (Lookup((Var(0), Var(1))), L((Var(0), Var(1)))),
+            (Update(0, Lookup((Var(0),))), Update(0, L((Var(0),)))),
+            (Var(0), Update(0, Var(0))),
+        ]
+        for a, b in pairs:
+            assert a != b and b != a and not a == b
+            assert a == _checked_copy(a) and hash(a) == hash(_checked_copy(a))
+        assert L((Var(0),)) == L((Var(0),)) and hash(L((Var(0),))) == hash(L((Var(0),)))
+        assert repr(L((Var(0),))).endswith("L(branches=(Var(index=0),))")
+        assert Var(0) != 0 and Lookup(()) != ()
+
 
 class TestDenote:
     def test_variable(self, ctx2):
