@@ -19,7 +19,33 @@ The scan evaluates the first points, and all of a tiny domain, on Python
 ints, so a quick rejection pays for no arrays.  Past that it broadcasts the
 low digits into an int64 block and walks the domain in order, in chunks
 that grow to at most ``1 << 20`` points.  numpy is imported only there, so
-importing the package does not load it.
+importing the package does not load it.  :func:`table_mismatch` runs the
+same scan with a plain table, read as it stands, as one side.
+
+``_INT_POINTS`` is the one switch between ints and arrays.  It bounds the
+domains scanned whole on ints and the first chunk of a larger scan; chunks
+that start below it run on ints (the int prefix, whose last chunk can be
+about seven times larger); and :func:`digit_codes` tabulates past it with
+arrays.  It was set to 128 by timing candidate values in one process,
+alternated at every repetition: best of 15 per table, or of 6 to 60 per
+call (Python 3.11.7, numpy 2.4.6, 2 vCPUs of a shared Xeon host):
+
+    _INT_POINTS      (2,4) mutant µs    associativity_check ms    brute s
+                      mean     p90        (2,1)       (2,2)       (2,2)
+    32, h as a side   29.0     43.0       0.222       53.2        0.254
+    32                23.0     33.0       0.220       52.5        0.272
+    64                17.7     23.3       0.221       49.1        0.281
+    128               17.8     23.7       0.212       47.2        0.265
+    256               17.9     23.8       0.284       48.2        0.248
+    512               18.0     24.0       0.281       49.8        0.244
+
+The mutants are 240 one-cell mutants of the (2,4) algebras, rejected by
+``check_algebra`` at its fold test, whose 64-code domain runs whole on ints
+from 64 on.  ``associativity_check`` at (2,1) scans 16,384 codes, and from
+256 on its int prefix ends in a chunk of about 1,800 points that arrays
+evaluate faster.  The brute-force search (``algebras --s 2 --x 2 --method
+brute``) moves within its noise.  The first row is the fold test before
+:func:`table_mismatch`, which evaluated h as a digit sum read through h.
 """
 
 from __future__ import annotations
@@ -30,9 +56,11 @@ from typing import Sequence
 #: ``(digits, weights, lookups)``: one side of an identity, see above.
 Side = tuple[Sequence[Sequence[int]], Sequence[int], Sequence[Sequence[int]]]
 
-#: Domains of at most this many codes, and scan chunks that start below
-#: this code, run on Python ints.
-_INT_POINTS = 32
+#: The int/array threshold, in points: domains of at most this many codes
+#: run whole on Python ints, a larger scan's first chunk fits within it and
+#: its chunks that start below it run on ints, and :func:`digit_codes`
+#: uses arrays past it.  Measured; see the module docstring.
+_INT_POINTS = 128
 
 #: Largest chunk, in points, of the array scan.
 _MAX_CHUNK = 1 << 20
@@ -84,24 +112,39 @@ def first_mismatch(left: Side, right: Side) -> int | None:
     """The least code where the two sides differ, or None.  Each side must
     read its digit sums through a lookup, so that they index lists and, like
     the lookups' entries, fit the array scan's int64."""
-    if not (left[2] and right[2]):
+    return _scan(left, right, False)
+
+
+def table_mismatch(table: Sequence[int], side: Side) -> int | None:
+    """As :func:`first_mismatch`, with ``table[w]`` the left side's value at code w."""
+    return _scan(table, side, True)
+
+
+def _scan(left, right: Side, plain: bool) -> int | None:
+    """The scan of :func:`first_mismatch`; left is a plain table if ``plain``."""
+    if not (right[2] and (plain or left[2])):
         raise ValueError("first_mismatch needs a lookup on each side")
-    if prod(map(len, left[0])) <= _INT_POINTS:
-        lv, rv = side_values(left), side_values(right)
+    if prod(map(len, right[0])) <= _INT_POINTS:
+        lv, rv = list(left) if plain else side_values(left), side_values(right)
         return None if lv == rv else _first_difference(lv, rv)
     arrays = None
-    for start, j, lo, hi, high in _chunks([len(t) for t in left[0]]):
+    for start, j, lo, hi, high in _chunks([len(t) for t in right[0]]):
         if start < _INT_POINTS:
-            lv = _int_chunk(left, j, lo, hi, high)
             rv = _int_chunk(right, j, lo, hi, high)
+            lv = list(left[start:start + len(rv)]) if plain else _int_chunk(left, j, lo, hi, high)
             if lv != rv:
                 return start + _first_difference(lv, rv)
             continue
-        arrays = arrays or (_Arrays(left), _Arrays(right))
-        lv = arrays[0].chunk(j, lo, hi, high)
-        bad = (lv != arrays[1].chunk(j, lo, hi, high)).nonzero()[0]
+        if arrays is None:
+            from numpy import fromiter, int64  # a plain table is converted chunk by chunk
+            arrays = _Arrays(right), None if plain else _Arrays(left)
+        rv = arrays[0].chunk(j, lo, hi, high)
+        end = start + rv.size
+        lv = fromiter(left[start:end], int64) if plain else arrays[1].chunk(j, lo, hi, high)
+        bad = (rv != lv).nonzero()[0]
         if bad.size:
             return start + int(bad[0])
+        lv = None  # keep only rv alive between chunks: measured fastest
     return None
 
 

@@ -35,7 +35,7 @@ from itertools import combinations, permutations, product
 from operator import mul
 from typing import Callable, Sequence
 
-from ._bulk import Side, first_mismatch, side_values, value_at
+from ._bulk import Side, first_mismatch, side_values, table_mismatch, value_at
 from .finset import FinSet, FinSetError, Morphism, evaluation, exp_map, int_entries
 from .statemonad import DEFAULT_SEARCH_CEILING, CellLayout, StateMonadCtx
 
@@ -116,9 +116,11 @@ def check_algebra(
     it pass: the unit law, ``|X|`` steps (the unit codes ``first + v·ones``,
     every digit of ``ones`` 1, are one strided slice of h; its witness is
     the least failing v); equation 1 on the updates U, ``|S|^2·|X|``; the
-    lookup l and equations 2 and 3, ``(|S|+1)·|X|^|S|``; the fold, ``|TX|``.
-    The last three decide associativity (:func:`_presentation_violation`),
-    at the first failing instance, which need not be the least TTX code.
+    lookup l and equations 2 and 3, ``(|S|+1)·|X|^|S|``; the fold, ``|TX|``,
+    which compares the fold of U and l with h as it stands, reading each
+    cell of h once (``_bulk.table_mismatch``).  The last three decide
+    associativity (:func:`_presentation_violation`), at the first failing
+    instance, which need not be the least TTX code.
 
     Where the cells lie depends only on ``(|S|, |X|)``.  Every stage reads
     it from one :class:`CellLayout` (X and TX, ``ones``, ``first``, the
@@ -243,7 +245,7 @@ def _presentation_violation(ctx, cells: CellLayout, h) -> AlgebraViolation | tup
         found = _lookup_violation(xn, ups, look)
     if found is None:
         fold = ([updates] * s, cells.x_weights, (look,))
-        w = first_mismatch(([range(s * xn)] * s, weights, (h,)), fold)
+        w = table_mismatch(h, fold)
         if w is None:
             return updates, look
         lhs, rhs = value_at(fold, w), h[w]

@@ -108,6 +108,11 @@ class _Node(Term):
                         stack.append((False, ", "))
         return "".join(out)  # type: ignore[arg-type]
 
+    def __reduce__(self):
+        # pickle and copy rebuild the term from its flat preorder, so they
+        # take a term of any depth too
+        return _from_preorder, (tuple(_preorder(self)),)
+
 
 def _preorder(t: object):
     """The nodes of t in preorder, each as its class and its one field that
@@ -178,6 +183,27 @@ def _lookup(branches: tuple[Term, ...]) -> Lookup:
     t = _new(Lookup)
     _set_branches(t, branches)
     return t
+
+
+def _from_preorder(nodes) -> Term:
+    """The term whose :func:`_preorder` is nodes, built bottom-up on a stack."""
+    stack: list = []
+    for cls, field in reversed(nodes):
+        if cls is None:
+            stack.append(field)
+            continue
+        t = _new(cls)
+        if issubclass(cls, Var):
+            _set_index(t, field)
+        elif issubclass(cls, Update):
+            _set_state(t, field)
+            _set_body(t, stack.pop())
+        else:
+            cut = len(stack) - field
+            _set_branches(t, tuple(reversed(stack[cut:])))
+            del stack[cut:]
+        stack.append(t)
+    return stack.pop()
 
 
 def max_var(t: Term) -> int:

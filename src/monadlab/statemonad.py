@@ -285,9 +285,6 @@ class StateMonadCtx:
             self._cache[key] = curry(codec.proj_right(), codec)
         return self._cache[key]
 
-    def const_at(self, z: FinSet, v: int) -> int:
-        return v * sum(self.digit_weights(z.size))
-
     def restrict_to_chosen(self, z: FinSet | int, s0: int | None = None) -> Morphism:
         """``Z^S -> Z^1`` precomposing with a chosen state: ``s0`` if given,
         else the context's own."""

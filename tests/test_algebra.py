@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from monadlab._bulk import first_mismatch, value_at
+from monadlab._bulk import _INT_POINTS, _chunks, first_mismatch, value_at
 import monadlab.algebra
 from monadlab.algebra import (
     AlgebraViolation,
@@ -148,16 +148,19 @@ class TestWitnessOrder:
     the scan are still the least failing codes."""
 
     def test_check_algebra_least_witness(self, ctx2):
-        # TTX has 648**2 codes; the kernel checks codes below 64 on Python
-        # ints and 64..511 in its first array chunk.  check_algebra reports
-        # the first failing presentation instance instead, which must break
-        # the law too
-        k = function_algebra(ctx2, 3)
+        # TTX has 5000**2 codes; the kernel checks codes below 512 on Python
+        # ints and 512..4095 in its first array chunk.  A one-cell mutant
+        # fails in the first row of 5000 codes, so K(3), whose rows have 648,
+        # no longer reaches past both.  check_algebra reports the first
+        # failing presentation instance instead, which must break the law too
+        k = function_algebra(ctx2, 5)
         h = list(k.structure.table)
-        h[300] = (h[300] + 3) % 9
+        h[2000] = (h[2000] + 5) % 25
         left, right = _assoc_sides(ctx2, k.carrier, h)
         w, lhs, rhs = _assoc_reference(ctx2, k.carrier, h)
-        assert w >= 512
+        starts = [chunk[0] for chunk in _chunks([5000, 5000])]
+        assert starts[4:6] == [512, 4096] and starts[4] >= _INT_POINTS > starts[3]
+        assert w >= 4096
         assert first_mismatch(left, right) == w
         assert (value_at(left, w), value_at(right, w)) == (lhs, rhs)
         result = check_algebra(ctx2, k.carrier, Morphism(k.structure.dom, k.carrier, tuple(h)))

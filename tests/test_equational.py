@@ -385,6 +385,35 @@ class TestBuiltTerms:
         assert repr(L((Var(0),))).endswith("L(branches=(Var(index=0),))")
         assert Var(0) != 0 and Lookup(()) != ()
 
+    def test_pickle_and_copy_take_any_depth(self):
+        """pickle, ``copy.copy`` and ``copy.deepcopy`` rebuild a term from its
+        flat preorder: on the dataclass pickling each raised RecursionError on
+        a 5,000-deep term."""
+        depth = 5_000
+        terms = [
+            parse_term("u0(" * depth + "x0" + ")" * depth, 2),
+            parse_term("l(" * depth + "x0" + ",x1)" * depth, 2),
+            parse_term("l(u1(x0),l(x1,u0(x2)))", 2),
+            Lookup(()),
+            Var(3),
+            _Branches((Var(0), Update(1, _Branches(())))),
+            Update(1, "x0"),
+            Lookup((Var(0), 7, None)),
+        ]
+        for t in terms:
+            copies = [pickle.loads(pickle.dumps(t, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for c in copies + [copy.copy(t), copy.deepcopy(t)]:
+                assert c is not t and type(c) is type(t)
+                assert c == t and t == c and hash(c) == hash(t)
+        pair = copy.deepcopy(terms[5])
+        assert type(pair.branches[1].body) is _Branches
+        assert repr(pair) == repr(terms[5])
+        assert copy.deepcopy(terms[7]).branches[1:] == (7, None)
+
+
+class _Branches(Lookup):
+    """A subclass of a term class, for the pickling test."""
+
 
 class TestDenote:
     def test_variable(self, ctx2):

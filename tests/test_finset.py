@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from monadlab import _bulk
 from monadlab._bulk import first_mismatch, side_values, value_at
 from monadlab.finset import (
     ExpCodec,
@@ -80,6 +82,100 @@ class TestSideValues:
         assert first_mismatch(side, side) is None
         with pytest.raises(ValueError, match="lookup on each side"):
             first_mismatch(side, (side[0], side[1], []))
+
+
+def _split(n):
+    """Radices with product n: two digits when n has a proper divisor."""
+    d = next((d for d in range(2, n) if n % d == 0), None)
+    return [d, n // d] if d else [n]
+
+
+def _scan_case(radices, seed=0):
+    """A side on the radices, reading its digit sums through a lookup."""
+    rng = random.Random(seed)
+    weights = [prod(radices[:i]) for i in range(len(radices))]
+    digits = [[rng.randrange(r) for _ in range(r)] for r in radices]
+    return digits, weights, [[rng.randrange(5) for _ in range(max(1, prod(radices)))]]
+
+
+class TestTableMismatch:
+    """``table_mismatch`` and ``first_mismatch`` return the least failing
+    code on both sides of every boundary ``_bulk._INT_POINTS`` sets: the
+    whole-domain int path, the int prefix of the chunked scan, the first
+    array chunk, and the last code."""
+
+    DOMAINS = (
+        ("empty", [3, 0]),
+        ("one code", []),
+        ("one digit", [7]),
+        ("int points - 1", _split(_bulk._INT_POINTS - 1)),
+        ("int points", _split(_bulk._INT_POINTS)),
+        ("int points + 1", _split(_bulk._INT_POINTS + 1)),
+        ("thousands", [16, 12, 20]),
+    )
+
+    @staticmethod
+    def _places(radices):
+        n = prod(radices)
+        first_array = None
+        if n > _bulk._INT_POINTS:
+            starts = [start for start, *_ in _bulk._chunks(radices)]
+            first_array = next((s for s in starts if s >= _bulk._INT_POINTS), None)
+        last_int = n - 1 if first_array is None else first_array - 1
+        return sorted({w for w in (0, last_int, first_array, n - 1) if w is not None and 0 <= w < n})
+
+    @pytest.mark.parametrize("name,radices", DOMAINS, ids=[d[0] for d in DOMAINS])
+    def test_agree_with_brute_reference(self, name, radices):
+        side = _scan_case(radices)
+        values = side_values(side)
+        assert values == [value_at(side, w) for w in range(prod(radices))]
+        places = self._places(radices)
+        if name == "thousands":
+            # an int prefix, then arrays
+            assert len(places) == 4 and places[1] + 1 == places[2] < places[3]
+        for place in [None, *places]:
+            table = list(values)
+            if place is not None:
+                table[place] += 1
+            reference = next((w for w, (a, b) in enumerate(zip(table, values)) if a != b), None)
+            assert reference == place
+            as_side = ([range(r) for r in radices], side[1], (tuple(table),))
+            assert _bulk.table_mismatch(tuple(table), side) == place
+            assert _bulk.table_mismatch(table, side) == place
+            assert first_mismatch(as_side, side) == place
+
+    def test_arrays_only_past_the_int_prefix(self, monkeypatch):
+        radices = [16, 12, 20]
+        side = _scan_case(radices)
+        values = side_values(side)
+        as_side = lambda table: ([range(r) for r in radices], side[1], (table,))  # noqa: E731
+        _, j, lo, hi, _ = next(_bulk._chunks(radices))
+        first_row = (hi - lo) * prod(radices[:j])
+
+        def no_arrays(side):
+            raise AssertionError("arrays built")
+
+        monkeypatch.setattr(_bulk, "_Arrays", no_arrays)
+        table = list(values)
+        table[first_row - 1] += 1
+        assert _bulk.table_mismatch(table, side) == first_row - 1
+        assert first_mismatch(as_side(table), side) == first_row - 1
+        with pytest.raises(AssertionError, match="arrays built"):
+            _bulk.table_mismatch(values, side)
+        with pytest.raises(AssertionError, match="arrays built"):
+            first_mismatch(as_side(values), side)
+
+    @given(sides(), st.data())
+    def test_agrees_with_value_at(self, side, data):
+        if not side[2]:
+            return
+        values = side_values(side)
+        table = list(values)
+        if table:
+            place = data.draw(st.integers(min_value=0, max_value=len(table) - 1))
+            table[place] += 1
+        reference = next((w for w, (a, b) in enumerate(zip(table, values)) if a != b), None)
+        assert _bulk.table_mismatch(table, side) == reference
 
 
 class TestFinSet:
