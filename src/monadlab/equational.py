@@ -40,12 +40,14 @@ from .algebra import (
     _update_violation,
     check_algebra,
     fold_table,
+    past_ceiling,
 )
 from ._bulk import side_values
 from .finset import ExpCodec, FinSet, FinSetError, Morphism
 from .statemonad import StateMonadCtx
 
-#: Most classes one call of :func:`free_classes` may read back.
+#: Most classes one call of :func:`free_classes` may read back, and most
+#: start states :func:`_runs` may run a term from.
 FREE_CLASS_LIMIT = 10**6
 
 
@@ -343,8 +345,11 @@ def _runs(t: Term, s_size: int, nvars: int | None = None) -> list[tuple[int, int
     names no state, a lookup without exactly ``s_size`` branches, or an
     object that is not a term.  The second follows one path per start
     state: a variable ends the run, an update overwrites the state, a lookup
-    takes the branch the state names.
+    takes the branch the state names.  Past :data:`FREE_CLASS_LIMIT`
+    start states, no run is made.
     """
+    if s_size > FREE_CLASS_LIMIT:
+        raise SearchCeilingExceeded(f"{s_size} start states exceed {FREE_CLASS_LIMIT}")
     stack = [t]
     while stack:
         u = stack.pop()
@@ -594,22 +599,26 @@ def free_classes(ctx: StateMonadCtx, nvars: int, depth: int) -> FreeClasses:
     where the one class starts at ``x0`` and round 1 improves it to
     ``l()``.  At depth 1 with |S| >= 2 only the runs that all keep their
     start state or all end at one pair are read.  Past
-    :data:`FREE_CLASS_LIMIT` codes to read, none is read.
+    :data:`FREE_CLASS_LIMIT` codes to read, or at none, no code is built.
     """
     if depth < 1:
         raise FinSetError(f"depth must be at least 1, got {depth}")
     if nvars < 0:
         raise FinSetError(f"nvars must be non-negative, got {nvars}")
     s = ctx.state.size
+    shallow = depth == 1 and s >= 2
+    base, extra = (nvars, s * nvars) if shallow else (s * nvars, 0)
+    if past_ceiling(base, s, FREE_CLASS_LIMIT) or (count := base**s + extra) > FREE_CLASS_LIMIT:
+        shown = f"{base}**{s}" + (f" + {extra}" if extra else "")
+        raise SearchCeilingExceeded(f"free model with {shown} classes exceeds {FREE_CLASS_LIMIT}")
+    if count == 0:
+        return FreeClasses(0, {}, True)
     pairs = [divmod(d, nvars) for d in range(s * nvars)]
-    if depth == 1 and s >= 2:
-        count = nvars**s + s * nvars
+    if shallow:
         keep = (list(enumerate(vs)) for vs in product(range(nvars), repeat=s))
         every_run = chain(keep, ([pair] * s for pair in pairs))
     else:
-        count, every_run = len(pairs) ** s, product(pairs, repeat=s)
-    if count > FREE_CLASS_LIMIT:
-        raise SearchCeilingExceeded(f"free model with {count} classes exceeds {FREE_CLASS_LIMIT}")
+        every_run = product(pairs, repeat=s)
     reps = {_code(runs, nvars): _read_back(runs) for runs in every_run}
     deepest = 2 if s >= 2 and nvars else int(s == 0)
     return FreeClasses(len(reps), dict(sorted(reps.items())), depth > deepest)

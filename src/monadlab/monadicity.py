@@ -12,7 +12,7 @@ The constructions that witness the equivalence are all explicit:
 * ``compare_inverse`` builds the two-sided inverse of ``compare`` directly
   from the algebra's lookup;
 * ``compare_retraction`` builds a left inverse by flattening graphs;
-* ``compare_section`` builds a right inverse from any chosen state;
+* ``compare_section`` builds a right inverse from any state;
 * ``base_iso`` exhibits the base of a function algebra as the original
   object, naturally.
 
@@ -64,32 +64,26 @@ HOM_LIMIT = 10_000
 SAMPLE_SIZE = 100
 
 
-def function_algebra(ctx: StateMonadCtx, y: FinSet | int, validate: bool = True) -> TAlgebra:
+def function_algebra(ctx: StateMonadCtx, y: FinSet | int) -> TAlgebra:
     """The algebra of S-indexed functions into Y: carrier ``Y^S``, structure
-    map the exponentiated evaluation."""
+    map the exponentiated evaluation, validated by :func:`check_algebra`."""
     y = y if isinstance(y, FinSet) else FinSet(y)
     carrier = ExpCodec(y, ctx.state).obj
     structure = exp_map(evaluation(y, ctx.state), ctx.state)
-    if not validate:
-        return TAlgebra(ctx, carrier, structure)
     result = check_algebra(ctx, carrier, structure)
     if isinstance(result, AlgebraViolation):
         raise AssertionError(f"function algebra failed validation: {result}")
     return result
 
 
-def function_algebra_map(
-    ctx: StateMonadCtx, v: Morphism, validate: bool = True
-) -> AlgebraMorphism:
+def function_algebra_map(ctx: StateMonadCtx, v: Morphism) -> AlgebraMorphism:
     """The action of the function-algebra construction on a map ``v: Y -> Y'``,
     namely ``v^S``, checked to be an algebra morphism."""
-    source = function_algebra(ctx, v.dom, validate=False)
-    target = function_algebra(ctx, v.cod, validate=False)
+    source, target = function_algebra(ctx, v.dom), function_algebra(ctx, v.cod)
     u = exp_map(v, ctx.state)
-    if validate:
-        w = morphism_witness(u, source, target)
-        if w is not None:
-            raise AssertionError(f"exponentiated map broke the morphism square at {w}")
+    w = morphism_witness(u, source, target)
+    if w is not None:
+        raise AssertionError(f"exponentiated map broke the morphism square at {w}")
     return AlgebraMorphism(source, target, u)
 
 
@@ -141,42 +135,25 @@ def compare_retraction(data: BaseData) -> Morphism:
     return compose(fold_graph, exp_map(data.mono, ctx.state))
 
 
-def epi_section(data: BaseData, s0: int | None = None) -> Morphism:
-    """A section ``Y -> S x X`` of the reachability surjection, from a chosen
-    state: include, embed as a computation, evaluate at the chosen state.
+def epi_section(data: BaseData, s0: int) -> Morphism:
+    """A section ``Y -> S x X`` of the reachability surjection, from the
+    state ``s0``: include, embed as a computation, evaluate at ``s0``.
     The unit sends ``m`` to ``s -> (s, m)``, whose value at ``s0`` is
     ``(s0, m)``, so the section is ``y -> (s0, mono(y))``."""
     ctx = data.algebra.ctx
-    s0 = ctx.s0 if s0 is None else s0
-    if s0 is None or not 0 <= s0 < ctx.state.size:
+    if not 0 <= s0 < ctx.state.size:
         raise FinSetError(f"no chosen state s0={s0} in a {ctx.state.size}-state object")
     x = data.algebra.carrier
     table = tuple(s0 * x.size + m for m in data.mono.table)
     return Morphism(data.base, ctx.pair_obj(x), table)
 
 
-def compare_section(data: BaseData, s0: int | None = None) -> Morphism:
+def compare_section(data: BaseData, s0: int) -> Morphism:
     """A right inverse ``Y^S -> X`` of the comparison map: exponentiate the
     section of the surjection, then fold."""
     ctx = data.algebra.ctx
     sigma = epi_section(data, s0)
     return compose(data.algebra.structure, exp_map(sigma, ctx.state))
-
-
-@dataclass(frozen=True)
-class SectionRetraction:
-    """Left and right inverses of a comparison map; the section needs a
-    chosen state and is None when the state object is empty."""
-
-    retraction: Morphism
-    section: Morphism | None
-
-
-def section_retraction(data: BaseData, s0: int | None = None) -> SectionRetraction:
-    retraction = compare_retraction(data)
-    s0 = data.algebra.ctx.s0 if s0 is None else s0
-    section = compare_section(data, s0) if s0 is not None else None
-    return SectionRetraction(retraction=retraction, section=section)
 
 
 def compare_is_algebra_map(data: BaseData) -> bool:
@@ -224,7 +201,7 @@ def base_map(u: Morphism, source: BaseData, target: BaseData) -> Morphism:
     return Morphism(source.base, target.base, tuple(table))  # type: ignore[arg-type]
 
 
-def base_iso(ctx: StateMonadCtx, y: FinSet | int, data: BaseData | None = None) -> Morphism:
+def base_iso(ctx: StateMonadCtx, y: FinSet | int, data: BaseData) -> Morphism:
     """The isomorphism from the base of the function algebra on Y back to Y.
 
     It is the unique map compatible with both surjections: the extracted
@@ -234,8 +211,6 @@ def base_iso(ctx: StateMonadCtx, y: FinSet | int, data: BaseData | None = None) 
     if ctx.state.size == 0:
         raise FinSetError("the base of a function algebra needs a nonempty state object")
     y = y if isinstance(y, FinSet) else FinSet(y)
-    if data is None:
-        data = extract_base(function_algebra(ctx, y, validate=False))
     ev = evaluation(y, ctx.state)
     table: list[int | None] = [None] * data.base.size
     for i, z in enumerate(data.epi.table):

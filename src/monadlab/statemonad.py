@@ -1,10 +1,10 @@
 """The state monad ``T = (S x -)^S`` over finite sets, for a fixed state object.
 
-A :class:`StateMonadCtx` fixes the state object S and an optional chosen
-state ``s0``, and exposes the monad data (object/arrow action, unit,
-multiplication) together with the auxiliary natural maps the rest of the
-package needs: the graph map ``Z^S -> TZ``, evaluation at the chosen state
-``Z^S -> Z``, and the constant-function embedding ``Z -> Z^S``.
+A :class:`StateMonadCtx` fixes the state object S and exposes the monad
+data (object/arrow action, unit, multiplication) together with the
+auxiliary natural maps the rest of the package needs: the graph map
+``Z^S -> TZ``, evaluation at a given state ``Z^S -> Z``, and the
+constant-function embedding ``Z -> Z^S``.
 
 Tables are built eagerly for objects of manageable size; the ``*_at``
 methods evaluate the same maps at a single point without materializing any
@@ -95,24 +95,14 @@ class CellLayout:
 
 class StateMonadCtx:
     """The monad ``TX = (S x X)^S`` with a fixed finite state object S.
+    Contexts are value objects: two of equal state size behave alike."""
 
-    ``s0`` is the chosen global element of S used by the section
-    construction; it defaults to 0 when S is nonempty.  Contexts are value
-    objects: two contexts with equal state size and ``s0`` behave
-    identically.
-    """
-
-    def __init__(self, state: FinSet | int, s0: int | None = None):
+    def __init__(self, state: FinSet | int):
         self.state = state if isinstance(state, FinSet) else FinSet(state)
-        if s0 is None and self.state.size >= 1:
-            s0 = 0
-        if s0 is not None and not 0 <= s0 < self.state.size:
-            raise FinSetError(f"s0={s0} is not an element of a {self.state.size}-state object")
-        self.s0 = s0
         self._cache: dict = {}
 
     def __repr__(self) -> str:
-        return f"StateMonadCtx(state={self.state.size}, s0={self.s0})"
+        return f"StateMonadCtx(state={self.state.size})"
 
     # -- encodings ---------------------------------------------------------
 
@@ -285,14 +275,9 @@ class StateMonadCtx:
             self._cache[key] = curry(codec.proj_right(), codec)
         return self._cache[key]
 
-    def restrict_to_chosen(self, z: FinSet | int, s0: int | None = None) -> Morphism:
-        """``Z^S -> Z^1`` precomposing with a chosen state: ``s0`` if given,
-        else the context's own."""
-        if s0 is None:
-            s0 = self.s0
-            if s0 is None:
-                raise FinSetError("no chosen state: the state object is empty")
-        elif not 0 <= s0 < self.state.size:
+    def restrict_to_chosen(self, z: FinSet | int, s0: int) -> Morphism:
+        """``Z^S -> Z^1`` precomposing with the state ``s0``."""
+        if not 0 <= s0 < self.state.size:
             raise FinSetError(f"s0={s0} is not an element of a {self.state.size}-state object")
         z = z if isinstance(z, FinSet) else FinSet(z)
         key = ("restrict", z.size, s0)
@@ -305,10 +290,10 @@ class StateMonadCtx:
             self._cache[key] = Morphism(FinSet(z.size**n), ExpCodec(z, FinSet(1)).obj, table)
         return self._cache[key]
 
-    def chosen_eval(self, z: FinSet | int, s0: int | None = None) -> Morphism:
-        """``Z^S -> Z`` evaluating a function at a chosen state: ``s0`` if
-        given, else the context's own.  It is :meth:`restrict_to_chosen`,
-        since ``Z^1`` is Z: FinSets are interned by size."""
+    def chosen_eval(self, z: FinSet | int, s0: int) -> Morphism:
+        """``Z^S -> Z`` evaluating a function at the state ``s0``.  It is
+        :meth:`restrict_to_chosen`, since ``Z^1`` is Z: FinSets are interned
+        by size."""
         return self.restrict_to_chosen(z, s0)
 
     def diagonal(self) -> Morphism:
@@ -359,11 +344,11 @@ class StateMonadCtx:
     def _law_tx(self, x: FinSet) -> FinSet:
         """TX, once the law checks' tables of ``|S| * |TX|`` entries are
         known to be within :data:`DEFAULT_SEARCH_CEILING`; refuses past it."""
-        tx = self.t_obj(x)
-        entries = self.state.size * tx.size
-        if entries > DEFAULT_SEARCH_CEILING:
+        tx, s = self.t_obj(x), self.state.size
+        if s * tx.size > DEFAULT_SEARCH_CEILING:
             raise FinSetError(
-                f"S x TX has {entries} elements, above the table bound {DEFAULT_SEARCH_CEILING}"
+                f"S x TX has {s}*{s * x.size}**{s} elements, "
+                f"above the table bound {DEFAULT_SEARCH_CEILING}"
             )
         return tx
 

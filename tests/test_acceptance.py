@@ -144,7 +144,7 @@ def test_criterion_05_comparison_suite_on_every_algebra(ctx2, twelve):
     for s in (1, 2, 3):
         ctx = StateMonadCtx(s)
         for yn in range(4):
-            algebras.append(function_algebra(ctx, yn, validate=False))
+            algebras.append(function_algebra(ctx, yn))
     failures = []
     for alg in algebras:
         suite = check_suite(alg)
@@ -186,7 +186,7 @@ def test_criterion_07_base_iso_and_naturality():
         isos = {}
         for yn in range(4):
             y = FinSet(yn)
-            data = extract_base(function_algebra(ctx, y, validate=False))
+            data = extract_base(function_algebra(ctx, y))
             xi = base_iso(ctx, y, data)
             ok &= classify(xi).iso
             ok &= compose(xi, data.epi).table == evaluation(y, ctx.state).table

@@ -776,11 +776,11 @@ class TestCardinalityClassification:
 
     def test_two_states_larger_square_has_structure(self, ctx2):
         # carrier 9 = 3^2: the function algebra on 3 is a witness
-        alg = function_algebra(ctx2, 3, validate=True)
+        alg = function_algebra(ctx2, 3)
         assert alg.carrier.size == 9
 
     def test_three_states_cube_has_structure(self, ctx3):
-        alg = function_algebra(ctx3, 2, validate=True)
+        alg = function_algebra(ctx3, 2)
         assert alg.carrier.size == 8
         assert alg.checked == "presentation"
 

@@ -341,14 +341,39 @@ class TestFree:
 
     @pytest.mark.parametrize("s,nvars,depth", [
         # 60**6 classes; at depth 1, 1000**2 lookups of variables and 2,000
-        # updates, just past the limit
-        ("6", "10", "2"), ("2", "1000", "1"),
+        # updates, just past the limit; 20000**2000 classes, a count of
+        # more digits than str() of an int prints; and 200000000**2, whose
+        # pairs alone would pass the memory cap
+        ("6", "10", "2"), ("2", "1000", "1"), ("2000", "10", "2"),
+        ("2", "100000000", "2"),
     ])
     def test_past_the_class_limit_refused_at_once(self, s, nvars, depth):
         proc = run_capped("free", "--s", s, "--vars", nvars, "--depth", depth)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "search ceiling exceeded" in proc.stderr
         assert "exceeds 1000000" in proc.stderr
+
+    def test_no_variables_answered_at_once(self):
+        # T(V) is empty: no run over 10**8 start states is built
+        proc = run_capped("free", "--s", "100000000", "--vars", "0")
+        assert proc.returncode == 0 and proc.stdout == "0 classes\n"
+
+
+class TestStartStateBound:
+    @pytest.mark.parametrize("argv", [
+        ("equal", "--s", "100000000", "x0", "x0"),
+        ("rewrite", "--s", "100000000", "x0"),
+    ])
+    def test_past_the_limit_refused_at_once(self, argv):
+        # one run per start state: 10**8 of them would pass the memory cap
+        proc = run_capped(*argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "search ceiling exceeded" in proc.stderr
+        assert "exceed 1000000" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_at_the_limit_answered(self, capsys):
+        code, out, _ = run(capsys, "equal", "--s", "1000000", "x0", "x0")
+        assert code == 0 and out == "equal\n"
 
 
 class TestParserReuse:

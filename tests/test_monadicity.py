@@ -43,7 +43,6 @@ from monadlab.monadicity import (
     extract_base,
     function_algebra,
     function_algebra_map,
-    section_retraction,
     verify_monadicity,
 )
 from monadlab.statemonad import StateMonadCtx
@@ -86,9 +85,9 @@ class TestFunctionAlgebra:
     def test_every_exponentiated_map_is_algebra_morphism(self, s):
         ctx = StateMonadCtx(s)
         for yn in range(4):
-            src = function_algebra(ctx, yn, validate=False)
+            src = function_algebra(ctx, yn)
             for zn in range(4):
-                dst = function_algebra(ctx, zn, validate=False)
+                dst = function_algebra(ctx, zn)
                 for v in hom(yn, zn):
                     assert check_morphism(exp_map(v, ctx.state), src, dst)
 
@@ -108,7 +107,7 @@ class TestExtractBase:
 
     def test_function_algebra_base_recovers(self, ctx2):
         for yn in range(4):
-            data = extract_base(function_algebra(ctx2, yn, validate=False))
+            data = extract_base(function_algebra(ctx2, yn))
             assert data.base.size == yn
 
     def test_transpose_triangle(self, ctx2, twelve):
@@ -173,7 +172,7 @@ class TestRetractionAndSection:
         alg = check_algebra(ctx0, FinSet(1), Morphism(FinSet(1), FinSet(1), (0,)))
         data0 = extract_base(alg)
         with pytest.raises(FinSetError):
-            epi_section(data0)
+            epi_section(data0, 0)
 
     @pytest.mark.parametrize("s,x", [(1, 3), (2, 4), (2, 1), (3, 1)])
     def test_section_is_the_categorical_composite(self, s, x):
@@ -185,20 +184,15 @@ class TestRetractionAndSection:
     def test_section_composite_on_function_algebras(self):
         ctx = StateMonadCtx(3)
         for y in (2, 3):
-            _assert_section_composites(extract_base(function_algebra(ctx, y, validate=False)))
+            _assert_section_composites(extract_base(function_algebra(ctx, y)))
 
     def test_section_reads_no_chosen_eval_on_the_pair_object(self):
         # on K(4) at |S| = 3, S x X has 192 elements: chosen_eval there
         # would be a 192**3-entry table for each chosen state
         ctx = StateMonadCtx(3)
-        assert all(check_suite(function_algebra(ctx, 4, validate=False)).values())
+        assert all(check_suite(function_algebra(ctx, 4)).values())
         built = {key[:2] for key in ctx._cache}
         assert not built & {("chosen_eval", 192), ("restrict", 192)}
-
-    def test_section_retraction_bundle(self, twelve):
-        bundle = section_retraction(extract_base(twelve[3]))
-        assert bundle.section is not None
-        assert bundle.retraction.table == bundle.section.table
 
 
 def _assert_section_composites(data):
@@ -229,7 +223,7 @@ class TestCompareIsAlgebraMap:
         ctx = StateMonadCtx(s)
         for alg in enumerate_algebras(ctx, x):
             data = extract_base(alg)
-            target = function_algebra(ctx, data.base, validate=False)
+            target = function_algebra(ctx, data.base)
             assert compare_is_algebra_map(data)
             assert morphism_witness(data.compare, alg, target) is None
             for changed in _one_entry_changes(data.compare):
@@ -282,8 +276,8 @@ class TestBaseMap:
         assert lu.table == identity(data.base).table
 
     def test_commutes_with_surjections(self, ctx2):
-        d2 = extract_base(function_algebra(ctx2, 2, validate=False))
-        d3 = extract_base(function_algebra(ctx2, 3, validate=False))
+        d2 = extract_base(function_algebra(ctx2, 2))
+        d3 = extract_base(function_algebra(ctx2, 3))
         for v in hom(2, 3):
             u = exp_map(v, ctx2.state)
             lu = base_map(u, d2, d3)
@@ -293,7 +287,7 @@ class TestBaseMap:
 
     def test_functorial_on_exponentiated_maps(self, ctx2):
         data = {
-            yn: extract_base(function_algebra(ctx2, yn, validate=False))
+            yn: extract_base(function_algebra(ctx2, yn))
             for yn in range(4)
         }
         for f in hom(2, 3):
@@ -323,7 +317,7 @@ class TestBaseIso:
         ctx = StateMonadCtx(s)
         for yn in range(4):
             y = FinSet(yn)
-            data = extract_base(function_algebra(ctx, y, validate=False))
+            data = extract_base(function_algebra(ctx, y))
             xi = base_iso(ctx, y, data)
             assert classify(xi).iso
             assert data.base.size == yn
@@ -333,14 +327,14 @@ class TestBaseIso:
     def test_mono_image_is_constant_codes(self, ctx2):
         for yn in range(4):
             y = FinSet(yn)
-            data = extract_base(function_algebra(ctx2, y, validate=False))
+            data = extract_base(function_algebra(ctx2, y))
             assert set(data.mono.table) == set(ctx2.const_map(y).table)
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_naturality(self, s):
         ctx = StateMonadCtx(s)
         datas = {
-            yn: extract_base(function_algebra(ctx, yn, validate=False))
+            yn: extract_base(function_algebra(ctx, yn))
             for yn in range(4)
         }
         isos = {yn: base_iso(ctx, FinSet(yn), datas[yn]) for yn in range(4)}
@@ -353,8 +347,10 @@ class TestBaseIso:
                     assert lhs.table == rhs.table
 
     def test_requires_nonempty_state(self):
-        with pytest.raises(FinSetError):
-            base_iso(StateMonadCtx(0), 2)
+        ctx0 = StateMonadCtx(0)
+        data = extract_base(function_algebra(ctx0, 2))
+        with pytest.raises(FinSetError, match="needs a nonempty state object"):
+            base_iso(ctx0, 2, data)
 
 
 class TestCheckSuite:
@@ -366,7 +362,7 @@ class TestCheckSuite:
     def test_all_green_on_function_algebras(self, ctx2, ctx3):
         for ctx in (ctx2, ctx3):
             for yn in range(3):
-                suite = check_suite(function_algebra(ctx, yn, validate=False))
+                suite = check_suite(function_algebra(ctx, yn))
                 assert all(suite.values()), (ctx.state.size, yn, suite)
 
 
@@ -428,7 +424,7 @@ class TestVerify:
 
 def _side(ctx, y):
     """The base data of K(y) and its iso back to y."""
-    data = extract_base(function_algebra(ctx, y, validate=False))
+    data = extract_base(function_algebra(ctx, y))
     return data, base_iso(ctx, FinSet(y), data)
 
 
