@@ -18,8 +18,8 @@ closure and the lookup of ``equational.canonical_algebra``.
 The scan evaluates the first points, and all of a tiny domain, on Python
 ints, so a quick rejection pays for no arrays.  Past that it broadcasts the
 low digits into an int64 block and walks the domain in order, in chunks
-that grow to at most ``1 << 20`` points.  numpy is imported only there, so
-importing the package does not load it.  :func:`table_mismatch` runs the
+that grow to at most ``_MAX_CHUNK`` points.  numpy is imported only there,
+so importing the package does not load it.  :func:`table_mismatch` runs the
 same scan with a plain table, read as it stands, as one side.
 
 ``_INT_POINTS`` is the one switch between ints and arrays.  It bounds the
@@ -46,6 +46,37 @@ from 64 on.  ``associativity_check`` at (2,1) scans 16,384 codes, and from
 evaluate faster.  The brute-force search (``algebras --s 2 --x 2 --method
 brute``) moves within its noise.  The first row is the fold test before
 :func:`table_mismatch`, which evaluated h as a digit sum read through h.
+
+``_MAX_CHUNK`` bounds the chunks of the array scan, and the blocks of maps
+that ``monadicity._hom_naturality`` checks at once.  Each chunk allocates a
+few int64 temporaries of its size, so at ``1 << 20`` points each is 8 MB,
+more than a core's 2 MiB L2 cache, and the scan is both slower and larger.
+It was set to ``1 << 16`` (512 KB temporaries), the least total time over
+the timed rows below, by timing each candidate in one process per
+workload, alternated at every repetition (median of 21, or of 9 for the
+two slowest columns), and reading each one's peak resident memory in a
+fresh process (Python 3.11.7, numpy 2.4.6, 2 vCPUs of a shared Xeon host,
+2 MiB L2 per core):
+
+    _MAX_CHUNK   associativity_check    verify --s S --max-x X   carrier 9   peak MB
+                 (2,2) ms   (2,3) ms     (2,8) ms    (3,4) ms     ms          (2,2)   (2,3)   (2,8)
+    1 << 14        19.9       353          78.0        617         0.19        30.0    30.5    34.1
+    1 << 15        18.3       297          75.6        632         0.19        30.5    30.9    34.7
+    1 << 16        19.2       301          73.9        588         0.19        31.2    31.7    36.1
+    1 << 17        22.6       357          77.1        647         0.20        33.5    33.3    38.3
+    1 << 18        23.4       396          78.6        598         0.19        37.5    37.3    42.2
+    1 << 19        27.6       388          80.2        648         0.19        43.6    43.2    47.2
+    1 << 20        35.4       390          85.5        647         0.19        61.5    56.2    53.5
+
+``associativity_check`` at (2,2) scans 4.2M codes and at (2,3) 107M;
+``verify`` at (2,8) checks 12 hom-set blocks past ``1 << 14`` entries and at
+(3,4) scans 12 chunks past it, under a peak of 155 MB that building the
+7M-entry table of K(4) sets at every candidate.  The carrier-9 column is 40 random tables on nine
+elements that ``check_algebra`` rejects, whose 324-code domains no
+candidate reaches.  ``1 << 15`` and ``1 << 16`` tie within the host's
+noise: head to head, ``1 << 15`` led by up to 5% at (2,3) and (2,8),
+``1 << 16`` by 4-8% at (3,4), and (2,2) was even.  The traced peak of the
+(2,2) scan is 1.7 MB, where ``1 << 20`` reached 25.3 MB.
 """
 
 from __future__ import annotations
@@ -62,8 +93,9 @@ Side = tuple[Sequence[Sequence[int]], Sequence[int], Sequence[Sequence[int]]]
 #: uses arrays past it.  Measured; see the module docstring.
 _INT_POINTS = 128
 
-#: Largest chunk, in points, of the array scan.
-_MAX_CHUNK = 1 << 20
+#: Largest chunk, in points, of the array scan, and largest block, in
+#: entries, of the hom-set batches.  Measured; see the module docstring.
+_MAX_CHUNK = 1 << 16
 
 _INT64_MAX = (1 << 63) - 1
 

@@ -37,18 +37,11 @@ from typing import Callable, Sequence
 
 from ._bulk import Side, first_mismatch, side_values, table_mismatch, value_at
 from .finset import FinSet, FinSetError, Morphism, evaluation, exp_map, int_entries
-from .statemonad import DEFAULT_SEARCH_CEILING, CellLayout, StateMonadCtx
+from .statemonad import DEFAULT_SEARCH_CEILING, CellLayout, StateMonadCtx, int_text, past_ceiling
 
 
 class SearchCeilingExceeded(RuntimeError):
     """The configured search ceiling would be exceeded; nothing was computed."""
-
-
-def past_ceiling(base: int, exponent: int, ceiling: int) -> bool:
-    """Whether ``base ** exponent > ceiling``, without building the power
-    when it is surely past: a base of 2 or more to an exponent of at least
-    the ceiling's bit length."""
-    return base >= 2 and (exponent >= ceiling.bit_length() or base**exponent > ceiling)
 
 
 @dataclass(eq=False)
@@ -135,7 +128,7 @@ def check_algebra(
     cells = ctx.cell_layout(carrier.size)
     if structure.dom is not cells.tx or structure.cod is not carrier:
         raise FinSetError(
-            f"structure map must be {cells.tx.size} -> {carrier.size}, "
+            f"structure map must be {int_text(cells.tx.size)} -> {int_text(carrier.size)}, "
             f"got {structure.dom.size} -> {structure.cod.size}"
         )
     h, xn, ones, first = structure.table, carrier.size, cells.ones, cells.first

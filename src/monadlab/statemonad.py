@@ -44,6 +44,19 @@ DEFAULT_SCAN_LIMIT = 300_000_000
 DEFAULT_SEARCH_CEILING = 10**7
 
 
+def past_ceiling(base: int, exponent: int, ceiling: int) -> bool:
+    """Whether ``base ** exponent > ceiling``, without building the power
+    when it is surely past: a base of 2 or more to an exponent of at least
+    the ceiling's bit length."""
+    return base >= 2 and (exponent >= ceiling.bit_length() or base**exponent > ceiling)
+
+
+def int_text(n: int) -> str:
+    """n in decimal, or its bit length once it may have more digits than
+    ``str`` converts (640 at the least setting of Python's limit)."""
+    return str(n) if n.bit_length() < 2000 else f"<{n.bit_length()}-bit int>"
+
+
 def _differing(a: Sequence[int], b: Sequence[int]):
     """The indices where two equally long tables differ, in order."""
     return compress(count(), map(ne, a, b))
@@ -344,13 +357,13 @@ class StateMonadCtx:
     def _law_tx(self, x: FinSet) -> FinSet:
         """TX, once the law checks' tables of ``|S| * |TX|`` entries are
         known to be within :data:`DEFAULT_SEARCH_CEILING`; refuses past it."""
-        tx, s = self.t_obj(x), self.state.size
-        if s * tx.size > DEFAULT_SEARCH_CEILING:
+        s = self.state.size
+        if s and past_ceiling(s * x.size, s, DEFAULT_SEARCH_CEILING // s):
             raise FinSetError(
-                f"S x TX has {s}*{s * x.size}**{s} elements, "
+                f"S x TX has {int_text(s)}*{int_text(s * x.size)}**{int_text(s)} elements, "
                 f"above the table bound {DEFAULT_SEARCH_CEILING}"
             )
-        return tx
+        return self.t_obj(x)
 
     def unit_law_witness(self, x: FinSet | int) -> int | None:
         """First element violating ``mult . unit(TX) = id = mult . T(unit)``

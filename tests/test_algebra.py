@@ -522,6 +522,10 @@ class TestCellLayout:
         with pytest.raises(FinSetError, match=f"must be {(2 * huge) ** 2} -> {huge}, got 16 -> 2"):
             check_algebra(ctx2, huge, h)
         assert "ids" not in vars(ctx2.cell_layout(huge))
+        # past what str() of an int converts, the sizes are given in bits
+        with pytest.raises(FinSetError, match=r"^structure map must be <33222-bit int> -> "
+                                              r"<16610-bit int>, got 16 -> 2$"):
+            check_algebra(ctx2, FinSet(10**5000), h)
 
 
 class TestIntegerRoot:

@@ -178,6 +178,55 @@ class TestTableMismatch:
         assert _bulk.table_mismatch(table, side) == reference
 
 
+class TestChunks:
+    """``_bulk._chunks`` walks the codes in order, each exactly once, in
+    chunks of at most ``_MAX_CHUNK`` points unless one row of its block is
+    larger, at the real cap and at small ones."""
+
+    RADICES = {
+        # the int prefix, then chunks that grow by digit 1 and 2
+        "growth": [16, 12, 20],
+        # digit 2's rows, twice the real cap, outgrow one chunk: swept under
+        # each value of digit 3
+        "digits above": [64, 64, _bulk._MAX_CHUNK // 2048, 3],
+        # the block of digits 0 and 1 is one chunk at the real cap
+        "block at the cap": [256, _bulk._MAX_CHUNK // 256, 3],
+        # the first block, 128 points, is past a cap of 100
+        "block past a small cap": [128, 3, 3],
+        # digits 0 and 1 have one value: the first block is one code
+        "one-code block": [1, 1, 300],
+    }
+
+    @staticmethod
+    def _walk(radices):
+        weights = [prod(radices[:i]) for i in range(len(radices))]
+        end, sizes = 0, []
+        for start, j, lo, hi, high in _bulk._chunks(radices):
+            # the chunk starts where the last one ended, at its own first code
+            first = lo * weights[j] + sum(d * w for d, w in zip(high, weights[j + 1:]))
+            assert start == end == first
+            assert 0 <= lo < hi <= radices[j] and len(high) == len(radices) - j - 1
+            sizes.append(((hi - lo) * weights[j], weights[j], any(high)))
+            end += sizes[-1][0]
+        assert end == prod(radices)
+        return sizes
+
+    @pytest.mark.parametrize("cap", [None, 100, 1000])
+    @pytest.mark.parametrize("name", list(RADICES))
+    def test_contiguous_bounded_and_covering(self, monkeypatch, name, cap):
+        if cap is not None:
+            monkeypatch.setattr(_bulk, "_MAX_CHUNK", cap)
+        sizes = self._walk(self.RADICES[name])
+        # past the cap only as one row of a block that is itself past it
+        assert all(points <= _bulk._MAX_CHUNK or points == row for points, row, _ in sizes)
+        if name == "digits above":
+            assert any(high for *_, high in sizes)
+        if cap is None and name == "block at the cap":
+            assert [points for points, *_ in sizes[-2:]] == [_bulk._MAX_CHUNK] * 2
+        if cap == 100 and name == "block past a small cap":
+            assert {points for points, *_ in sizes} == {128}
+
+
 class TestFinSet:
     def test_negative_size_rejected(self):
         with pytest.raises(FinSetError):

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -13,7 +15,7 @@ from monadlab.finset import (
     hom,
     identity,
 )
-from monadlab import statemonad
+from monadlab import _bulk, statemonad
 from monadlab._bulk import value_at
 from monadlab.statemonad import LawCheck, StateMonadCtx
 
@@ -302,6 +304,8 @@ class TestExactLawChecks:
         # |TX| has 4,402 digits, more than str() of an int prints: the
         # refusal states it as a power
         pytest.param(2, 10**2200, id="2-10**2200"),
+        # |S|·|X| itself has 5,001 digits: the refusal gives its bit length
+        pytest.param(2, 10**5000, id="2-10**5000"),
     ])
     def test_refused_past_the_table_bound(self, monkeypatch, s, xn):
         for name in ("mult_at", "mult_digits", "mult", "unit", "t_map"):
@@ -311,6 +315,19 @@ class TestExactLawChecks:
         for check in (ctx.unit_law_witness, ctx.mult_agreement, ctx.associativity_check):
             with pytest.raises(FinSetError, match="above the table bound 10000000"):
                 check(FinSet(xn))
+
+    def test_int_text_within_the_least_digit_limit(self):
+        # 640 digits is the least limit Python lets str() of an int be set to
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no limit on int to str conversion")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert statemonad.int_text(2**1999 - 1) == str(2**1999 - 1)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert statemonad.int_text(2**1999) == "<2000-bit int>"
+        assert statemonad.int_text(10**5000) == "<16610-bit int>"
 
     def test_bound_is_inclusive(self, monkeypatch):
         # |S x TX| = 2 * 16 = 32 at (2,2)
@@ -322,6 +339,34 @@ class TestExactLawChecks:
         for check in (ctx.unit_law_witness, ctx.mult_agreement, ctx.associativity_check):
             with pytest.raises(FinSetError, match=r"S x TX has 2\*4\*\*2 elements"):
                 check(2)
+
+
+class TestWorkingSet:
+    """A full associativity scan holds a few chunk-sized int64 arrays at a
+    time, each of ``_bulk._MAX_CHUNK`` points: at most four of them, and
+    the context's tables, under 1 MiB at these sizes."""
+
+    #: L2 cache of one core on the host the chunk size was measured on.
+    L2 = 2 << 20
+
+    def test_a_chunk_fits_l2(self):
+        assert 4 * 8 * _bulk._MAX_CHUNK <= self.L2
+
+    @pytest.mark.parametrize("xn", [2, 3])
+    def test_scan_peak(self, xn):
+        # 4.2M codes at (2,2), 107M at (2,3): whole-megapoint chunks traced
+        # 25 MB at either
+        import numpy  # noqa: F401  loaded before tracing, as a scan loads it
+
+        bound = 4 * 8 * _bulk._MAX_CHUNK + (1 << 20)
+        tracemalloc.start()
+        try:
+            check = StateMonadCtx(2).associativity_check(xn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check.mode == "full" and check.ok
+        assert peak <= bound, (peak, bound)
 
 
 class TestUnitLawWitness:
