@@ -500,11 +500,12 @@ class TestHomNaturality:
         assert got == _reference(d1, d2, xi1, xi2, maps)
         assert got[0].checked == 100
 
-    @pytest.mark.parametrize("chunk", [100, 700, _bulk._MAX_CHUNK])
+    @pytest.mark.parametrize("chunk", [100, 700, 1 << 20, _bulk._MAX_CHUNK])
     def test_mutant_target_agrees(self, relabeled_targets, monkeypatch, chunk):
         # the targets are relabeled algebras, where the update square is
         # exact.  A map from K(4) reads 2 * 16 cells: a chunk of 700 takes
-        # 21 of the 81 maps per block, one of 100 takes 3
+        # 21 of the 81 maps per block, one of 100 takes 3; 2^20 and the
+        # real cap take all 81 in one block
         monkeypatch.setattr(_bulk, "_MAX_CHUNK", chunk)
         d1, xi1, xi2, maps, targets = relabeled_targets
         partial = 0
