@@ -47,8 +47,7 @@ evaluate faster.  The brute-force search (``algebras --s 2 --x 2 --method
 brute``) moves within its noise.  The first row is the fold test before
 :func:`table_mismatch`, which evaluated h as a digit sum read through h.
 
-``_MAX_CHUNK`` bounds the chunks of the array scan, and the blocks of maps
-that ``monadicity._hom_naturality`` checks at once.  Each chunk allocates a
+``_MAX_CHUNK`` bounds the chunks of the array scan.  Each chunk allocates a
 few int64 temporaries of its size, so at ``1 << 20`` points each is 8 MB,
 more than a core's 2 MiB L2 cache, and the scan is both slower and larger.
 It was set to ``1 << 16`` (512 KB temporaries), the least total time over
@@ -68,10 +67,12 @@ fresh process (Python 3.11.7, numpy 2.4.6, 2 vCPUs of a shared Xeon host,
     1 << 19        27.6       388          80.2        648         0.19        43.6    43.2    47.2
     1 << 20        35.4       390          85.5        647         0.19        61.5    56.2    53.5
 
-``associativity_check`` at (2,2) scans 4.2M codes and at (2,3) 107M;
-``verify`` at (2,8) checks 12 hom-set blocks past ``1 << 14`` entries and at
-(3,4) scans 12 chunks past it, under a peak of 155 MB that building the
-7M-entry table of K(4) sets at every candidate.  The carrier-9 column is 40 random tables on nine
+``associativity_check`` at (2,2) scans 4.2M codes and at (2,3) 107M.  The
+``verify`` columns were timed when ``verify`` still checked its hom-sets in
+blocks of maps under the same cap, 12 of them past ``1 << 14`` entries at
+(2,8); it now walks no map.  At (3,4) it scans 12 chunks past ``1 << 14``,
+under a peak of 155 MB that building the 7M-entry table of K(4) sets at
+every candidate.  The carrier-9 column is 40 random tables on nine
 elements that ``check_algebra`` rejects, whose 324-code domains no
 candidate reaches.  ``1 << 15`` and ``1 << 16`` tie within the host's
 noise: head to head, ``1 << 15`` led by up to 5% at (2,3) and (2,8),
@@ -93,8 +94,8 @@ Side = tuple[Sequence[Sequence[int]], Sequence[int], Sequence[Sequence[int]]]
 #: uses arrays past it.  Measured; see the module docstring.
 _INT_POINTS = 128
 
-#: Largest chunk, in points, of the array scan, and largest block, in
-#: entries, of the hom-set batches.  Measured; see the module docstring.
+#: Largest chunk, in points, of the array scan.  Measured; see the module
+#: docstring.
 _MAX_CHUNK = 1 << 16
 
 _INT64_MAX = (1 << 63) - 1

@@ -90,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full verification pipeline")
     common(p)
     p.add_argument("--ceiling", type=int, default=None, help="search ceiling")
-    p.add_argument("--seed", type=int, default=0, help="seed for the sampled hom-set maps")
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored: verify samples nothing (accepted for existing callers)")
     p.add_argument("--max-x", type=int, required=True, help="largest carrier")
     p.add_argument("--diagnose-empty", action="store_true",
                    help="with --s 0, demonstrate why the equivalence fails")
@@ -167,7 +168,7 @@ def _cmd_verify(args) -> int:
         return USAGE
     if args.diagnose_empty:
         raise FinSetError(f"--diagnose-empty applies only with --s 0, got --s {s}")
-    report = verify_monadicity(s, args.max_x, seed=args.seed, ceiling=ceiling)
+    report = verify_monadicity(s, args.max_x, ceiling=ceiling)
     print(report.to_json() if args.format == "json" else report.to_text())
     if args.out:
         _write(args.out, report.to_json() + "\n")

@@ -1,12 +1,11 @@
 import random
 from dataclasses import replace
+from itertools import product
 
-import numpy as np
 import pytest
 
-from monadlab import _bulk
+from monadlab import monadicity
 from monadlab.algebra import (
-    SearchCeilingExceeded,
     TAlgebra,
     check_algebra,
     check_morphism,
@@ -29,8 +28,6 @@ from monadlab.finset import (
 )
 from monadlab.monadicity import (
     CheckTally,
-    _FunctionSide,
-    _hom_naturality,
     base_iso,
     base_map,
     check_suite,
@@ -387,16 +384,16 @@ class TestVerify:
             verify_monadicity(0, 2)
 
     def test_report_serialization_is_stable(self):
-        a = verify_monadicity(2, 2, seed=7).to_json()
-        b = verify_monadicity(2, 2, seed=7).to_json()
+        a = verify_monadicity(2, 2).to_json()
+        b = verify_monadicity(2, 2).to_json()
         assert a == b
-        text = verify_monadicity(2, 2, seed=7).to_text()
+        text = verify_monadicity(2, 2).to_text()
         assert text.endswith("PASSED")
 
     def test_guarded_carrier_reported(self):
-        # carriers up to 8 need at most 102,374 work, and the hom-sets
-        # between K(0..9) 3,022,984; carrier 9's orbit closure of 60,480
-        # tables needs about 157M: a ceiling wide enough for all but 9
+        # carriers up to 8 need at most 102,374 work, and carrier 9's orbit
+        # closure of 60,480 tables about 157M: a ceiling wide enough for
+        # all but 9
         report = verify_monadicity(2, 9, ceiling=5_000_000)
         assert report.carriers[9]["guarded"] is not None
         assert report.carriers[4]["count"] == 12
@@ -411,15 +408,9 @@ class TestVerify:
             "exceeds the ceiling 20000"
         ]
 
-    def test_hom_sets_past_the_ceiling_refused(self):
-        # the 3,125 maps K(5) -> K(5) alone read 2 * 25 cells each.  At
-        # (2, 4) the draws charge 100 * 3 * 2 * 16 = 9,600 and the hom-sets
-        # 13,388, 11,328 of them out of K(4)
-        with pytest.raises(SearchCeilingExceeded, match="hom-sets .* on 0..5"):
-            verify_monadicity(2, 6, ceiling=5_000)
-        assert verify_monadicity(2, 4, ceiling=22_988).passed
-        with pytest.raises(SearchCeilingExceeded):
-            verify_monadicity(2, 4, ceiling=22_987)
+
+#: The tallies verify_monadicity decides per hom-set from per-object checks.
+HOM_TALLIES = ("function_algebra_map_valid", "roundtrip_iso_natural", "base_map_functorial")
 
 
 def _side(ctx, y):
@@ -428,45 +419,21 @@ def _side(ctx, y):
     return data, base_iso(ctx, FinSet(y), data)
 
 
-def _hom_rows(y1, y2):
-    tables = [v.table for v in hom(y1, y2)]
-    return np.array(tables, dtype=np.int64).reshape(len(tables), y1)
-
-
-def _batch(d1, d2, xi1, xi2, maps):
-    """:func:`_hom_naturality` on the sides of d1 and d2, base maps as lists."""
-    square, natural, lifted = _hom_naturality(_FunctionSide(d1, xi1), _FunctionSide(d2, xi2), maps)
-    return square, natural, lifted.tolist()
-
-
 def _reference(d1, d2, xi1, xi2, maps):
-    """What :func:`_batch` returns, one map at a time, with the square
-    scanned on all of TX."""
+    """The hom-set checks that verify_monadicity decides without walking
+    any map, one map ``v: Y1 -> Y2`` at a time: the square of ``v^S``
+    scanned on all of TX, and the naturality of base_iso by compose.
+    Returns both tallies and each map's base map, keyed by its table."""
     y1, y2 = xi1.cod.size, xi2.cod.size
-    square, natural, lifted = CheckTally(), CheckTally(), []
-    for row in maps.tolist():
-        v = Morphism(FinSet(y1), FinSet(y2), tuple(row))
+    square, natural, lifted = CheckTally(), CheckTally(), {}
+    for v in maps:
         u = exp_map(v, d1.algebra.ctx.state)
-        witness = f"v={row}: {y1}->{y2}"
+        witness = f"v={list(v.table)}: {y1}->{y2}"
         square.record(_square_reference(u, d1.algebra, d2.algebra) is None, witness)
         lv = base_map(u, d1, d2)
         natural.record(compose(xi2, lv).table == compose(v, xi1).table, witness)
-        lifted.append(list(lv.table))
+        lifted[v.table] = lv.table
     return square, natural, lifted
-
-
-@pytest.fixture(scope="module")
-def relabeled_targets(ctx2):
-    """The sides of K(4) and K(3), the maps 4 -> 3, and the base data of
-    K(3) with its algebra relabeled along each transposition of its
-    carrier, each with its reference: algebras into which some maps fail."""
-    (d1, xi1), (d2, xi2) = _side(ctx2, 4), _side(ctx2, 3)
-    maps = _hom_rows(4, 3)
-    targets = []
-    for algebra in _relabelings(d2.algebra)[1:]:
-        target = replace(d2, algebra=algebra)
-        targets.append((target, _reference(d1, target, xi1, xi2, maps)))
-    return d1, xi1, xi2, maps, targets
 
 
 def _perturbed(f, i):
@@ -476,59 +443,42 @@ def _perturbed(f, i):
 
 
 class TestHomNaturality:
-    """The batched naturality check of verify_monadicity against a
-    per-map reference built from the scan of all of TX, base_map, exp_map
-    and compose."""
+    """verify_monadicity decides every hom-set between function algebras
+    from the checks it runs on each K(y); the per-map reference checks that
+    reasoning map by map, and mutants of those checks fail exactly the
+    hom-sets they touch."""
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_agrees_on_every_hom_set(self, s):
         ctx = StateMonadCtx(s)
         sides = {y: _side(ctx, y) for y in range(4)}
-        for y1 in range(4):
-            for y2 in range(4):
-                (d1, xi1), (d2, xi2) = sides[y1], sides[y2]
-                maps = _hom_rows(y1, y2)
-                got = _batch(d1, d2, xi1, xi2, maps)
-                assert got == _reference(d1, d2, xi1, xi2, maps)
-                assert got[0] == got[1] == CheckTally(len(maps), 0, None)
+        lifted = {}
+        for y1, y2 in product(range(4), repeat=2):
+            (d1, xi1), (d2, xi2) = sides[y1], sides[y2]
+            maps = list(hom(y1, y2))
+            square, natural, lifted[y1, y2] = _reference(d1, d2, xi1, xi2, maps)
+            assert square == natural == CheckTally(len(maps), 0, None)
+        for y in range(4):
+            assert lifted[y, y][tuple(range(y))] == tuple(range(y))
+        for y1, y2, y3 in product(range(4), repeat=3):
+            for f in hom(y1, y2):
+                lf = lifted[y1, y2][f.table]
+                for g in hom(y2, y3):
+                    lg = lifted[y2, y3][g.table]
+                    assert lifted[y1, y3][compose(g, f).table] == tuple(lg[b] for b in lf)
+        report = verify_monadicity(s, 3)
+        for name in HOM_TALLIES:
+            assert report.checks[name] == CheckTally(16, 0, None)
 
     def test_agrees_on_a_sampled_pair(self, ctx2):
+        # 5**6 = 15,625 maps K(6) -> K(5): verify decides them all, and 100
+        # random ones pass the reference
         (d1, xi1), (d2, xi2) = _side(ctx2, 6), _side(ctx2, 5)
         rng = random.Random(5)
-        maps = np.array([[rng.randrange(5) for _ in range(6)] for _ in range(100)])
-        got = _batch(d1, d2, xi1, xi2, maps)
-        assert got == _reference(d1, d2, xi1, xi2, maps)
-        assert got[0].checked == 100
-
-    @pytest.mark.parametrize("chunk", [100, 700, 1 << 20, _bulk._MAX_CHUNK])
-    def test_mutant_target_agrees(self, relabeled_targets, monkeypatch, chunk):
-        # the targets are relabeled algebras, where the update square is
-        # exact.  A map from K(4) reads 2 * 16 cells: a chunk of 700 takes
-        # 21 of the 81 maps per block, one of 100 takes 3; 2^20 and the
-        # real cap take all 81 in one block
-        monkeypatch.setattr(_bulk, "_MAX_CHUNK", chunk)
-        d1, xi1, xi2, maps, targets = relabeled_targets
-        partial = 0
-        for target, expected in targets:
-            got = _batch(d1, target, xi1, xi2, maps)
-            assert got == expected
-            assert got[1].failed == 0
-            partial += 0 < got[0].failed < got[0].checked
-        assert partial
-
-    def test_first_failure_past_the_first_block(self, relabeled_targets, monkeypatch):
-        # three maps per block: into some relabeled targets the first
-        # failing map lies in a later block, behind a block where every map
-        # passes
-        monkeypatch.setattr(_bulk, "_MAX_CHUNK", 100)
-        d1, xi1, xi2, maps, targets = relabeled_targets
-        witnesses = [f"v={row}: 4->3" for row in maps.tolist()]
-        late = 0
-        for target, (square, _, _) in targets:
-            if square.failed and witnesses.index(square.witness) >= 3:
-                late += 1
-                assert _batch(d1, target, xi1, xi2, maps)[0] == square
-        assert late
+        maps = [Morphism(FinSet(6), FinSet(5), tuple(rng.randrange(5) for _ in range(6)))
+                for _ in range(100)]
+        square, natural, _ = _reference(d1, d2, xi1, xi2, maps)
+        assert square == natural == CheckTally(100, 0, None)
 
     def test_failure_at_the_last_element_alone(self, ctx2):
         # v = (0, 1) sends the element a = 1 of K(2) to 1 and its last
@@ -536,43 +486,92 @@ class TestHomNaturality:
         # v^S.  Swap a with the last element of K(2), and relabel K(3) along
         # 4 -> 1 -> 8 -> 4: v^S then differs from a morphism only at the
         # last element, which no update reaches, so only its cells fail
-        (d1, xi1), (d2, xi2) = _side(ctx2, 2), _side(ctx2, 3)
-        source = replace(d1, algebra=_relabeled(d1.algebra, (0, 3, 2, 1)))
-        target = replace(d2, algebra=_relabeled(d2.algebra, (0, 8, 2, 3, 1, 5, 6, 7, 4)))
+        k2, k3 = function_algebra(ctx2, 2), function_algebra(ctx2, 3)
+        source = _relabeled(k2, (0, 3, 2, 1))
+        target = _relabeled(k3, (0, 8, 2, 3, 1, 5, 6, 7, 4))
         u = exp_map(Morphism(FinSet(2), FinSet(3), (0, 1)), ctx2.state)
         # the update cell of (c, v) = (0, 3) is TX code 3 * (1 + 8)
-        assert morphism_witness(u, source.algebra, target.algebra) == 27
-        maps = _hom_rows(2, 3)
-        got = _batch(source, target, xi1, xi2, maps)
-        assert got == _reference(source, target, xi1, xi2, maps)
-        assert got[0].failed
+        assert morphism_witness(u, source, target) == 27
+        assert _square_reference(u, source, target) is not None
+        assert morphism_witness(u, k2, k3) is None
 
     @pytest.mark.parametrize("s", [1, 2])
-    def test_perturbed_iso(self, s):
+    def test_perturbed_iso(self, s, monkeypatch):
+        # a base_iso that swaps two entries at y = 3 breaks roundtrip_iso
+        # there, and so the 9 of the 25 hom-sets between K(0..4) that touch
+        # K(3); the reference finds maps into K(3) that are not natural
+        def mutant(ctx, y, data):
+            xi = base_iso(ctx, y, data)
+            if xi.cod.size != 3:
+                return xi
+            table = list(xi.table)
+            table[0], table[1] = table[1], table[0]
+            return Morphism(xi.dom, xi.cod, tuple(table))
+
+        monkeypatch.setattr(monadicity, "base_iso", mutant)
+        report = verify_monadicity(s, 4)
+        failed = {name: t for name, t in report.checks.items() if t.failed}
+        assert failed == {
+            "roundtrip_iso": CheckTally(5, 1, "y=3"),
+            **{name: CheckTally(25, 9, "K(0)->K(3)") for name in HOM_TALLIES},
+        }
         ctx = StateMonadCtx(s)
-        (d1, xi1), (d2, xi2) = _side(ctx, 3), _side(ctx, 3)
-        maps = _hom_rows(3, 3)
-        for i in range(3):
-            bad = _perturbed(xi2, i)
-            got = _batch(d1, d2, xi1, bad, maps)
-            assert got == _reference(d1, d2, xi1, bad, maps)
-            assert got[0].failed == 0 and got[1].failed > 0
+        (d1, xi1), (d2, _) = _side(ctx, 3), _side(ctx, 3)
+        bad = mutant(ctx, FinSet(3), d2)
+        square, natural, _ = _reference(d1, d2, xi1, bad, list(hom(3, 3)))
+        assert square.failed == 0 and natural.failed > 0
+
+    @pytest.mark.parametrize("check", ["compare_bijection", "compare_algebra_map"])
+    def test_each_deciding_check_gates_the_hom_sets(self, check, monkeypatch):
+        # the hom-sets that touch K(2) fail once either check fails on it.
+        # No carrier up to 3 has four elements, so only K(2) is hit
+        def mutant(alg):
+            out = check_suite(alg)
+            out[check] &= alg.carrier.size != 4
+            return out
+
+        monkeypatch.setattr(monadicity, "check_suite", mutant)
+        report = verify_monadicity(2, 3)
+        assert report.checks[check] == CheckTally(6, 1, "K(2)")
+        for name in HOM_TALLIES:
+            assert report.checks[name] == CheckTally(16, 7, "K(0)->K(2)")
+
+    def test_relabeled_function_algebra_refused(self, ctx2, monkeypatch):
+        # K(3) relabeled along any transposition of its nine elements: its
+        # base no longer reads off evaluation, and base_iso refuses it
+        k3 = function_algebra(ctx2, 3)
+        for relabeled in _relabelings(k3)[1:]:
+            def mutant(ctx, y, relabeled=relabeled):
+                size = y if isinstance(y, int) else y.size
+                return relabeled if size == 3 else function_algebra(ctx, y)
+
+            monkeypatch.setattr(monadicity, "function_algebra", mutant)
+            with pytest.raises(AssertionError, match="base iso not well defined"):
+                verify_monadicity(2, 3)
 
     def test_fiber_collision_raises_like_base_map(self, ctx2):
-        (d1, xi1), (d2, xi2) = _side(ctx2, 2), _side(ctx2, 3)
-        maps = _hom_rows(2, 3)
+        # base_map raises its fiber-collision error exactly when a fiber of
+        # the source surjection lands on two target base elements, and
+        # otherwise commutes with the two surjections
+        (d1, _), (d2, _) = _side(ctx2, 2), _side(ctx2, 3)
         collisions = 0
         for i in range(len(d2.epi.table)):
             broken = replace(d2, epi=_perturbed(d2.epi, i))
-            try:
-                expected = _reference(d1, broken, xi1, xi2, maps)
-            except FinSetError as exc:
-                collisions += 1
-                with pytest.raises(FinSetError) as caught:
-                    _batch(d1, broken, xi1, xi2, maps)
-                assert str(caught.value) == str(exc)
-            else:
-                assert _batch(d1, broken, xi1, xi2, maps) == expected
+            for v in hom(2, 3):
+                u = exp_map(v, ctx2.state)
+                images = {}
+                for j, b in enumerate(d1.epi.table):
+                    c, a = divmod(j, d1.algebra.carrier.size)
+                    images.setdefault(b, set()).add(
+                        broken.epi.table[c * broken.algebra.carrier.size + u.table[a]]
+                    )
+                if any(len(hit) > 1 for hit in images.values()):
+                    collisions += 1
+                    with pytest.raises(FinSetError, match="fiber collision over base element"):
+                        base_map(u, d1, broken)
+                else:
+                    lv = base_map(u, d1, broken)
+                    assert lv.table == tuple(min(images[b]) for b in range(d1.base.size))
         assert collisions
 
 
