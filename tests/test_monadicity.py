@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from monadlab import monadicity
+from monadlab import _bulk, monadicity
 from monadlab.algebra import (
     TAlgebra,
     check_algebra,
@@ -436,6 +436,20 @@ def _reference(d1, d2, xi1, xi2, maps):
     return square, natural, lifted
 
 
+@pytest.fixture(scope="module")
+def relabeled_targets(ctx2):
+    """The sides of K(4) and K(3), the maps 4 -> 3, and the base data of
+    K(3) with its algebra relabeled along each transposition of its
+    carrier, each with its reference: algebras into which some maps fail."""
+    (d1, xi1), (d2, xi2) = _side(ctx2, 4), _side(ctx2, 3)
+    maps = list(hom(4, 3))
+    targets = []
+    for algebra in _relabelings(d2.algebra)[1:]:
+        target = replace(d2, algebra=algebra)
+        targets.append((target, _reference(d1, target, xi1, xi2, maps)))
+    return d1, xi1, xi2, maps, targets
+
+
 def _perturbed(f, i):
     table = list(f.table)
     table[i] = (table[i] + 1) % f.cod.size
@@ -494,6 +508,29 @@ class TestHomNaturality:
         assert morphism_witness(u, source, target) == 27
         assert _square_reference(u, source, target) is not None
         assert morphism_witness(u, k2, k3) is None
+
+    @pytest.mark.parametrize("chunk", [100, 700, 1 << 20, _bulk._MAX_CHUNK])
+    def test_mutant_target_agrees(self, relabeled_targets, monkeypatch, chunk):
+        # the targets are relabeled algebras, where the update square is
+        # exact.  Past its first row, the scan of all 32**2 TX codes of K(4)
+        # takes chunks of 3 rows of 32 codes at a cap of 100, at most 21 at
+        # 700, and 7 then the last 24 at 2^20 and the real cap.  At every
+        # cap the scan fails exactly the maps morphism_witness fails, and
+        # base_map stays natural
+        monkeypatch.setattr(_bulk, "_MAX_CHUNK", chunk)
+        d1, xi1, xi2, maps, targets = relabeled_targets
+        partial = 0
+        for target, expected in targets:
+            square, natural, _ = got = _reference(d1, target, xi1, xi2, maps)
+            assert got == expected
+            assert natural.failed == 0
+            for v in maps:
+                u = exp_map(v, d1.algebra.ctx.state)
+                assert (_square_reference(u, d1.algebra, target.algebra) is None) == (
+                    morphism_witness(u, d1.algebra, target.algebra) is None
+                )
+            partial += 0 < square.failed < square.checked
+        assert partial
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_perturbed_iso(self, s, monkeypatch):
