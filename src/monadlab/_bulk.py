@@ -11,9 +11,9 @@ costs.  The codes of a side range over the radices ``len(digits[i])``.
 :func:`first_mismatch` returns the least code where two sides differ, and
 :func:`side_values` tabulates a side.  Every code table the package builds
 from columns is one: ``finset.exp_map`` (:func:`digit_codes`),
-``algebra.fold_table``, the lookups of ``algebra.read_presentation`` and of
-the constrained search's leaves, the relabelings ``T(t)`` of its orbit
-closure and the lookup of ``equational.canonical_algebra``.
+``algebra.fold_table``, the lookups of ``algebra.read_presentation``, of
+the constrained search's leaves and of ``monadicity.function_algebra``, and
+the relabelings ``T(t)`` of the search's orbit closure.
 
 The scan evaluates the first points, and all of a tiny domain, on Python
 ints, so a quick rejection pays for no arrays.  Past that it broadcasts the
@@ -70,9 +70,10 @@ fresh process (Python 3.11.7, numpy 2.4.6, 2 vCPUs of a shared Xeon host,
 ``associativity_check`` at (2,2) scans 4.2M codes and at (2,3) 107M.  The
 ``verify`` columns were timed when ``verify`` still checked its hom-sets in
 blocks of maps under the same cap, 12 of them past ``1 << 14`` entries at
-(2,8); it now walks no map.  At (3,4) it scans 12 chunks past ``1 << 14``,
-under a peak of 155 MB that building the 7M-entry table of K(4) sets at
-every candidate.  The carrier-9 column is 40 random tables on nine
+(2,8); it now walks no map.  At (3,4) it scanned 12 chunks past ``1 << 14``
+to validate K(4), under a peak of 155 MB that building K(4)'s 7M-entry
+table set at every candidate; K(4) is now validated on its updates and
+lookup, and that table is not built.  The carrier-9 column is 40 random tables on nine
 elements that ``check_algebra`` rejects, whose 324-code domains no
 candidate reaches.  ``1 << 15`` and ``1 << 16`` tie within the host's
 noise: head to head, ``1 << 15`` led by up to 5% at (2,3) and (2,8),

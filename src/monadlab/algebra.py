@@ -46,33 +46,38 @@ class SearchCeilingExceeded(RuntimeError):
 
 @dataclass(eq=False)
 class TAlgebra:
-    """A validated algebra: carrier X plus structure map ``TX -> X``.
+    """An algebra: carrier X with the updates U and the lookup l that present
+    its structure map ``h: TX -> X`` (:func:`_presentation_violation`).
 
-    ``checked`` is ``"presentation"`` once :func:`check_algebra` has decided
-    the laws (it alone grants it, after construction), else ``"none"``; so
-    ``dataclasses.replace`` carries over neither it nor the cached ``updates``
-    and ``lookup`` (:func:`read_presentation`).
+    ``updates[c * |X| + v] = u_c(v)`` and ``lookup[g] = l(g)`` on the codes g
+    of ``X^S``.  ``structure`` is h, their fold (:func:`fold_table`), built
+    on its first read (printing, JSON, :func:`canonical_structure`, a failure
+    witness) and then kept; :func:`check_algebra` seeds it with the table it
+    was given.  ``checked`` is ``"presentation"`` once the laws are decided,
+    by :func:`check_algebra` or by equations 1 to 3 on U and l, else
+    ``"none"``.  It is granted only after construction, so
+    ``dataclasses.replace`` carries over neither it nor a built h.
     """
 
     ctx: StateMonadCtx
     carrier: FinSet
-    structure: Morphism
+    updates: tuple[int, ...]
+    lookup: tuple[int, ...]
     checked: str = "none"
 
     def __post_init__(self) -> None:
         self.checked = "none"
 
     @cached_property
-    def _presentation(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return read_presentation(self.ctx, self.carrier.size, self.structure.table)
-
-    updates = property(lambda self: self._presentation[0])
-    lookup = property(lambda self: self._presentation[1])
+    def structure(self) -> Morphism:
+        table = fold_table(self.ctx, self.carrier.size, self.updates, self.lookup)
+        return Morphism(self.ctx.t_obj(self.carrier), self.carrier, table)
 
     def __repr__(self) -> str:
+        small = self.ctx.t_obj(self.carrier).size <= 32
         return (
             f"TAlgebra(s={self.ctx.state.size}, x={self.carrier.size}, "
-            f"h={list(self.structure.table) if len(self.structure.table) <= 32 else '...'})"
+            f"h={list(self.structure.table) if small else '...'})"
         )
 
 
@@ -113,7 +118,8 @@ def check_algebra(
     which compares the fold of U and l with h as it stands, reading each
     cell of h once (``_bulk.table_mismatch``).  The last three decide
     associativity (:func:`_presentation_violation`), at the first failing
-    instance, which need not be the least TTX code.
+    instance, which need not be the least TTX code.  The algebra returned
+    carries the U and l read here, and h as its ``structure``.
 
     Where the cells lie depends only on ``(|S|, |X|)``.  Every stage reads
     it from one :class:`CellLayout` (X and TX, ``ones``, ``first``, the
@@ -139,8 +145,8 @@ def check_algebra(
     found = _presentation_violation(ctx, cells, h)
     if isinstance(found, AlgebraViolation):
         return found
-    alg = TAlgebra(ctx, carrier, structure)
-    alg._presentation = found  # seeds the cached property
+    alg = TAlgebra(ctx, carrier, *found)
+    alg.structure = structure  # seeds the cached fold
     alg.checked = "presentation"
     return alg
 
@@ -216,18 +222,22 @@ def _presentation_violation(ctx, cells: CellLayout, h) -> AlgebraViolation | tup
 
     Plotkin and Power (FoSSaCS 2002) present ``T = (S x -)^S`` by lookup
     and updates subject to equations 1 to 3 (:func:`_update_violation`,
-    :func:`_lookup_violation`; a fourth follows, see
-    :func:`equational.state_algebra_violation`).  So the T-algebras are
-    exactly the models ``(X, l, U)``, each with its fold (:func:`fold_table`)
-    as structure map.  Hence h is an algebra iff the U and l read off it
-    (:func:`read_presentation`) satisfy equations 1 to 3 and h is their fold:
-    if h is an algebra, each equation instance and each point of the fold is
-    its associativity law at one TTX code, codes 1 to 4 of
-    :class:`_ConstrainedSearch`; conversely, a model's fold is an algebra,
-    unit law included (equation 3 is the fold at the unit).  A failure is
-    reported at that TTX code, where ``h . T(h)`` gives the left-hand side
-    and ``h . mult`` the right-hand side, given the unit law that
-    :func:`check_algebra` checks first.
+    :func:`_lookup_violation`).  The fourth equation of :mod:`equational`,
+    ``l(l(a_00,..),..) = l(a_00,a_11,..)``, follows from 2 and 3.  By
+    equation 3 an element is fixed by its updates: if ``u_s(x) = u_s(y)``
+    for every state s, then ``x = l(u_0(x),...,u_n(x)) = l(u_0(y),...,u_n(y))
+    = y``.  By equation 2, applied twice on the left and once on the right,
+    both sides of equation 4 go to ``u_s(a_ss)`` under every ``u_s``.  So the
+    T-algebras are exactly the models ``(X, l, U)`` of equations 1 to 3, each
+    with its fold (:func:`fold_table`) as structure map.  Hence h is an
+    algebra iff the U and l read off it (:func:`read_presentation`) satisfy
+    equations 1 to 3 and h is their fold: if h is an algebra, each equation
+    instance and each point of the fold is its associativity law at one TTX
+    code, codes 1 to 4 of :class:`_ConstrainedSearch`; conversely, a model's
+    fold is an algebra, unit law included (equation 3 is the fold at the
+    unit).  A failure is reported at that TTX code, where ``h . T(h)`` gives
+    the left-hand side and ``h . mult`` the right-hand side, given the unit
+    law that :func:`check_algebra` checks first.
     """
     s, xn, ones, weights = ctx.state.size, cells.carrier.size, cells.ones, cells.weights
     updates = h[cells.update_cells]
@@ -237,7 +247,7 @@ def _presentation_violation(ctx, cells: CellLayout, h) -> AlgebraViolation | tup
         look = _read_lookup(ctx, cells, h)
         found = _lookup_violation(xn, ups, look)
     if found is None:
-        fold = ([updates] * s, cells.x_weights, (look,))
+        fold = fold_side(ctx, xn, updates, look)
         w = table_mismatch(h, fold)
         if w is None:
             return updates, look
@@ -387,17 +397,27 @@ def _enumerate_brute(ctx, x: FinSet, ceiling) -> list[tuple[int, ...]]:
     return found
 
 
-def fold_table(
+def fold_side(
     ctx: StateMonadCtx, xn: int, updates: Sequence[int], lookup: Sequence[int]
-) -> list[int]:
-    """The structure table ``TX -> X`` of a lookup/update pair on xn elements.
+) -> Side:
+    """The fold of a lookup/update pair on xn elements, as a side over the TX
+    codes (:mod:`._bulk`): :func:`_bulk.value_at` reads h at one code, and
+    :func:`fold_table` tabulates it.
 
     ``updates[c * xn + v]`` is ``u_c(v)`` and ``lookup`` is indexed by the
     codes of ``X^S``.  A computation ``s -> (c_s, v_s)`` folds to
     ``l(s -> u_{c_s}(v_s))``; its digit ``c_s * xn + v_s`` indexes
     ``updates`` directly.
     """
-    return side_values(([updates] * ctx.state.size, ctx.digit_weights(xn), (lookup,)))
+    return [updates] * ctx.state.size, ctx.digit_weights(xn), (lookup,)
+
+
+def fold_table(
+    ctx: StateMonadCtx, xn: int, updates: Sequence[int], lookup: Sequence[int]
+) -> list[int]:
+    """The structure table ``TX -> X`` of a lookup/update pair on xn elements
+    (:func:`fold_side`)."""
+    return side_values(fold_side(ctx, xn, updates, lookup))
 
 
 class _ConstrainedSearch:

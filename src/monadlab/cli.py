@@ -3,9 +3,9 @@
 Exit codes follow a CI-friendly contract: 0 for success (verification
 passed, terms equal), 1 for a semantic failure (verification failed, terms
 differ), 2 for usage or resource errors (bad arguments, parse errors,
-search ceilings, an unwritable ``--out``).  The MONADLAB_CEILING environment
-variable overrides the default ceiling of ``algebras`` and ``verify``; all
-output is deterministic given the flags.
+search ceilings, an unwritable ``--out``, a reader that closed stdout).
+The MONADLAB_CEILING environment variable overrides the default ceiling of
+``algebras`` and ``verify``; all output is deterministic given the flags.
 """
 
 from __future__ import annotations
@@ -242,7 +242,16 @@ def main(argv: list[str] | None = None) -> int:
         "free": _cmd_free,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``monadlab verify ... | head -1``): point
+        # it at devnull, so the flush at exit finds nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return USAGE
     except TermError as exc:
         print(f"term error: {exc}", file=sys.stderr)
         return USAGE

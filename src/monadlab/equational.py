@@ -16,9 +16,8 @@ running it once per start state.  Two terms are equal in the theory exactly
 when these runs agree.  :func:`normalize` reads the runs back as the least
 term of the class (the global-state normal form of Plotkin and Power), and
 :func:`free_classes` reads every class of the free model back alike.  The
-module also carries algebras for this signature in finite sets, the
-canonical structure on function spaces ``B^S``, and the translation to and
-from monad algebras.
+algebras of the theory in finite sets are the monad algebras of
+:mod:`algebra`, which carry their updates and lookup.
 
 Nodes built here (``_var``, ``_update``, ``_lookup``) skip the constructors'
 checks, as valid by construction: the parser has checked its digits and
@@ -32,18 +31,8 @@ from dataclasses import dataclass, fields
 from itertools import chain, product, starmap, zip_longest
 from operator import eq
 
-from .algebra import (
-    AlgebraViolation,
-    SearchCeilingExceeded,
-    TAlgebra,
-    _lookup_violation,
-    _update_violation,
-    check_algebra,
-    fold_table,
-    past_ceiling,
-)
-from ._bulk import side_values
-from .finset import ExpCodec, FinSet, FinSetError, Morphism
+from .algebra import SearchCeilingExceeded, past_ceiling
+from .finset import FinSetError
 from .statemonad import StateMonadCtx
 
 #: Most classes one call of :func:`free_classes` may read back, and most
@@ -461,109 +450,6 @@ def random_term(rng: random.Random, s_size: int, nvars: int, max_depth: int) -> 
     return Lookup(
         tuple(random_term(rng, s_size, nvars, max_depth - 1) for _ in range(s_size))
     )
-
-
-# ---------------------------------------------------------------------------
-# algebras for the signature
-
-
-@dataclass(eq=False)
-class StateAlgebra:
-    """A finite-set algebra for the lookup/update signature.
-
-    ``lookup`` has type ``A^S -> A`` and each ``updates[s]`` has type
-    ``A -> A``; :func:`state_algebra_violation` checks the four equations.
-    """
-
-    ctx: StateMonadCtx
-    carrier: FinSet
-    lookup: Morphism
-    updates: tuple[Morphism, ...]
-
-    def exp_codec(self) -> ExpCodec:
-        return ExpCodec(self.carrier, self.ctx.state)
-
-
-def state_algebra_violation(sa: StateAlgebra) -> tuple[str, tuple] | None:
-    """First violated equation with a witness assignment, or None.
-
-    Equations 1 to 3 are checked by direct enumeration of their variable
-    assignments (:func:`algebra._update_violation` and ``_lookup_violation``,
-    which the algebra certificate shares).  Equation 4 needs no scan, because
-    it follows from equations 2 and 3.  By equation 3 an element is
-    determined by its updates: if ``u_s(x) = u_s(y)`` for every state ``s``, then
-    ``x = l(u_0(x),...,u_n(x)) = l(u_0(y),...,u_n(y)) = y``.  By equation 2,
-    applied twice on the left and once on the right, both sides of
-    equation 4 go to ``u_s(a_ss)`` under every update ``u_s``.  So the two
-    sides are equal whenever equations 2 and 3 hold.
-    """
-    s = sa.ctx.state.size
-    if len(sa.updates) != s:
-        raise FinSetError(f"expected {s} update maps, got {len(sa.updates)}")
-    if sa.lookup.dom != sa.exp_codec().obj or sa.lookup.cod != sa.carrier:
-        raise FinSetError("lookup map has the wrong type")
-    for s1 in range(s):
-        if sa.updates[s1].dom != sa.carrier or sa.updates[s1].cod != sa.carrier:
-            raise FinSetError("update map has the wrong type")
-    n, ups = sa.carrier.size, [u.table for u in sa.updates]
-    found = _update_violation(n, ups) or _lookup_violation(n, ups, sa.lookup.table)
-    return None if found is None else found[:2]
-
-
-def canonical_algebra(ctx: StateMonadCtx, b: FinSet | int) -> StateAlgebra:
-    """The lookup/update structure on the function space ``B^S``.
-
-    Lookup takes a state-indexed family of functions to its diagonal;
-    update at ``s`` takes a function to the constant function on its value
-    at ``s``.  The four equations are verified at construction.
-    """
-    b = b if isinstance(b, FinSet) else FinSet(b)
-    carrier = ExpCodec(b, ctx.state).obj
-    bpows = ctx.digit_weights(b.size)
-    ones = sum(bpows)
-    # columns[c][a] = a(c), digit c of the code a
-    columns = [[a // p % b.size for a in range(carrier.size)] for p in bpows]
-    # a family (a_c)_c of functions goes to its diagonal c -> a_c(c)
-    lookup_table = side_values((columns, bpows, ()))
-    lookup = Morphism(ExpCodec(carrier, ctx.state).obj, carrier, lookup_table)
-    updates = tuple(Morphism(carrier, carrier, [v * ones for v in col]) for col in columns)
-    sa = StateAlgebra(ctx, carrier, lookup, updates)
-    violation = state_algebra_violation(sa)
-    if violation is not None:
-        raise AssertionError(f"canonical structure failed validation: {violation}")
-    return sa
-
-
-def to_state_algebra(alg: TAlgebra) -> StateAlgebra:
-    """Convert a monad algebra to a lookup/update algebra on the same carrier.
-
-    Lookup folds the graph of a function; update at ``s`` folds the
-    computation that jumps to state ``s`` and returns the argument.
-    """
-    ctx, x, xn, ups = alg.ctx, alg.carrier, alg.carrier.size, alg.updates
-    lookup = Morphism(ExpCodec(x, ctx.state).obj, x, alg.lookup)
-    updates = tuple(Morphism(x, x, ups[c * xn:(c + 1) * xn]) for c in range(ctx.state.size))
-    sa = StateAlgebra(ctx, x, lookup, updates)
-    violation = state_algebra_violation(sa)
-    if violation is not None:
-        raise AssertionError(f"translated algebra failed validation: {violation}")
-    return sa
-
-
-def to_t_algebra(sa: StateAlgebra) -> TAlgebra:
-    """Convert a lookup/update algebra back to a monad algebra.
-
-    A computation ``s -> (state, value)`` is folded by updating each branch
-    to its output state and looking the family up.
-    """
-    ctx = sa.ctx
-    a = sa.carrier
-    ups = [v for u in sa.updates for v in u.table]
-    structure = Morphism(ctx.t_obj(a), a, fold_table(ctx, a.size, ups, sa.lookup.table))
-    result = check_algebra(ctx, a, structure)
-    if isinstance(result, AlgebraViolation):
-        raise AssertionError(f"translated structure failed the algebra laws: {result}")
-    return result
 
 
 # ---------------------------------------------------------------------------

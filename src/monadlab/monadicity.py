@@ -1,7 +1,8 @@
 """The equivalence between finite sets and state-monad algebras, made executable.
 
 One direction sends an object Y to its function algebra: the carrier ``Y^S``
-with the exponentiated evaluation as structure map.  The other direction
+with the updates ``u_c(g) = const g(c)`` and the diagonal as lookup, whose
+fold is the exponentiated evaluation.  The other direction
 extracts from any algebra ``(X, h)`` a base object Y, the image of the
 reachability map ``h . const: S x X -> X``, together with a surjection
 ``epi``, an inclusion ``mono``, and the comparison map ``compare: X -> Y^S``
@@ -26,15 +27,18 @@ import json
 from bisect import bisect
 from dataclasses import dataclass, field
 
+from ._bulk import side_values, value_at
 from .algebra import (
     DEFAULT_SEARCH_CEILING,
-    AlgebraViolation,
     AlgebraMorphism,
     SearchCeilingExceeded,
     TAlgebra,
     _integer_root,
+    _lookup_violation,
+    _update_violation,
     check_algebra,
     enumerate_algebras,
+    fold_side,
     morphism_witness,
     past_ceiling,
 )
@@ -56,15 +60,25 @@ from .statemonad import StateMonadCtx
 
 
 def function_algebra(ctx: StateMonadCtx, y: FinSet | int) -> TAlgebra:
-    """The algebra of S-indexed functions into Y: carrier ``Y^S``, structure
-    map the exponentiated evaluation, validated by :func:`check_algebra`."""
+    """The algebra of S-indexed functions into Y: carrier ``Y^S``, updates
+    ``u_c(g) = const g(c)`` and the diagonal ``l((g_c)_c) = c -> g_c(c)`` as
+    lookup, whose fold is the exponentiated evaluation.  Validated by
+    equations 1 to 3, which decide the laws (a model's fold is an algebra,
+    :func:`_presentation_violation`), so no table of h is built."""
     y = y if isinstance(y, FinSet) else FinSet(y)
     carrier = ExpCodec(y, ctx.state).obj
-    structure = exp_map(evaluation(y, ctx.state), ctx.state)
-    result = check_algebra(ctx, carrier, structure)
-    if isinstance(result, AlgebraViolation):
-        raise AssertionError(f"function algebra failed validation: {result}")
-    return result
+    weights = ctx.digit_weights(y.size)
+    ones = sum(weights)
+    # columns[c][g] = g(c), digit c of the code g
+    columns = [[g // w % y.size for g in range(carrier.size)] for w in weights]
+    ups = [[v * ones for v in col] for col in columns]
+    lookup = tuple(side_values((columns, weights, ())))
+    found = _update_violation(carrier.size, ups) or _lookup_violation(carrier.size, ups, lookup)
+    if found is not None:
+        raise AssertionError(f"function algebra failed validation: {found}")
+    alg = TAlgebra(ctx, carrier, tuple(v for up in ups for v in up), lookup)
+    alg.checked = "presentation"
+    return alg
 
 
 def function_algebra_map(ctx: StateMonadCtx, v: Morphism) -> AlgebraMorphism:
@@ -119,11 +133,19 @@ def compare_inverse(data: BaseData) -> Morphism:
     return Morphism(mono_s.dom, alg.carrier, [alg.lookup[g] for g in mono_s.table])
 
 
+def _structure_at(alg: TAlgebra, codes) -> list[int]:
+    """h at the given TX codes, read from the fold of U and l, so h is not built."""
+    fold = fold_side(alg.ctx, alg.carrier.size, alg.updates, alg.lookup)
+    return [value_at(fold, w) for w in codes]
+
+
 def compare_retraction(data: BaseData) -> Morphism:
-    """A left inverse ``Y^S -> X``: include pointwise, take the graph, fold."""
-    ctx = data.algebra.ctx
-    fold_graph = compose(data.algebra.structure, ctx.graph_map(data.algebra.carrier))
-    return compose(fold_graph, exp_map(data.mono, ctx.state))
+    """A left inverse ``Y^S -> X``: include pointwise, take the graph, fold;
+    ``g -> l(s -> u_s(mono(g(s))))``."""
+    alg = data.algebra
+    mono_s = exp_map(data.mono, alg.ctx.state)
+    graphs = [alg.ctx.graph_at(alg.carrier, g) for g in mono_s.table]
+    return Morphism(mono_s.dom, alg.carrier, _structure_at(alg, graphs))
 
 
 def epi_section(data: BaseData, s0: int) -> Morphism:
@@ -142,9 +164,9 @@ def epi_section(data: BaseData, s0: int) -> Morphism:
 def compare_section(data: BaseData, s0: int) -> Morphism:
     """A right inverse ``Y^S -> X`` of the comparison map: exponentiate the
     section of the surjection, then fold."""
-    ctx = data.algebra.ctx
-    sigma = epi_section(data, s0)
-    return compose(data.algebra.structure, exp_map(sigma, ctx.state))
+    alg = data.algebra
+    sigma_s = exp_map(epi_section(data, s0), alg.ctx.state)
+    return Morphism(sigma_s.dom, alg.carrier, _structure_at(alg, sigma_s.table))
 
 
 def compare_is_algebra_map(data: BaseData) -> bool:

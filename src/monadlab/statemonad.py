@@ -82,8 +82,8 @@ class LawCheck:
 @dataclass(frozen=True)
 class CellLayout:
     """What the structure tables ``TX -> X`` on one carrier size share:
-    the interned X and TX; the digit weights of codes in ``(S x X)^S``,
-    ``X^S`` and ``(S x TX)^S`` (the last encode TTX witnesses); ``ones``,
+    the interned X and TX; the digit weights of codes in ``(S x X)^S`` and
+    ``(S x TX)^S`` (the last encode TTX witnesses); ``ones``,
     the TX code with every digit 1, whose multiples are the update cells
     ``s -> (c, v)`` in c-major order (0 with no states, where there is
     none), and ``update_cells``, the slice of a table that reads them; and
@@ -95,7 +95,6 @@ class CellLayout:
     update_cells: slice
     first: int
     weights: tuple[int, ...]
-    x_weights: tuple[int, ...]
     ttx_weights: tuple[int, ...]
 
     @cached_property
@@ -234,7 +233,7 @@ class StateMonadCtx:
             ones, first = sum(weights), xn * sum(map(mul, range(s), weights))  # s -> (s, 0)
             cells = self._cache[key] = CellLayout(
                 FinSet(xn), tx, ones, slice(0, ones * s * xn, ones or 1), first,
-                weights, self.digit_weights(xn), ttx_weights,
+                weights, ttx_weights,
             )
         return cells
 

@@ -10,18 +10,15 @@ and says so in its printed line.
 import random
 import time
 
-from monadlab.algebra import enumerate_algebras
-from monadlab.cli import main as cli_main
-from monadlab.equational import (
-    canonical_algebra,
-    denote,
-    free_classes,
-    normalize,
-    random_term,
-    state_algebra_violation,
-    to_state_algebra,
-    to_t_algebra,
+from monadlab.algebra import (
+    _lookup_violation,
+    _update_violation,
+    enumerate_algebras,
+    fold_table,
+    read_presentation,
 )
+from monadlab.cli import main as cli_main
+from monadlab.equational import denote, free_classes, normalize, random_term
 from monadlab.finset import (
     ExpCodec,
     FinSet,
@@ -216,7 +213,11 @@ def test_criterion_08_equational_suite(ctx1, ctx2):
     for s in (1, 2, 3):
         ctx = StateMonadCtx(s)
         for bn in range(1, 4):
-            ok &= state_algebra_violation(canonical_algebra(ctx, bn)) is None
+            alg = function_algebra(ctx, bn)
+            xn = alg.carrier.size
+            ups = [alg.updates[c * xn:(c + 1) * xn] for c in range(s)]
+            ok &= _update_violation(xn, ups) is None
+            ok &= _lookup_violation(xn, ups, alg.lookup) is None
     rng = random.Random(SEED)
     preserved = 0
     for _ in range(1000):
@@ -236,7 +237,7 @@ def test_criterion_08_equational_suite(ctx1, ctx2):
     _report(
         8,
         ok,
-        f"four equations hold in every canonical structure (sizes <= 3; "
+        f"four equations hold in every function algebra (sizes <= 3; "
         f"equations 1-3 scanned, the nested-lookup equation implied by 2 "
         f"and 3), normal forms preserved denotation on {preserved}/1000 "
         f"seeded terms, class "
@@ -247,24 +248,22 @@ def test_criterion_08_equational_suite(ctx1, ctx2):
 def test_criterion_09_translation_roundtrips(twelve):
     ok = True
     for alg in twelve:
-        back = to_t_algebra(to_state_algebra(alg))
-        ok &= back.structure.table == alg.structure.table
+        h = list(alg.structure.table)
+        ok &= fold_table(alg.ctx, 4, *read_presentation(alg.ctx, 4, h)) == h
     cases = 0
     for s in (1, 2):
         ctx = StateMonadCtx(s)
         for bn in range(1, 3):
-            sa = canonical_algebra(ctx, bn)
-            sa2 = to_state_algebra(to_t_algebra(sa))
-            ok &= sa2.lookup.table == sa.lookup.table
-            ok &= all(
-                u2.table == u.table for u2, u in zip(sa2.updates, sa.updates)
-            )
+            alg = function_algebra(ctx, bn)
+            xn = alg.carrier.size
+            h = tuple(fold_table(ctx, xn, alg.updates, alg.lookup))
+            ok &= read_presentation(ctx, xn, h) == (alg.updates, alg.lookup)
             cases += 1
     _report(
         9,
         ok,
-        f"monad-to-signature translation is a two-sided inverse on all 12 "
-        f"structures and {cases} canonical structures",
+        f"fold_table and read_presentation are two-sided inverses on all 12 "
+        f"structures and {cases} function algebras",
     )
 
 

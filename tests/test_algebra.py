@@ -354,8 +354,9 @@ PRESENTATION_CASES = (
 
 @pytest.mark.parametrize("kind,s,n", PRESENTATION_CASES)
 def test_carried_presentation(kind, s, n):
-    """An algebra's ``updates`` and ``lookup`` are what read_presentation
-    reads off its structure table, however the algebra was made."""
+    """An algebra's structure table is the fold of its ``updates`` and
+    ``lookup``, however the algebra was made; on an algebra, read_presentation
+    reads them back off it."""
     ctx = StateMonadCtx(s)
     if kind == "enumerated":
         algebras = enumerate_algebras(ctx, n)
@@ -363,21 +364,25 @@ def test_carried_presentation(kind, s, n):
         algebras = [function_algebra(ctx, n)]
     else:
         good = enumerate_algebras(ctx, n, method="transport")[0]
-        before = good.updates[:]
-        # an update cell, which is no unit cell with two states
-        table = list(good.structure.table)
-        cell = update_codes(ctx, n)[1]
-        table[cell] = (table[cell] + 1) % n
-        other = Morphism(good.structure.dom, good.carrier, table)
+        before = good.structure.table
+        # u_0(1), an update cell, which is no unit cell with two states
+        updates = list(good.updates)
+        updates[1] = (updates[1] + 1) % n
+        updates = tuple(updates)
         if kind == "unvalidated":
-            alg = TAlgebra(ctx, good.carrier, other, checked="none")
+            alg = TAlgebra(ctx, good.carrier, updates, good.lookup, checked="none")
         else:
-            alg = dataclasses.replace(good, structure=other)
-        algebras = [alg]
-        assert alg.updates != before and good.updates == before
+            alg = dataclasses.replace(good, updates=updates)
         assert alg.checked == "none" and good.checked == "presentation"
+        # h is refolded from the new updates, never carried over
+        assert alg.structure.table == tuple(fold_table(ctx, n, updates, good.lookup))
+        assert alg.structure.table[update_codes(ctx, n)[1]] == updates[1]
+        assert alg.structure.table != before and good.structure.table == before
+        assert isinstance(check_algebra(ctx, n, alg.structure), AlgebraViolation)
+        return
     for alg in algebras:
         xn = alg.carrier.size
+        assert alg.structure.table == tuple(fold_table(ctx, xn, alg.updates, alg.lookup))
         assert (alg.updates, alg.lookup) == read_presentation(ctx, xn, alg.structure.table)
         assert type(alg.updates) is tuple and type(alg.lookup) is tuple
 

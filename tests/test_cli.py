@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -251,6 +252,62 @@ class TestUnwritableOut:
         assert proc.returncode == 2 and proc.stdout
         assert "Traceback" not in proc.stderr
         assert f"error: cannot write {target}: " in proc.stderr
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: ``flush`` raises BrokenPipeError, and
+    ``write`` too when ``failing`` is ``"write"``.  ``fileno`` is a real
+    file's, which the CLI points at devnull."""
+
+    def __init__(self, fd, failing):
+        self.fd, self.failing = fd, failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``monadlab verify ... | head -1``)
+    ends the run with exit 2 and no traceback."""
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_exit_two_in_process(self, capsys, monkeypatch, tmp_path, failing):
+        target = tmp_path / "stdout"
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd, failing))
+            code = main(["verify", "--s", "2", "--max-x", "4"])
+            os.write(fd, b"after")  # now devnull's
+        finally:
+            os.close(fd)
+        assert code == 2
+        assert capsys.readouterr().err == ""
+        assert target.read_bytes() == b""
+
+    def test_exit_two_on_a_closed_pipe(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "monadlab.cli", "verify", "--s", "2", "--max-x", "4"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=20,
+                env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
 
 
 class TestEqual:

@@ -9,16 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monadlab._bulk import first_mismatch
-from monadlab.algebra import SearchCeilingExceeded
+from monadlab.algebra import (
+    SearchCeilingExceeded,
+    TAlgebra,
+    _lookup_violation,
+    _update_violation,
+    check_algebra,
+    read_presentation,
+)
 from monadlab.equational import (
     FreeClasses,
     Lookup,
-    StateAlgebra,
     Term,
     TermError,
     Update,
     Var,
-    canonical_algebra,
     denote,
     format_term,
     free_classes,
@@ -26,12 +31,9 @@ from monadlab.equational import (
     normalize,
     parse_term,
     random_term,
-    state_algebra_violation,
     terms_equal,
-    to_state_algebra,
-    to_t_algebra,
 )
-from monadlab.finset import FinSet, FinSetError, Morphism
+from monadlab.finset import FinSet, FinSetError, evaluation, exp_map
 from monadlab.monadicity import function_algebra
 from monadlab.statemonad import StateMonadCtx
 
@@ -470,43 +472,48 @@ class TestEqual:
         assert terms_equal(t, normalize(t, 2), ctx, 2)
 
 
+def _equation_violation(s, xn, updates, look):
+    """The first failing instance of equations 1 to 3 for s updates in
+    c-major order (``updates[c * xn + v] = u_c(v)``) and a lookup, or None."""
+    ups = [updates[c * xn:(c + 1) * xn] for c in range(s)]
+    return _update_violation(xn, ups) or _lookup_violation(xn, ups, look)
+
+
 class TestCanonicalAlgebra:
+    """The closed-form lookup/update structure of the function algebra on
+    ``B^S``: the diagonal and ``u_c(g) = const g(c)``."""
+
     @pytest.mark.parametrize("s,b", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_equations_hold(self, s, b):
-        sa = canonical_algebra(StateMonadCtx(s), b)
-        assert sa.carrier.size == b**s
-        assert state_algebra_violation(sa) is None
+        alg = function_algebra(StateMonadCtx(s), b)
+        assert alg.carrier.size == b**s
+        assert _equation_violation(s, b**s, alg.updates, alg.lookup) is None
 
     def test_singleton_state_is_trivial(self, ctx1):
-        sa = canonical_algebra(ctx1, 3)
-        assert sa.lookup.table == (0, 1, 2)
-        assert sa.updates[0].table == (0, 1, 2)
+        alg = function_algebra(ctx1, 3)
+        assert alg.lookup == (0, 1, 2)
+        assert alg.updates == (0, 1, 2)
 
     def test_update_tables_by_hand(self, ctx2):
         # two states over a 2-element base: update 0 keeps the value at
         # state 0 and makes it constant
-        sa = canonical_algebra(ctx2, 2)
+        alg = function_algebra(ctx2, 2)
         # codes 0..3 are functions (g(0), g(1)) with code g(0) + 2 g(1);
         # update at state s sends g to the constant function on g(s)
-        assert sa.updates[0].table == (0, 3, 0, 3)
-        assert sa.updates[1].table == (0, 0, 3, 3)
+        assert alg.updates[:4] == (0, 3, 0, 3)
+        assert alg.updates[4:] == (0, 0, 3, 3)
 
     def test_broken_structure_detected(self, ctx2):
-        sa = canonical_algebra(ctx2, 2)
-        broken = StateAlgebra(
-            ctx2,
-            sa.carrier,
-            sa.lookup,
-            (sa.updates[0], Morphism(sa.carrier, sa.carrier, (1, 3, 0, 3))),
-        )
-        assert state_algebra_violation(broken) is not None
+        alg = function_algebra(ctx2, 2)
+        broken = alg.updates[:4] + (1, 3, 0, 3)
+        assert _equation_violation(2, 4, broken, alg.lookup) is not None
 
 
 class TestNestedLookupImplied:
-    """Equations 2 and 3 imply equation 4, so state_algebra_violation does
-    not scan it.  Checked here on every 2-state model on at most 4 elements
-    (at 2 and 3 elements no model satisfies equations 1-3; at 4 the twelve
-    algebras do)."""
+    """Equations 2 and 3 imply equation 4, so the algebra check does not
+    scan it (``algebra._presentation_violation``).  Checked here on every
+    2-state model on at most 4 elements (at 2 and 3 elements no model
+    satisfies equations 1-3; at 4 the twelve algebras do)."""
 
     @staticmethod
     def models(a_n):
@@ -529,9 +536,6 @@ class TestNestedLookupImplied:
 
     @pytest.mark.parametrize("a_n", [0, 1, 2, 3, 4])
     def test_equations_two_and_three_imply_four(self, a_n):
-        ctx = StateMonadCtx(2)
-        carrier = FinSet(a_n)
-        square = FinSet(a_n * a_n)
         full = 0
         for u0, u1, look in self.models(a_n):
             ups = (u0, u1)
@@ -544,13 +548,7 @@ class TestNestedLookupImplied:
                 for s2 in range(2)
                 for a in range(a_n)
             )
-            sa = StateAlgebra(
-                ctx,
-                carrier,
-                Morphism(square, carrier, look),
-                tuple(Morphism(carrier, carrier, u) for u in ups),
-            )
-            assert (state_algebra_violation(sa) is None) == eq1
+            assert (_equation_violation(2, a_n, u0 + u1, look) is None) == eq1
             full += eq1
         # x!/k! algebras on x = k**2 elements, none on the others
         assert full == {0: 1, 1: 1, 2: 0, 3: 0, 4: 12}[a_n]
@@ -608,33 +606,38 @@ class TestNestedLookupWitness:
 
 
 class TestTranslations:
+    """An algebra's updates and lookup and its structure map determine each
+    other: the fold of what read_presentation reads off h is h, and h
+    validated gives back the updates and lookup it was folded from."""
+
     def test_monad_to_state_and_back_on_the_twelve(self, twelve):
         for alg in twelve:
-            sa = to_state_algebra(alg)
-            back = to_t_algebra(sa)
-            assert back.structure.table == alg.structure.table
+            refolded = TAlgebra(alg.ctx, alg.carrier, alg.updates, alg.lookup)
+            assert refolded.structure.table == alg.structure.table
+            assert (alg.updates, alg.lookup) == read_presentation(
+                alg.ctx, 4, alg.structure.table
+            )
 
     def test_state_to_monad_and_back_on_canonical(self):
         for s, b in [(1, 1), (1, 2), (2, 1), (2, 2)]:
             ctx = StateMonadCtx(s)
-            sa = canonical_algebra(ctx, b)
-            ta = to_t_algebra(sa)
-            sa2 = to_state_algebra(ta)
-            assert sa2.lookup.table == sa.lookup.table
-            assert all(
-                u2.table == u.table for u2, u in zip(sa2.updates, sa.updates)
-            )
+            alg = function_algebra(ctx, b)
+            ta = check_algebra(ctx, alg.carrier, alg.structure)
+            assert isinstance(ta, TAlgebra)
+            assert ta.lookup == alg.lookup
+            assert ta.updates == alg.updates
 
     def test_function_algebra_translates_to_canonical(self, ctx2):
-        sa = to_state_algebra(function_algebra(ctx2, 2))
-        can = canonical_algebra(ctx2, 2)
-        assert sa.lookup.table == can.lookup.table
-        assert all(u.table == c.table for u, c in zip(sa.updates, can.updates))
+        # the updates and lookup read off the exponentiated evaluation are
+        # the closed form the function algebra carries
+        h = exp_map(evaluation(FinSet(2), ctx2.state), ctx2.state).table
+        alg = function_algebra(ctx2, 2)
+        assert read_presentation(ctx2, 4, h) == (alg.updates, alg.lookup)
 
     def test_singleton_state_updates_are_identity(self, ctx1):
         alg = function_algebra(ctx1, 3)
-        sa = to_state_algebra(alg)
-        assert sa.updates[0].table == (0, 1, 2)
+        assert read_presentation(ctx1, 3, alg.structure.table)[0] == (0, 1, 2)
+        assert alg.updates == (0, 1, 2)
 
 
 # The reference free_classes must agree with: it closes the class set

@@ -11,6 +11,7 @@ from monadlab.algebra import (
     check_morphism,
     enumerate_algebras,
     morphism_witness,
+    read_presentation,
 )
 from monadlab.finset import (
     ExpCodec,
@@ -64,6 +65,33 @@ class TestFunctionAlgebra:
     def test_empty_base(self, ctx2):
         ka = function_algebra(ctx2, 0)
         assert ka.structure.table == ()
+
+    @pytest.mark.parametrize(
+        "s,y", [(1, y) for y in range(7)] + [(2, y) for y in range(5)] + [(3, y) for y in range(4)]
+    )
+    def test_fold_is_the_exponentiated_evaluation(self, s, y):
+        # the closed form against the exponentiated evaluation, the
+        # function algebra's structure map by definition
+        ctx = StateMonadCtx(s)
+        ka = function_algebra(ctx, y)
+        reference = exp_map(evaluation(FinSet(y), ctx.state), ctx.state)
+        assert ka.checked == "presentation"
+        assert ka.structure.table == reference.table
+        checked = check_algebra(ctx, ka.carrier, reference)
+        assert isinstance(checked, TAlgebra)
+        assert (checked.updates, checked.lookup) == (ka.updates, ka.lookup)
+
+    def test_check_suite_builds_no_structure(self):
+        ka = function_algebra(StateMonadCtx(3), 4)
+        assert all(check_suite(ka).values())
+        assert "structure" not in vars(ka)
+
+    def test_repr_builds_no_large_structure(self, ctx1, ctx2):
+        big = function_algebra(ctx2, 2)  # |TX| = 64
+        assert repr(big) == "TAlgebra(s=2, x=4, h=...)"
+        assert "structure" not in vars(big)
+        small = function_algebra(ctx1, 3)  # |TX| = 3
+        assert repr(small) == "TAlgebra(s=1, x=3, h=[0, 1, 2])"
 
     def test_map_functorial(self, ctx2):
         for f in hom(2, 3):
@@ -147,6 +175,19 @@ class TestCompareInverse:
 
 
 class TestRetractionAndSection:
+    def test_fold_reads_match_the_composites(self, ctx2, twelve):
+        # both read h at |Y^S| codes from the fold; the reference composes
+        # with the whole structure table
+        algebras = list(twelve) + [function_algebra(ctx2, y) for y in range(4)]
+        for alg in algebras:
+            data = extract_base(alg)
+            mono_s = exp_map(data.mono, ctx2.state)
+            graph = compose(ctx2.graph_map(alg.carrier), mono_s)
+            assert compare_retraction(data) == compose(alg.structure, graph)
+            for s0 in (0, 1):
+                sigma_s = exp_map(epi_section(data, s0), ctx2.state)
+                assert compare_section(data, s0) == compose(alg.structure, sigma_s)
+
     def test_retraction_identity(self, twelve):
         for alg in twelve:
             data = extract_base(alg)
@@ -242,14 +283,13 @@ class TestCompareIsAlgebraMap:
         unit_cells = {alg.ctx.unit_at(alg.carrier, v) for v in range(4)}
         cell = next(t for t in range(len(table)) if t not in unit_cells)
         table[cell] = (table[cell] + 1) % 4
-        from monadlab.algebra import TAlgebra
-
         bad = TAlgebra(
             alg.ctx,
             alg.carrier,
-            Morphism(alg.structure.dom, alg.carrier, tuple(table)),
+            *read_presentation(alg.ctx, 4, tuple(table)),
             checked="none",
         )
+        assert bad.updates != alg.updates  # the cell is an update cell
         data = extract_base(bad)
         assert not (
             compare_is_algebra_map(data)
