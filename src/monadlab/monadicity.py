@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 from bisect import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from ._bulk import side_values, value_at
+from ._bulk import Side, side_values, value_at
 from .algebra import (
     DEFAULT_SEARCH_CEILING,
     AlgebraMorphism,
@@ -99,6 +100,10 @@ class BaseData:
     ``reach`` is the structure map restricted along the constant embedding,
     the algebra's updates ``(c, v) -> u_c(v)``; its image is the base.
     ``mono . epi == reach`` and ``compare`` is the transpose of ``epi``.
+
+    ``mono_s`` (``mono^S``) and ``fold`` (h as a side, read code by code)
+    are built on their first read and kept, so a suite builds each once.
+    ``dataclasses.replace`` makes a new instance, which keeps neither.
     """
 
     algebra: TAlgebra
@@ -107,6 +112,17 @@ class BaseData:
     mono: Morphism
     reach: Morphism
     compare: Morphism
+
+    @cached_property
+    def mono_s(self) -> Morphism:
+        """``mono^S: Y^S -> X^S``."""
+        return exp_map(self.mono, self.algebra.ctx.state)
+
+    @cached_property
+    def fold(self) -> Side:
+        """h, the fold of U and l, as a side over the TX codes, so h is not built."""
+        alg = self.algebra
+        return fold_side(alg.ctx, alg.carrier.size, alg.updates, alg.lookup)
 
 
 def extract_base(alg: TAlgebra) -> BaseData:
@@ -128,24 +144,16 @@ def compare_inverse(data: BaseData) -> Morphism:
     A function ``y: S -> Y`` is sent to ``h(s -> (s, mono(y(s))))``, the
     lookup of ``mono . y``: it is ``l . mono^S``.
     """
-    alg = data.algebra
-    mono_s = exp_map(data.mono, alg.ctx.state)
+    alg, mono_s = data.algebra, data.mono_s
     return Morphism(mono_s.dom, alg.carrier, [alg.lookup[g] for g in mono_s.table])
-
-
-def _structure_at(alg: TAlgebra, codes) -> list[int]:
-    """h at the given TX codes, read from the fold of U and l, so h is not built."""
-    fold = fold_side(alg.ctx, alg.carrier.size, alg.updates, alg.lookup)
-    return [value_at(fold, w) for w in codes]
 
 
 def compare_retraction(data: BaseData) -> Morphism:
     """A left inverse ``Y^S -> X``: include pointwise, take the graph, fold;
     ``g -> l(s -> u_s(mono(g(s))))``."""
-    alg = data.algebra
-    mono_s = exp_map(data.mono, alg.ctx.state)
-    graphs = [alg.ctx.graph_at(alg.carrier, g) for g in mono_s.table]
-    return Morphism(mono_s.dom, alg.carrier, _structure_at(alg, graphs))
+    alg, mono_s, fold = data.algebra, data.mono_s, data.fold
+    table = [value_at(fold, alg.ctx.graph_at(alg.carrier, g)) for g in mono_s.table]
+    return Morphism(mono_s.dom, alg.carrier, table)
 
 
 def epi_section(data: BaseData, s0: int) -> Morphism:
@@ -164,9 +172,9 @@ def epi_section(data: BaseData, s0: int) -> Morphism:
 def compare_section(data: BaseData, s0: int) -> Morphism:
     """A right inverse ``Y^S -> X`` of the comparison map: exponentiate the
     section of the surjection, then fold."""
-    alg = data.algebra
+    alg, fold = data.algebra, data.fold
     sigma_s = exp_map(epi_section(data, s0), alg.ctx.state)
-    return Morphism(sigma_s.dom, alg.carrier, _structure_at(alg, sigma_s.table))
+    return Morphism(sigma_s.dom, alg.carrier, [value_at(fold, w) for w in sigma_s.table])
 
 
 def compare_is_algebra_map(data: BaseData) -> bool:
@@ -252,6 +260,7 @@ def check_suite(alg: TAlgebra) -> dict[str, bool]:
     id_x = identity(x)
     exp_obj = ExpCodec(data.base, ctx.state).obj
     id_exp = identity(exp_obj)
+    id_base = identity(data.base)
 
     out: dict[str, bool] = {}
     out["base_power"] = data.base.size**s == x.size
@@ -265,7 +274,7 @@ def check_suite(alg: TAlgebra) -> dict[str, bool]:
     out["retraction_identity"] = compose(retr, data.compare).table == id_x.table
     out["retraction_matches_inverse"] = retr.table == inv.table
     out["transpose_triangle"] = (
-        compose(exp_map(data.mono, ctx.state), data.compare).table
+        compose(data.mono_s, data.compare).table
         == curry(data.reach, ctx.pair_codec(x)).table
     )
     epi_sections_ok = True
@@ -273,7 +282,7 @@ def check_suite(alg: TAlgebra) -> dict[str, bool]:
     sections_match = True
     for s0 in range(s):
         sigma = epi_section(data, s0)
-        epi_sections_ok &= compose(data.epi, sigma).table == identity(data.base).table
+        epi_sections_ok &= compose(data.epi, sigma).table == id_base.table
         big = compare_section(data, s0)
         sections_ok &= compose(data.compare, big).table == id_exp.table
         sections_match &= big.table == inv.table
@@ -294,6 +303,11 @@ class CheckTally:
     witness: str | None = None
 
     def record(self, ok: bool, witness: str | None = None) -> None:
+        """Count one check, keeping the witness of the first failure.
+
+        A witness is built only for a failure: callers pass ``None`` for a
+        passing check, so a passing run formats no witness and reads no h.
+        """
         self.checked += 1
         if not ok:
             self.failed += 1
@@ -311,7 +325,10 @@ class VerificationReport:
     notes: list[str] = field(default_factory=list)
 
     def tally(self, name: str) -> CheckTally:
-        return self.checks.setdefault(name, CheckTally())
+        tally = self.checks.get(name)
+        if tally is None:
+            tally = self.checks[name] = CheckTally()
+        return tally
 
     @property
     def passed(self) -> bool:
@@ -393,6 +410,9 @@ def verify_monadicity(
     ``roundtrip_iso``, ``compare_bijection`` and ``compare_algebra_map``
     passed on both K(y1) and K(y2).
 
+    A witness is built only for a failed check, so a passing run formats
+    none and never folds an enumerated algebra's h to print it.
+
     Raises for an empty state object: the equivalence genuinely fails there
     (see :func:`empty_state_diagnostic` for the demonstration).  Raises
     :class:`SearchCeilingExceeded` before any carrier is run when the
@@ -424,12 +444,10 @@ def verify_monadicity(
 
     for x_size in range(max_x + 1):
         x = FinSet(x_size)
-        report.tally("unit_graph_identity").record(
-            ctx.graph_flatten_identity(x), witness=f"x={x_size}"
-        )
-        report.tally("pairing_decomposition").record(
-            ctx.pairing_via_diagonal_identity(x), witness=f"x={x_size}"
-        )
+        ok = ctx.graph_flatten_identity(x)
+        report.tally("unit_graph_identity").record(ok, None if ok else f"x={x_size}")
+        ok = ctx.pairing_via_diagonal_identity(x)
+        report.tally("pairing_decomposition").record(ok, None if ok else f"x={x_size}")
         try:
             algebras = enumerate_algebras(ctx, x, ceiling=ceiling)
         except SearchCeilingExceeded as exc:
@@ -438,15 +456,16 @@ def verify_monadicity(
         report.carriers[x_size] = {"count": len(algebras), "guarded": None}
         k = _integer_root(x_size, s_size)
         expected = 0 if k is None else _count_conjecture(x_size, k)
+        ok = len(algebras) == expected
         report.tally("structure_count_conjecture").record(
-            len(algebras) == expected,
-            witness=f"x={x_size}: {len(algebras)} != {expected}",
+            ok, None if ok else f"x={x_size}: {len(algebras)} != {expected}"
         )
         for alg in algebras:
             for name, ok in check_suite(alg).items():
-                report.tally(name).record(
-                    ok, witness=f"x={x_size}, h={list(alg.structure.table)}"
-                )
+                # h is read to print it only for the tally's first failure
+                tally = report.tally(name)
+                tally.record(ok, None if ok or tally.witness is not None
+                             else f"x={x_size}, h={list(alg.structure.table)}")
 
     # function-algebra side: sound[y] holds when the checks that decide
     # the hom-sets out of and into K(y) passed on it (see the docstring)
@@ -460,11 +479,11 @@ def verify_monadicity(
             )
             continue
         ka = function_algebra(ctx, y)
-        report.tally("function_algebra_valid").record(True, witness=f"y={y_size}")
+        report.tally("function_algebra_valid").record(True)
         data = extract_base(ka)
+        ok = data.base.size == y_size
         report.tally("base_recovery").record(
-            data.base.size == y_size,
-            witness=f"y={y_size}: base {data.base.size}",
+            ok, None if ok else f"y={y_size}: base {data.base.size}"
         )
         xi = base_iso(ctx, y, data)
         roundtrip = (
@@ -472,14 +491,12 @@ def verify_monadicity(
             and compose(ctx.const_map(y), xi).table == data.mono.table
             and compose(xi, data.epi).table == evaluation(y, ctx.state).table
         )
-        report.tally("roundtrip_iso").record(roundtrip, witness=f"y={y_size}")
-        constants = set(ctx.const_map(y).table)
-        report.tally("constant_image").record(
-            set(data.mono.table) == constants, witness=f"y={y_size}"
-        )
+        report.tally("roundtrip_iso").record(roundtrip, None if roundtrip else f"y={y_size}")
+        ok = set(data.mono.table) == set(ctx.const_map(y).table)
+        report.tally("constant_image").record(ok, None if ok else f"y={y_size}")
         suite = check_suite(ka)
         for name, ok in suite.items():
-            report.tally(name).record(ok, witness=f"K({y_size})")
+            report.tally(name).record(ok, None if ok else f"K({y_size})")
         sound[y_size] = (
             roundtrip and suite["compare_bijection"] and suite["compare_algebra_map"]
         )
@@ -489,9 +506,8 @@ def verify_monadicity(
             for name in (
                 "function_algebra_map_valid", "roundtrip_iso_natural", "base_map_functorial"
             ):
-                report.tally(name).record(
-                    sound[y1] and sound[y2], witness=f"K({y1})->K({y2})"
-                )
+                ok = sound[y1] and sound[y2]
+                report.tally(name).record(ok, None if ok else f"K({y1})->K({y2})")
     report.notes.append(
         "structure counts compared against the relabeling conjecture "
         "x!/k! (verified only at these sizes)"

@@ -478,6 +478,8 @@ class TestStdoutDigests:
              "4d3993ce3d9f44e99b8264b838fc03b2d428757f0fe1c24e584e4c4ff8112dca"),
             ("verify --s 2 --max-x 5 --format json --seed 11",
              "98a01c875adc51f178a765efc8136fb2b99e941fc497f35da8074caf34cb924a"),
+            ("verify --s 2 --max-x 4",
+             "909745a546f1f61f33eb2d776ad5346be42bc23ba5af3b40f756dc1bf9f9db72"),
         ],
     )
     def test_digest(self, capsys, argv, digest):

@@ -4,12 +4,14 @@ from itertools import product
 
 import pytest
 
-from monadlab import _bulk, monadicity
+from monadlab import _bulk, algebra, monadicity
+from monadlab._bulk import value_at
 from monadlab.algebra import (
     TAlgebra,
     check_algebra,
     check_morphism,
     enumerate_algebras,
+    fold_side,
     morphism_witness,
     read_presentation,
 )
@@ -403,6 +405,66 @@ class TestCheckSuite:
                 assert all(suite.values()), (ctx.state.size, yn, suite)
 
 
+class TestSharedComparisonData:
+    """check_suite reads mono^S and the fold of U and l from BaseData, built
+    once per instance; the comparison maps must equal the tables built from
+    a fresh exp_map and fold_side."""
+
+    def test_matches_fresh_tables(self, ctx2, twelve):
+        algebras = list(twelve) + [function_algebra(ctx2, y) for y in range(4)]
+        for alg in algebras:
+            data = extract_base(alg)
+            x, state = alg.carrier, ctx2.state
+            mono_s = exp_map(data.mono, state)
+            fold = fold_side(ctx2, x.size, alg.updates, alg.lookup)
+            for _ in range(2):  # the second round reads the kept data
+                assert compare_inverse(data).table == tuple(alg.lookup[g] for g in mono_s.table)
+                assert compare_retraction(data).table == tuple(
+                    value_at(fold, ctx2.graph_at(x, g)) for g in mono_s.table
+                )
+                for s0 in (0, 1):
+                    sigma_s = exp_map(epi_section(data, s0), state)
+                    assert compare_section(data, s0).table == tuple(
+                        value_at(fold, w) for w in sigma_s.table
+                    )
+            assert data.mono_s == mono_s
+            assert data.fold == fold
+
+    def test_replace_keeps_no_stale_data(self, twelve):
+        # the twelve share one base size, so replace can swap the algebra
+        # under the same epi and mono; the fold must be the new algebra's
+        data = extract_base(twelve[0])
+        # reading both builds and keeps data's mono^S and fold
+        assert compare_retraction(data).table == compare_inverse(data).table
+        for other in twelve[1:]:
+            swapped = replace(data, algebra=other)
+            assert swapped.fold == fold_side(
+                other.ctx, other.carrier.size, other.updates, other.lookup
+            )
+            assert compare_inverse(swapped).table == tuple(
+                other.lookup[g] for g in data.mono_s.table
+            )
+
+    def test_perturbed_mono_s_fails_transpose_triangle(self, ctx2, twelve, monkeypatch):
+        # compare_inverse and compare_retraction read the same kept mono^S, so
+        # retraction_matches_inverse cannot see it wrong; the transpose
+        # triangle compares it with the curried reach and must fail on every
+        # changed entry (compare is onto, so every entry is read)
+        algebras = [twelve[0], twelve[-1], function_algebra(ctx2, 2), function_algebra(ctx2, 3)]
+        for alg in algebras:
+            n = len(extract_base(alg).mono_s.table)
+            for i in range(n):
+                def broken(a, i=i):
+                    data = extract_base(a)
+                    data.mono_s = _perturbed(data.mono_s, i)
+                    return data
+
+                monkeypatch.setattr(monadicity, "extract_base", broken)
+                suite = check_suite(alg)
+                assert suite["transpose_triangle"] is False, (alg, i)
+                assert suite["retraction_matches_inverse"] is True
+
+
 class TestVerify:
     def test_two_states(self):
         report = verify_monadicity(2, 4)
@@ -447,6 +509,99 @@ class TestVerify:
             "function algebra on 3 skipped: |T(Y^S)| = 81**3 entries "
             "exceeds the ceiling 20000"
         ]
+
+
+#: The nine checks of check_suite.
+SUITE_CHECKS = (
+    "base_power", "compare_bijection", "compare_algebra_map", "retraction_identity",
+    "retraction_matches_inverse", "transpose_triangle", "epi_section_identity",
+    "section_identity", "section_matches_inverse",
+)
+
+#: The tally of a passing verify_monadicity(2, 4), by check name.
+PASSING_2_4 = {
+    **{name: CheckTally(19, 0, None) for name in SUITE_CHECKS},
+    **{name: CheckTally(25, 0, None) for name in (
+        "function_algebra_map_valid", "roundtrip_iso_natural", "base_map_functorial"
+    )},
+    **{name: CheckTally(5, 0, None) for name in (
+        "unit_graph_identity", "pairing_decomposition", "structure_count_conjecture",
+        "function_algebra_valid", "base_recovery", "roundtrip_iso", "constant_image",
+    )},
+}
+
+#: h of the least algebra on four elements at |S| = 2, as verify's failure
+#: witness prints it.
+LEAST_H_4 = (
+    "[0, 0, 2, 2, 0, 2, 0, 2, 0, 0, 2, 2, 0, 2, 0, 2, "
+    "1, 1, 3, 3, 1, 3, 1, 3, 1, 1, 3, 3, 1, 3, 1, 3, "
+    "0, 0, 2, 2, 0, 2, 0, 2, 1, 1, 3, 3, 1, 3, 1, 3, "
+    "0, 0, 2, 2, 0, 2, 0, 2, 1, 1, 3, 3, 1, 3, 1, 3]"
+)
+
+
+class TestFailureWitnesses:
+    """verify builds a witness only for a failed check: the witnesses of a
+    failing run are those the eager formatting gave, and a passing run
+    reads no h."""
+
+    def test_passing_tallies(self):
+        assert verify_monadicity(2, 4).checks == PASSING_2_4
+
+    @pytest.mark.parametrize("check", SUITE_CHECKS)
+    def test_suite_check_failing_on_every_four_element_carrier(self, check, monkeypatch):
+        # the twelve algebras on 4 and K(2) fail; the witness is the least
+        # algebra's h, and a failed deciding check fails the 9 of the 25
+        # hom-sets between K(0..4) that touch K(2)
+        def mutant(alg):
+            out = check_suite(alg)
+            out[check] &= alg.carrier.size != 4
+            return out
+
+        monkeypatch.setattr(monadicity, "check_suite", mutant)
+        report = verify_monadicity(2, 4)
+        expected = dict(PASSING_2_4)
+        expected[check] = CheckTally(19, 13, f"x=4, h={LEAST_H_4}")
+        if check in ("compare_bijection", "compare_algebra_map"):
+            for name in HOM_TALLIES:
+                expected[name] = CheckTally(25, 9, "K(0)->K(2)")
+        assert report.checks == expected
+        assert f"  {check}: 19 checked, FAILED (13, e.g. x=4, h={LEAST_H_4})" in (
+            report.to_text().splitlines()
+        )
+
+    def test_unit_graph_failing_at_three(self, monkeypatch):
+        monkeypatch.setattr(StateMonadCtx, "graph_flatten_identity", lambda self, x: x.size != 3)
+        report = verify_monadicity(2, 4)
+        assert report.checks == {
+            **PASSING_2_4, "unit_graph_identity": CheckTally(5, 1, "x=3"),
+        }
+        assert report.to_text().endswith(
+            "  unit_graph_identity: 5 checked, FAILED (1, e.g. x=3)\n"
+            "  note: structure counts compared against the relabeling conjecture "
+            "x!/k! (verified only at these sizes)\nFAILED"
+        )
+
+    def test_passing_run_reads_no_h(self, ctx2, monkeypatch):
+        # the enumerated algebras carry U and l alone, and folding h raises:
+        # a passing run must not need it
+        expected = verify_monadicity(2, 4).to_dict()
+        found = {x: enumerate_algebras(ctx2, FinSet(x)) for x in range(5)}
+
+        def bare(ctx, x, **kwargs):
+            out = []
+            for a in found[x.size]:
+                alg = TAlgebra(ctx, x, a.updates, a.lookup)
+                alg.checked = a.checked
+                out.append(alg)
+            return out
+
+        def refuse(*args):
+            raise AssertionError("h was folded")
+
+        monkeypatch.setattr(monadicity, "enumerate_algebras", bare)
+        monkeypatch.setattr(algebra, "fold_table", refuse)
+        assert verify_monadicity(2, 4).to_dict() == expected
 
 
 #: The tallies verify_monadicity decides per hom-set from per-object checks.
