@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, permutations, product
 from operator import mul
 from typing import Callable, Sequence
 
 from ._bulk import Side, first_mismatch, side_values, table_mismatch, value_at
-from .finset import FinSet, FinSetError, Morphism, evaluation, exp_map, int_entries
+from .finset import FinSet, FinSetError, Morphism, _lazy, evaluation, exp_map, int_entries
 from .statemonad import DEFAULT_SEARCH_CEILING, CellLayout, StateMonadCtx, int_text, past_ceiling
 
 
@@ -68,7 +67,7 @@ class TAlgebra:
     def __post_init__(self) -> None:
         self.checked = "none"
 
-    @cached_property
+    @_lazy
     def structure(self) -> Morphism:
         table = fold_table(self.ctx, self.carrier.size, self.updates, self.lookup)
         return Morphism(self.ctx.t_obj(self.carrier), self.carrier, table)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
 from itertools import product as _iproduct
 from typing import Iterator, Sequence
 
@@ -82,6 +81,24 @@ def _finset(n: int) -> FinSet:
     return FinSet(n) if got is None else got
 
 
+class _lazy:
+    """An attribute computed on its first read and kept in the instance's
+    ``__dict__``, which later reads find first: ``functools.cached_property``
+    without the lock it takes on every miss before Python 3.12.  Threads
+    that race on a first read each compute the same pure value.  Having no
+    ``__set__``, an assignment stores a value that is then read as if
+    computed, and ``dataclasses.replace`` starts a fresh instance."""
+
+    def __init__(self, fn) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class Morphism:
     """A total map between finite sets, stored as a dense lookup table.
 
@@ -94,8 +111,8 @@ class Morphism:
     of ``dom.size`` entries below ``cod.size`` by construction: ``identity``,
     ``compose`` and ``hom`` take entries from ``range(|cod|)`` or another
     table into ``cod``; ``pairing``, ``product_map``, ``curry`` and
-    ``exp_map`` encode digits below their radices; ``uncurry`` (and so
-    ``evaluation``) takes ``v // p % |cod|``; ``factorize`` numbers its image.
+    ``exp_map`` encode digits below their radices; ``uncurry`` and
+    ``evaluation`` take ``v // p % |cod|``; ``factorize`` numbers its image.
 
     Instances are frozen, so filling a slot means calling the slot's own
     setter, which costs a method-wrapper call per slot.  ``_made`` instead
@@ -200,19 +217,23 @@ def hom_size(dom: FinSet | int, cod: FinSet | int) -> int:
     return cod.size ** dom.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProductCodec:
     """Encoding of the binary product ``left x right``.
 
     The left factor is the major digit: ``encode(a, b) = a * |right| + b``.
+    Like ``ExpCodec`` and ``LawCheck``, it fills ``__dict__`` in one step.
     """
 
     left: FinSet
     right: FinSet
 
-    @cached_property
+    def __init__(self, left: FinSet, right: FinSet) -> None:
+        self.__dict__.update(left=left, right=right)
+
+    @_lazy
     def obj(self) -> FinSet:
-        return FinSet(self.left.size * self.right.size)
+        return _finset(self.left.size * self.right.size)
 
     def encode(self, a: int, b: int) -> int:
         return a * self.right.size + b
@@ -229,7 +250,7 @@ class ProductCodec:
         return Morphism(self.obj, self.right, tuple(c % n for c in range(self.obj.size)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExpCodec:
     """Encoding of the exponential ``base ^ exponent``.
 
@@ -242,14 +263,17 @@ class ExpCodec:
     base: FinSet
     exponent: FinSet
 
-    @cached_property
-    def obj(self) -> FinSet:
-        return FinSet(self.base.size ** self.exponent.size)
+    def __init__(self, base: FinSet, exponent: FinSet) -> None:
+        self.__dict__.update(base=base, exponent=exponent)
 
-    @cached_property
+    @_lazy
+    def obj(self) -> FinSet:
+        return _finset(self.base.size ** self.exponent.size)
+
+    @_lazy
     def _pows(self) -> tuple[int, ...]:
         b = self.base.size
-        return tuple(b**s for s in range(self.exponent.size))
+        return tuple([b**s for s in range(self.exponent.size)])
 
     def encode(self, values: Sequence[int]) -> int:
         if len(values) != self.exponent.size:
@@ -328,9 +352,11 @@ def uncurry(g: Morphism, codec: ExpCodec) -> Morphism:
 
 def evaluation(x: FinSet | int, s: FinSet | int) -> Morphism:
     """The evaluation map ``S x X^S -> X`` sending ``(s, f)`` to ``f(s)``,
-    the transpose ``uncurry(identity(X^S))``."""
+    the transpose ``uncurry(identity(X^S))``: digit s of every code f."""
     codec = ExpCodec(_as_finset(x), _as_finset(s))
-    return uncurry(identity(codec.obj), codec)
+    y, codes = codec.base.size, range(codec.obj.size)
+    table = tuple([f // p % y for p in codec._pows for f in codes])
+    return _made(_finset(len(table)), codec.base, table)
 
 
 def exp_map(f: Morphism, s: FinSet | int) -> Morphism:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 from bisect import bisect
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from ._bulk import Side, side_values, value_at
 from .algebra import (
@@ -48,6 +47,7 @@ from .finset import (
     FinSet,
     FinSetError,
     Morphism,
+    _lazy,
     classify,
     compose,
     curry,
@@ -113,12 +113,12 @@ class BaseData:
     reach: Morphism
     compare: Morphism
 
-    @cached_property
+    @_lazy
     def mono_s(self) -> Morphism:
         """``mono^S: Y^S -> X^S``."""
         return exp_map(self.mono, self.algebra.ctx.state)
 
-    @cached_property
+    @_lazy
     def fold(self) -> Side:
         """h, the fold of U and l, as a side over the TX codes, so h is not built."""
         alg = self.algebra
@@ -172,8 +172,13 @@ def epi_section(data: BaseData, s0: int) -> Morphism:
 def compare_section(data: BaseData, s0: int) -> Morphism:
     """A right inverse ``Y^S -> X`` of the comparison map: exponentiate the
     section of the surjection, then fold."""
+    return _folded_power(data, epi_section(data, s0))
+
+
+def _folded_power(data: BaseData, sigma: Morphism) -> Morphism:
+    """``h . sigma^S`` for a section sigma of the reachability surjection."""
     alg, fold = data.algebra, data.fold
-    sigma_s = exp_map(epi_section(data, s0), alg.ctx.state)
+    sigma_s = exp_map(sigma, alg.ctx.state)
     return Morphism(sigma_s.dom, alg.carrier, [value_at(fold, w) for w in sigma_s.table])
 
 
@@ -253,10 +258,15 @@ def check_suite(alg: TAlgebra) -> dict[str, bool]:
     Returns a name-to-outcome map; all values must be True for a valid
     algebra over a nonempty state object.
     """
+    return _suite(extract_base(alg))
+
+
+def _suite(data: BaseData) -> dict[str, bool]:
+    """:func:`check_suite` on an algebra whose base is already extracted."""
+    alg = data.algebra
     ctx = alg.ctx
     s = ctx.state.size
     x = alg.carrier
-    data = extract_base(alg)
     id_x = identity(x)
     exp_obj = ExpCodec(data.base, ctx.state).obj
     id_exp = identity(exp_obj)
@@ -283,7 +293,7 @@ def check_suite(alg: TAlgebra) -> dict[str, bool]:
     for s0 in range(s):
         sigma = epi_section(data, s0)
         epi_sections_ok &= compose(data.epi, sigma).table == id_base.table
-        big = compare_section(data, s0)
+        big = _folded_power(data, sigma)
         sections_ok &= compose(data.compare, big).table == id_exp.table
         sections_match &= big.table == inv.table
     out["epi_section_identity"] = epi_sections_ok
@@ -386,8 +396,8 @@ def verify_monadicity(
     comparison identity, returning a structured report.
 
     On the function-algebra side, each kept K(y) is validated, its base is
-    extracted with the iso ``xi`` back to Y (:func:`base_iso`), and
-    :func:`check_suite` runs on it.  These per-object checks decide every
+    extracted with the iso ``xi`` back to Y (:func:`base_iso`), and the
+    suite of :func:`check_suite` runs on that base.  These per-object checks decide every
     hom-set ``Y1 -> Y2`` between kept function algebras exactly, with no map
     enumerated:
 
@@ -494,7 +504,7 @@ def verify_monadicity(
         report.tally("roundtrip_iso").record(roundtrip, None if roundtrip else f"y={y_size}")
         ok = set(data.mono.table) == set(ctx.const_map(y).table)
         report.tally("constant_image").record(ok, None if ok else f"y={y_size}")
-        suite = check_suite(ka)
+        suite = _suite(data)
         for name, ok in suite.items():
             report.tally(name).record(ok, None if ok else f"K({y_size})")
         sound[y_size] = (

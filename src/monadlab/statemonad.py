@@ -15,7 +15,7 @@ objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import compress, count
 from operator import eq, mul, ne
 from typing import Sequence
@@ -27,6 +27,7 @@ from .finset import (
     FinSetError,
     Morphism,
     ProductCodec,
+    _lazy,
     compose,
     curry,
     evaluation,
@@ -62,7 +63,7 @@ def _differing(a: Sequence[int], b: Sequence[int]):
     return compress(count(), map(ne, a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LawCheck:
     """Outcome of one law check.
 
@@ -77,6 +78,9 @@ class LawCheck:
     checked: int
     ok: bool
     witness: int | None = None
+
+    def __init__(self, law: str, mode: str, checked: int, ok: bool, witness: int | None = None):
+        self.__dict__.update(law=law, mode=mode, checked=checked, ok=ok, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,7 @@ class CellLayout:
     weights: tuple[int, ...]
     ttx_weights: tuple[int, ...]
 
-    @cached_property
+    @_lazy
     def ids(self) -> tuple[int, ...]:
         """``(0, ..., |X| - 1)``, what an algebra holds at its unit codes.
         Made on first use, which in ``check_algebra`` follows the size

@@ -54,6 +54,22 @@ class TestCheckAlgebra:
         for yn in range(4):
             assert isinstance(function_algebra(ctx2, yn), TAlgebra)
 
+    def test_structure_is_the_table_given(self, ctx2, monkeypatch):
+        # check_algebra seeds the lazy structure with h, so it is never
+        # folded; a replaced algebra folds its own
+        h = function_algebra(ctx2, 2).structure
+        alg = check_algebra(ctx2, FinSet(4), Morphism(h.dom, h.cod, h.table))
+        fresh = dataclasses.replace(alg)
+
+        def fold_table(*args):
+            raise AssertionError("h folded again")
+
+        monkeypatch.setattr(monadlab.algebra, "fold_table", fold_table)
+        assert alg.structure is vars(alg)["structure"] and alg.structure == h
+        assert "structure" not in vars(fresh)
+        monkeypatch.undo()
+        assert fresh.structure == h and fresh.structure is not alg.structure
+
     def test_constant_structure_fails_unit(self, ctx2):
         x = FinSet(2)
         h = Morphism(ctx2.t_obj(x), x, (0,) * 16)

@@ -1,11 +1,16 @@
 import copy
+import functools
+import importlib
+import inspect
 import json
 import os
 import pickle
+import pkgutil
 import random
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
+import threading
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import product as iproduct
 from math import prod
 from pathlib import Path
@@ -14,6 +19,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import monadlab
 from monadlab import _bulk
 from monadlab._bulk import first_mismatch, side_values, value_at
 from monadlab.finset import (
@@ -22,6 +28,7 @@ from monadlab.finset import (
     FinSetError,
     Morphism,
     ProductCodec,
+    _lazy,
     classify,
     compose,
     curry,
@@ -38,6 +45,7 @@ from monadlab.finset import (
     product_map,
     uncurry,
 )
+from monadlab.statemonad import LawCheck
 
 
 @st.composite
@@ -597,9 +605,15 @@ class TestCurryUncurry:
             assert curry(evaluation(y, s), codec).table == identity(exp.obj).table
 
     def test_uncurry_identity_is_evaluation(self):
-        y, s = FinSet(3), FinSet(2)
-        exp = ExpCodec(y, s)
-        assert uncurry(identity(exp.obj), exp).table == evaluation(y, s).table
+        # evaluation reads the digits itself, so it is compared with the
+        # transpose it stands for at every size, empty ones included
+        for ys, ss in iproduct(range(5), range(4)):
+            y, s = FinSet(ys), FinSet(ss)
+            exp = ExpCodec(y, s)
+            ev = evaluation(ys, ss)
+            assert ev == uncurry(identity(exp.obj), exp), (ys, ss)
+            assert ev.dom is FinSet(ss * ys**ss) and ev.cod is y
+            assert Morphism(ev.dom, ev.cod, ev.table) == ev
 
     def test_singleton_exponent_curry_of_projection(self):
         s, x = FinSet(1), FinSet(3)
@@ -758,3 +772,146 @@ class TestSerialization:
         with pytest.raises(FinSetError) as err:
             morphism_loads(f'{{"dom":2,"cod":2,"table":{table}}}')
         assert str(err.value) == message
+
+
+class TestLazyAttributes:
+    """``finset._lazy``: a first read computes the value and keeps it in the
+    instance's ``__dict__``; there is no lock, and no class of the package
+    holds a ``functools.cached_property``, which takes one."""
+
+    class Box:
+        calls: list = []
+
+        def __init__(self, n):
+            self.n = n
+
+        @_lazy
+        def square(self):
+            """n squared."""
+            self.calls.append(self.n)
+            return self.n * self.n
+
+    def test_computes_once_per_instance(self):
+        box = self.Box
+        box.calls = []
+        a, b = box(3), box(4)
+        assert (a.square, a.square, b.square, b.square, a.square) == (9, 9, 16, 16, 9)
+        assert box.calls == [3, 4]
+        assert vars(a)["square"] == 9 and vars(b)["square"] == 16
+        assert isinstance(box.square, _lazy) and box.square.__doc__ == "n squared."
+
+    def test_assignment_seeds_the_value(self):
+        box = self.Box
+        box.calls = []
+        a = box(3)
+        a.square = 10
+        assert a.square == 10 and box.calls == []
+        del a.square  # back to the descriptor: computed on the next read
+        assert a.square == 9 and box.calls == [3]
+
+    def test_codecs_keep_their_values(self):
+        for codec in (ProductCodec(FinSet(2), FinSet(3)), ExpCodec(FinSet(3), FinSet(2))):
+            assert "obj" not in vars(codec)
+            assert codec.obj is vars(codec)["obj"] is codec.obj
+        exp = ExpCodec(FinSet(3), FinSet(4))
+        assert exp._pows == (1, 3, 9, 27) and vars(exp)["_pows"] is exp._pows
+
+    def test_racing_first_reads_agree(self):
+        # 8 threads read the lazy attributes of fresh codecs at once, from
+        # one barrier, switching as often as the interpreter allows: every
+        # thread sees the same values
+        threads_n, rounds = 8, 50
+        barrier = threading.Barrier(threads_n, timeout=30)
+        seen = [[] for _ in range(threads_n)]
+        codecs = [
+            (ProductCodec(FinSet(r + 1), FinSet(3)), ExpCodec(FinSet(r % 5 + 2), FinSet(r % 4 + 1)))
+            for r in range(rounds)
+        ]
+
+        def read(i):
+            for pair, exp in codecs:
+                barrier.wait()
+                seen[i].append((pair.obj, exp.obj, exp._pows))
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        expected = [
+            (FinSet((r + 1) * 3), FinSet((r % 5 + 2) ** (r % 4 + 1)),
+             tuple((r % 5 + 2) ** k for k in range(r % 4 + 1)))
+            for r in range(rounds)
+        ]
+        assert all(got == expected for got in seen)
+
+    def test_no_cached_property_in_the_package(self):
+        # functools.cached_property locks on every first read before Python
+        # 3.12; every lazy attribute of the package is a _lazy
+        lazy = []
+        for info in pkgutil.iter_modules(monadlab.__path__):
+            module = importlib.import_module(f"monadlab.{info.name}")
+            for cls in vars(module).values():
+                if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                    for name, attr in vars(cls).items():
+                        assert not isinstance(attr, functools.cached_property), (cls, name)
+                        if isinstance(attr, _lazy):
+                            lazy.append(f"{cls.__name__}.{name}")
+        assert sorted(lazy) == [
+            "BaseData.fold", "BaseData.mono_s", "CellLayout.ids", "ExpCodec._pows",
+            "ExpCodec.obj", "ProductCodec.obj", "TAlgebra.structure",
+        ]
+
+
+#: (record, its field values, a field, another value for it)
+RECORDS = [
+    (ProductCodec, (FinSet(2), FinSet(3)), "left", FinSet(4)),
+    (ExpCodec, (FinSet(3), FinSet(2)), "exponent", FinSet(0)),
+    (LawCheck, ("associativity", "reduced", 48, False, 7), "ok", True),
+]
+
+
+class TestRecords:
+    """The codecs and ``LawCheck`` fill their ``__dict__`` in one step, and
+    stay frozen dataclasses: fields, ``==``, ``hash``, ``repr``,
+    ``replace`` and pickling as a generated ``__init__`` would give."""
+
+    @pytest.mark.parametrize("cls, values, name, other", RECORDS)
+    def test_frozen(self, cls, values, name, other):
+        record = cls(*values)
+        for attr in (name, "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, attr, other)
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, attr)
+        assert record == cls(*values)
+
+    @pytest.mark.parametrize("cls, values, name, other", RECORDS)
+    def test_value_behaviour(self, cls, values, name, other):
+        names = [f.name for f in fields(cls)]
+        record, twin = cls(*values), cls(**dict(zip(names, values)))
+        assert len(names) == len(values) and vars(record) == dict(zip(names, values))
+        assert record == twin and record is not twin and hash(record) == hash(values)
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
+        assert repr(record) == f"{cls.__name__}({shown})"
+        changed = replace(record, **{name: other})
+        assert type(changed) is cls and getattr(changed, name) == other and changed != record
+        assert replace(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+        if cls is not LawCheck:  # a kept lazy value is no field
+            record.obj
+            assert record == twin and hash(record) == hash(twin) and repr(record) == repr(twin)
+
+    def test_law_check_default_witness(self):
+        check = LawCheck("mult_agreement", "full", 8, True)
+        assert check.witness is None and check == LawCheck("mult_agreement", "full", 8, True, None)
+        assert repr(check) == (
+            "LawCheck(law='mult_agreement', mode='full', checked=8, ok=True, witness=None)"
+        )
+        assert replace(check, ok=False, witness=3).witness == 3

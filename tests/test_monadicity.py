@@ -445,6 +445,33 @@ class TestSharedComparisonData:
                 other.lookup[g] for g in data.mono_s.table
             )
 
+    def test_replace_recomputes_lazy_data(self, ctx2, twelve):
+        # replace starts a fresh instance, which builds mono^S and the fold
+        # of its own fields on first read
+        data, other = extract_base(twelve[0]), extract_base(twelve[-1])
+        assert data.mono != other.mono
+        data.mono_s, data.fold  # read both, so data keeps them
+        swapped = replace(data, algebra=other.algebra, mono=other.mono)
+        assert "mono_s" not in vars(swapped) and "fold" not in vars(swapped)
+        assert swapped.mono_s == exp_map(other.mono, ctx2.state) != data.mono_s
+        assert swapped.fold == other.fold != data.fold
+
+    def test_verify_builds_each_base_and_section_once(self, monkeypatch):
+        # one extract_base per suite (the function side runs its suite on
+        # the base it extracted) and one epi section per state and suite
+        calls = {"extract_base": 0, "epi_section": 0, "compare_section": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(monadicity, name)):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(monadicity, name, counted)
+        report = verify_monadicity(2, 4)
+        assert report.checks == PASSING_2_4
+        suites = report.checks["base_power"].checked
+        assert suites == 19
+        assert calls == {"extract_base": suites, "epi_section": 2 * suites, "compare_section": 0}
+
     def test_perturbed_mono_s_fails_transpose_triangle(self, ctx2, twelve, monkeypatch):
         # compare_inverse and compare_retraction read the same kept mono^S, so
         # retraction_matches_inverse cannot see it wrong; the transpose
@@ -552,13 +579,16 @@ class TestFailureWitnesses:
     def test_suite_check_failing_on_every_four_element_carrier(self, check, monkeypatch):
         # the twelve algebras on 4 and K(2) fail; the witness is the least
         # algebra's h, and a failed deciding check fails the 9 of the 25
-        # hom-sets between K(0..4) that touch K(2)
-        def mutant(alg):
-            out = check_suite(alg)
-            out[check] &= alg.carrier.size != 4
+        # hom-sets between K(0..4) that touch K(2).  Both sides run the
+        # suite through _suite, K(y) on the base verify already extracted
+        suite = monadicity._suite
+
+        def mutant(data):
+            out = suite(data)
+            out[check] &= data.algebra.carrier.size != 4
             return out
 
-        monkeypatch.setattr(monadicity, "check_suite", mutant)
+        monkeypatch.setattr(monadicity, "_suite", mutant)
         report = verify_monadicity(2, 4)
         expected = dict(PASSING_2_4)
         expected[check] = CheckTally(19, 13, f"x=4, h={LEAST_H_4}")
@@ -757,12 +787,14 @@ class TestHomNaturality:
     def test_each_deciding_check_gates_the_hom_sets(self, check, monkeypatch):
         # the hom-sets that touch K(2) fail once either check fails on it.
         # No carrier up to 3 has four elements, so only K(2) is hit
-        def mutant(alg):
-            out = check_suite(alg)
-            out[check] &= alg.carrier.size != 4
+        suite = monadicity._suite
+
+        def mutant(data):
+            out = suite(data)
+            out[check] &= data.algebra.carrier.size != 4
             return out
 
-        monkeypatch.setattr(monadicity, "check_suite", mutant)
+        monkeypatch.setattr(monadicity, "_suite", mutant)
         report = verify_monadicity(2, 3)
         assert report.checks[check] == CheckTally(6, 1, "K(2)")
         for name in HOM_TALLIES:
