@@ -159,15 +159,15 @@ def _scan(left, right: Side, plain: bool) -> int | None:
     if not (right[2] and (plain or left[2])):
         raise ValueError("first_mismatch needs a lookup on each side")
     if prod(map(len, right[0])) <= _INT_POINTS:
-        lv, rv = list(left) if plain else side_values(left), side_values(right)
-        return None if lv == rv else _first_difference(lv, rv)
+        return first_difference(list(left) if plain else side_values(left), side_values(right))
     arrays = None
     for start, j, lo, hi, high in _chunks([len(t) for t in right[0]]):
         if start < _INT_POINTS:
             rv = _int_chunk(right, j, lo, hi, high)
             lv = list(left[start:start + len(rv)]) if plain else _int_chunk(left, j, lo, hi, high)
-            if lv != rv:
-                return start + _first_difference(lv, rv)
+            bad = first_difference(lv, rv)
+            if bad is not None:
+                return start + bad
             continue
         if arrays is None:
             from numpy import fromiter, int64  # a plain table is converted chunk by chunk
@@ -182,9 +182,14 @@ def _scan(left, right: Side, plain: bool) -> int | None:
     return None
 
 
-def _first_difference(lv: list[int], rv: list[int]) -> int:
+def first_difference(a: Sequence[int], b: Sequence[int]) -> int | None:
+    """The least index where two equally long tables of one type (both
+    lists or both tuples) differ, or None.  They are compared whole first,
+    which is fastest when they agree, and then walked to the difference."""
+    if a == b:
+        return None
     i = 0
-    while lv[i] == rv[i]:
+    while a[i] == b[i]:
         i += 1
     return i
 

@@ -80,12 +80,20 @@ class TAlgebra:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgebraViolation:
     """A failed algebra law, with a witness element.
 
     For the unit law the witness is a carrier element; for associativity it
     is a code in TTX where the two evaluation orders disagree.
+
+    :func:`check_algebra` builds each one with ``_violation``, unchecked,
+    as ``finset._made`` builds a morphism: it assigns the slots of
+    ``_UnfrozenViolation``, a twin with the same slots and no frozen
+    ``__setattr__``, and then sets its ``__class__`` to ``AlgebraViolation``.
+    The result is a frozen, slotted violation like any other, built in
+    about a third of the constructor's time; a rejection is mostly this
+    and its witness.
     """
 
     law: str
@@ -95,6 +103,23 @@ class AlgebraViolation:
 
     def __str__(self) -> str:
         return f"{self.law} law fails at {self.witness}: {self.lhs} != {self.rhs}"
+
+
+class _UnfrozenViolation:
+    """``AlgebraViolation``'s slots without its frozen ``__setattr__``."""
+
+    __slots__ = AlgebraViolation.__slots__
+
+
+def _violation(law: str, witness: int, lhs: int, rhs: int) -> AlgebraViolation:
+    """An ``AlgebraViolation`` built without its constructor (see there)."""
+    v = _UnfrozenViolation()
+    v.law = law
+    v.witness = witness
+    v.lhs = lhs
+    v.rhs = rhs
+    v.__class__ = AlgebraViolation
+    return v
 
 
 @dataclass(eq=False)
@@ -118,7 +143,11 @@ def check_algebra(
     cell of h once (``_bulk.table_mismatch``).  The last three decide
     associativity (:func:`_presentation_violation`), at the first failing
     instance, which need not be the least TTX code.  The algebra returned
-    carries the U and l read here, and h as its ``structure``.
+    carries the U and l read here, and h as its ``structure``.  A violation
+    costs no more than the stage that finds it: it is built unchecked by
+    ``_violation`` (see :class:`AlgebraViolation`), and where every digit of
+    the TTX witness is the same its code is one product, the closed form in
+    :func:`_presentation_violation`.
 
     Where the cells lie depends only on ``(|S|, |X|)``.  Every stage reads
     it from one :class:`CellLayout` (X and TX, ``ones``, ``first``, the
@@ -140,7 +169,7 @@ def check_algebra(
     units = h[first:first + ones * xn:ones] if ones else h[:1] * xn  # no states: one code
     if units != cells.ids:
         v = next(v for v, image in enumerate(units) if image != v)
-        return AlgebraViolation("unit", v, units[v], v)
+        return _violation("unit", v, units[v], v)
     found = _presentation_violation(ctx, cells, h)
     if isinstance(found, AlgebraViolation):
         return found
@@ -237,32 +266,45 @@ def _presentation_violation(ctx, cells: CellLayout, h) -> AlgebraViolation | tup
     unit).  A failure is reported at that TTX code, where ``h . T(h)`` gives
     the left-hand side and ``h . mult`` the right-hand side, given the unit
     law that :func:`check_algebra` checks first.
+
+    A TTX code with digits ``(c_i, t_i)`` in ``S x TX`` is ``sum((c_i·|TX|
+    + t_i)·(|S|·|TX|)^i)``, the ``ttx_weights`` of :class:`CellLayout`.
+    Codes 1 and 2 have the same digit ``(c, t)`` at every i, with t the
+    constant computation ``s' -> (d, a)``, ``(d·|X| + a)·ones``, or the graph
+    of g.  Their sum is then ``(c·|TX| + t)·sum((|S|·|TX|)^i)``: one product
+    with ``ttx_ones``, the code whose digits are all 1.  Codes 3 and 4 have
+    digit ``(i, t_i)`` at i, and their witness takes one pass over the
+    weights.
     """
-    s, xn, ones, weights = ctx.state.size, cells.carrier.size, cells.ones, cells.weights
+    s, xn, ones = ctx.state.size, cells.carrier.size, cells.ones
     updates = h[cells.update_cells]
     ups = [updates[c * xn:(c + 1) * xn] for c in range(s)]
     found = _update_violation(xn, ups)
     if found is None:  # l is built only once equation 1 holds
         look = _read_lookup(ctx, cells, h)
         found = _lookup_violation(xn, ups, look)
+    m = len(h)
     if found is None:
         fold = fold_side(ctx, xn, updates, look)
         w = table_mismatch(h, fold)
         if w is None:
             return updates, look
-        lhs, rhs = value_at(fold, w), h[w]
-        inner = [(c, w // weight % (s * xn) * ones) for c, weight in enumerate(weights)]
+        witness = sum(
+            (c * m + w // weight % (s * xn) * ones) * wt
+            for c, (weight, wt) in enumerate(zip(cells.weights, cells.ttx_weights))
+        )
+        return _violation("associativity", witness, value_at(fold, w), h[w])
+    equation, instance, lhs, rhs = found
+    if equation == "update_after_update":
+        c, d, a = instance
+        witness = (c * m + (d * xn + a) * ones) * cells.ttx_ones
+    elif equation == "update_after_lookup":
+        c, g = instance
+        witness = (c * m + ctx.graph_at(cells.carrier, g)) * cells.ttx_ones
     else:
-        equation, instance, lhs, rhs = found
-        if equation == "update_after_update":
-            inner = [(instance[0], (instance[1] * xn + instance[2]) * ones)] * s
-        elif equation == "update_after_lookup":
-            inner = [(instance[0], ctx.graph_at(cells.carrier, instance[1]))] * s
-        else:
-            inner = [(c, (c * xn + instance[0]) * ones) for c in range(s)]
-    m = len(h)
-    witness = sum((c * m + t) * wt for (c, t), wt in zip(inner, cells.ttx_weights))
-    return AlgebraViolation("associativity", witness, lhs, rhs)
+        a = instance[0]
+        witness = sum((c * m + (c * xn + a) * ones) * wt for c, wt in enumerate(cells.ttx_weights))
+    return _violation("associativity", witness, lhs, rhs)
 
 
 def morphism_witness(u: Morphism, source: TAlgebra, target: TAlgebra) -> int | None:

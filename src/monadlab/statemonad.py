@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, count
-from operator import eq, mul, ne
+from itertools import count
+from operator import eq, mul
 from typing import Sequence
 
-from ._bulk import first_mismatch, value_at
+from ._bulk import first_difference, first_mismatch, value_at
 from .finset import (
     ExpCodec,
     FinSet,
@@ -58,11 +58,6 @@ def int_text(n: int) -> str:
     return str(n) if n.bit_length() < 2000 else f"<{n.bit_length()}-bit int>"
 
 
-def _differing(a: Sequence[int], b: Sequence[int]):
-    """The indices where two equally long tables differ, in order."""
-    return compress(count(), map(ne, a, b))
-
-
 @dataclass(frozen=True, init=False)
 class LawCheck:
     """Outcome of one law check.
@@ -90,8 +85,10 @@ class CellLayout:
     ``(S x TX)^S`` (the last encode TTX witnesses); ``ones``,
     the TX code with every digit 1, whose multiples are the update cells
     ``s -> (c, v)`` in c-major order (0 with no states, where there is
-    none), and ``update_cells``, the slice of a table that reads them; and
-    ``first``, the unit code of 0, so the unit at v is ``first + v·ones``."""
+    none), and ``update_cells``, the slice of a table that reads them;
+    ``first``, the unit code of 0, so the unit at v is ``first + v·ones``;
+    and ``ttx_ones``, the TTX code with every digit 1, whose multiples are
+    the TTX codes with all digits equal."""
 
     carrier: FinSet
     tx: FinSet
@@ -100,6 +97,7 @@ class CellLayout:
     first: int
     weights: tuple[int, ...]
     ttx_weights: tuple[int, ...]
+    ttx_ones: int
 
     @_lazy
     def ids(self) -> tuple[int, ...]:
@@ -237,7 +235,7 @@ class StateMonadCtx:
             ones, first = sum(weights), xn * sum(map(mul, range(s), weights))  # s -> (s, 0)
             cells = self._cache[key] = CellLayout(
                 FinSet(xn), tx, ones, slice(0, ones * s * xn, ones or 1), first,
-                weights, ttx_weights,
+                weights, ttx_weights, sum(ttx_weights),
             )
         return cells
 
@@ -376,7 +374,8 @@ class StateMonadCtx:
         ``mult`` sends TTX digits ``w_i`` to ``sum(ev[w_i] * (|S| * |X|) ** i)``
         and t's digit i is ``mult_digits[i * |TX| + t]``.  Where :meth:`unit_at`
         gives t the digits ``i * |TX| + t``, the first law fails at t iff the
-        tables differ at such an index; elsewhere ``mult`` is evaluated.  The
+        tables differ at such an index, so its least t is the least first
+        difference of their rows of ``|TX|``; elsewhere ``mult`` is evaluated.  The
         second fails at t iff a digit ``p = (c, v)`` of t has
         ``ev[c * |TX| + unit(v)] != p`` (``T(unit)`` sends it to
         ``c * |TX| + unit(v)``), and its least t is the least such p.
@@ -387,7 +386,9 @@ class StateMonadCtx:
         ev, digits = evaluation(self.pair_obj(x), self.state).table, self.mult_digits(x)
         unit, cells = partial(self.unit_at, tx), self.cell_layout(m)
         if all(map(eq, map(unit, range(m)), count(cells.first, cells.ones))):
-            bad = min((d % m for d in _differing(ev, digits)), default=None)
+            # a row of |TX| per state; with |TX| = 0 there are none
+            rows = [first_difference(ev[i:i + m], digits[i:i + m]) for i in range(0, s * m, m or 1)]
+            bad = min((d for d in rows if d is not None), default=None)
         else:
             mult = ([ev] * s, self.digit_weights(s * xn), ())
             bad = next((t for t in range(m) if value_at(mult, unit(t)) != t), None)
@@ -409,7 +410,7 @@ class StateMonadCtx:
         is 0.
         """
         ev = evaluation(self.pair_obj(x), self.state).table
-        return next(_differing(ev, self.mult_digits(x)), None)
+        return first_difference(ev, self.mult_digits(x))
 
     def mult_agreement(self, x: FinSet | int) -> LawCheck:
         """Compare the two multiplication implementations over all of TTX,

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import time
 from itertools import combinations, permutations, product
@@ -523,6 +525,7 @@ class TestCellLayout:
                 ctx.pair_obj(x), ctx.state).decode(t))) == 1] if s else []
             assert list(range(cells.tx.size))[cells.update_cells] == codes
             assert cells.ttx_weights == tuple((s * cells.tx.size) ** i for i in range(s))
+            assert cells.ttx_ones == sum((s * cells.tx.size) ** i for i in range(s))
             assert cells.ids == tuple(range(xn)) and cells.ids is cells.ids
 
     def test_bad_inputs_still_raise(self):
@@ -547,6 +550,102 @@ class TestCellLayout:
         with pytest.raises(FinSetError, match=r"^structure map must be <33222-bit int> -> "
                                               r"<16610-bit int>, got 16 -> 2$"):
             check_algebra(ctx2, FinSet(10**5000), h)
+
+
+def _reference_violation(ctx, xn, h):
+    """``(exit, (law, witness, lhs, rhs))`` for the first stage of
+    check_algebra that fails on h, or None for an algebra, recomputed here
+    stage by stage.  The TTX witness is summed digit by digit: its digits
+    ``(c, t)`` in ``S x TX``, each weighted ``(|S|·|TX|)^i``."""
+    s, x = ctx.state.size, FinSet(xn)
+    m = ctx.t_obj(x).size
+    units = [h[ctx.unit_at(x, v)] for v in range(xn)]
+    v = next((v for v in range(xn) if units[v] != v), None)
+    if v is not None:
+        return "unit", ("unit", v, units[v], v)
+    ones = sum((s * xn) ** i for i in range(s))
+    updates, look = read_presentation(ctx, xn, h)
+    ups = [updates[c * xn:(c + 1) * xn] for c in range(s)]
+    found = _update_violation(xn, ups) or _lookup_violation(xn, ups, look)
+    if found is None:
+        fold = fold_table(ctx, xn, updates, look)
+        w = next((t for t in range(m) if fold[t] != h[t]), None)
+        if w is None:
+            return None
+        found = ("fold", (w,), fold[w], h[w])
+        digits = [(c, w // (s * xn) ** c % (s * xn) * ones) for c in range(s)]
+    elif found[0] == "update_after_update":
+        c, d, a = found[1]
+        digits = [(c, (d * xn + a) * ones)] * s
+    elif found[0] == "update_after_lookup":
+        c, g = found[1]
+        graph = sum((i * xn + g // xn**i % xn) * (s * xn) ** i for i in range(s))
+        digits = [(c, graph)] * s
+    else:
+        digits = [(c, (c * xn + found[1][0]) * ones) for c in range(s)]
+    witness = sum((c * m + t) * (s * m) ** i for i, (c, t) in enumerate(digits))
+    return found[0], ("associativity", witness, found[2], found[3])
+
+
+EXITS = ("unit", "update_after_update", "update_after_lookup", "lookup_of_updates", "fold")
+
+
+@pytest.fixture(scope="module")
+def rejections():
+    """``{exit: [(ctx, xn, h, (law, witness, lhs, rhs))]}`` over (1,1..4),
+    (2,1..4) and (3,1..2): 40 seeded unit-law tables per carrier, and every
+    one-cell mutant of every enumerated algebra."""
+    rng = random.Random(29)
+    found = {}
+    for s, top in ((1, 4), (2, 4), (3, 2)):
+        ctx = StateMonadCtx(s)
+        for xn in range(1, top + 1):
+            tables = [_unit_law_table(rng, ctx, xn) for _ in range(40)]
+            for alg in enumerate_algebras(ctx, xn):
+                for cell, shift in product(range(alg.structure.dom.size), range(1, xn)):
+                    tables.append(list(alg.structure.table))
+                    tables[-1][cell] = (tables[-1][cell] + shift) % xn
+            for h in tables:
+                reference = _reference_violation(ctx, xn, h)
+                if reference is not None:
+                    found.setdefault(reference[0], []).append((ctx, xn, h, reference[1]))
+    return found
+
+
+class TestViolations:
+    """check_algebra builds each violation unchecked, and the TTX witnesses
+    of equations 1 and 2 in closed form; what it returns must be the record
+    the public constructor builds, at the code the digit-by-digit sum gives."""
+
+    def test_witnesses_pinned(self, rejections):
+        assert set(rejections) == set(EXITS)
+        # both forms of the witness, at two and three states
+        assert {ctx.state.size for exit in EXITS[1:] for ctx, *_ in rejections[exit]} == {2, 3}
+        for exit, cases in rejections.items():
+            for ctx, xn, h, expected in cases:
+                got = check_algebra(ctx, xn, Morphism(ctx.t_obj(xn), FinSet(xn), h))
+                assert (got.law, got.witness, got.lhs, got.rhs) == expected, (exit, h)
+
+    @pytest.mark.parametrize("exit", EXITS)
+    def test_built_record_is_the_public_one(self, rejections, exit):
+        ctx, xn, h, expected = rejections[exit][-1]
+        got = check_algebra(ctx, xn, Morphism(ctx.t_obj(xn), FinSet(xn), h))
+        public = AlgebraViolation(*expected)
+        assert type(got) is AlgebraViolation and got == public and hash(got) == hash(public)
+        assert repr(got) == repr(public) and str(got) == str(public)
+        assert not hasattr(got, "__dict__")
+        for name in ("law", "witness", "lhs", "rhs"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, name, 0)
+        for twin in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got), copy.copy(got)):
+            assert type(twin) is AlgebraViolation and twin == public and repr(twin) == repr(public)
+
+    def test_keeps_slots(self):
+        # a violation holds four slots and no __dict__, and its unchecked
+        # builder's twin has the same slots
+        assert AlgebraViolation.__slots__ == ("law", "witness", "lhs", "rhs")
+        assert monadlab.algebra._UnfrozenViolation.__slots__ == AlgebraViolation.__slots__
+        assert not hasattr(AlgebraViolation("unit", 0, 1, 0), "__dict__")
 
 
 class TestIntegerRoot:
